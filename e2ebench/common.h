@@ -30,7 +30,7 @@ struct Options {
 };
 
 /// The tail the choosing-metrics rule asks for: the highest percentile that
-/// still has at least ten samples above it.
+/// still has at least ten samples above it, capped at p99.
 struct Tail {
   double value = 0.0;
   double percentile = 0.0;  ///< 0-100
@@ -44,7 +44,10 @@ class Samples {
   void Add(double v) { v_.push_back(v); }
   std::size_t size() const { return v_.size(); }
   bool empty() const { return v_.empty(); }
+  const std::vector<double>& values() const { return v_; }
   double Median() const;
+  /// Linear interpolation between order statistics; q in [0, 1].
+  double Quantile(double q) const;
   double Mean() const;
   double Sum() const;
   /// With fewer than eleven samples no percentile has ten beyond it; the
@@ -77,6 +80,14 @@ double PeakRssMb();
 
 /// User + system CPU time of this process in milliseconds.
 double ProcessCpuMs();
+
+/// Moves the calling thread to the `k`-th CPU (mod the CPUs it may use),
+/// then lets it run on any of them again; the scheduler leaves it where it
+/// is. On a shared host each vCPU's speed drifts on its own, so a thread
+/// that stayed on one vCPU for a whole run measured that vCPU. Moving it
+/// at every session start spreads each run over all of them. Threads the
+/// program starts afterwards still inherit the full CPU set.
+void MoveToCpu(std::size_t k);
 
 /// Sum of read-once probabilities over every output tuple: the valuation
 /// step of "one query from text to the last output probability".

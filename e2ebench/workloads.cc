@@ -51,19 +51,28 @@ constexpr std::size_t kUniformTuples = 300000;
 constexpr double kUniformSessionSec = 3.8;
 constexpr std::size_t kSkewedTuples = 150000;
 constexpr double kSkewedSessionSec = 1.85;
-// Before its queries, each one-shot session appends this many 0.1% batches:
-// the storage append path with no continuous query to propagate to.
-constexpr std::size_t kOneshotEpochs = 60;
+// Before each of its queries, a one-shot session appends this many batches
+// of 0.1% of a relation's size to its log relation `d`: the storage append
+// path with no continuous query to propagate to. Spreading the appends over
+// the session samples the host as evenly as the queries do; in one block
+// per session, a run's epochs fell into eight 20 ms windows, and the
+// host's speed in those windows set the run's median.
+constexpr std::size_t kOneshotEpochsPerQuery = 15;
+// `d` is compacted (untimed) after every this many appends, which keeps its
+// run debt below QueryExecutor's background-compaction threshold (4): no
+// background merge overlaps a timed append.
+constexpr std::size_t kOneshotCompactEvery = 3;
 
-// Tuples per relation of the stream. At 100k the warm reads spent most of
-// their time probing a ~1M-node consing index far larger than a core's
-// cache share, and same-seed repeats moved their median by ±14% with the
-// host's cache pressure; at 30k, by ±6%.
-constexpr std::size_t kStreamTuples = 30000;
-constexpr std::size_t kStreamSessions = 3;
+// Tuples per relation of the stream, over n/100 facts. The warm reads are
+// consing-index probes, whose cost follows the host's memory load once the
+// index outgrows a core's cache share. Run alternately on one host, the
+// run medians of query_p50_ms spread 45-92 ms at 30k, 9.1-12.6 ms at 10k
+// and 2.24-2.50 ms at 3k. Many short sessions keep the arena small too.
+constexpr std::size_t kStreamTuples = 3000;
+constexpr std::size_t kStreamSessions = 48;
 constexpr std::size_t kStreamReadEvery = 10;   // one-shot read per N epochs
-constexpr double kStreamCycleSec = 0.12;       // N epochs + one read
-constexpr double kStreamSessionSec = 0.55;     // set-up, checks, teardown
+constexpr double kStreamCycleSec = 0.0045;     // N epochs + one read
+constexpr double kStreamSessionSec = 0.05;     // set-up, checks, teardown
 const char* const kStreamRead = "c - (r | s)";
 const char* const kStreamContinuous[][2] = {{"diff", "c - (r | s)"},
                                             {"both", "r & s"}};
@@ -81,26 +90,6 @@ std::uint64_t SessionSeed(std::uint64_t seed, std::size_t session) {
 }
 
 // ---- Shared session pieces --------------------------------------------------
-
-/// Per-fact chain ends of a generated relation, indexed by fact value — the
-/// cursors NextChainBatch extends so every appended batch is a valid epoch.
-/// Generators intern the int facts 0..F-1 first, so FactId == value; the
-/// check guards that assumption.
-bool ChainCursors(const TpRelation& rel, std::size_t num_facts,
-                  std::vector<TimePoint>* cursors) {
-  cursors->assign(num_facts, 0);
-  for (std::size_t f = 0; f < num_facts; ++f) {
-    if (rel.context()->facts().Intern(
-            {tpset::Value(static_cast<std::int64_t>(f))}) != f) {
-      return false;
-    }
-  }
-  for (const TpTuple& t : rel.tuples()) {
-    if (t.fact >= num_facts) return false;
-    (*cursors)[t.fact] = std::max((*cursors)[t.fact], t.t.end);
-  }
-  return true;
-}
 
 /// The paper's definitions applied to the catalog's current content: the
 /// oracle the small replica is checked against.
@@ -219,23 +208,62 @@ class PhaseClock {
   std::map<std::string, double> total_;
 };
 
-/// Fixed-shape end-to-end metrics every workload reports. `query_p50`
-/// holds the samples query_p50_ms is the median of, `query_ms` every timed
-/// query (the tail's population). `peak_rss_mb` is VmHWM when the first
-/// session ends: later sessions land on a heap the earlier ones freed, and
-/// how much of it they reuse varies run to run with the allocator's
-/// per-thread arenas (on the t4 workload by up to 15%).
-void EmitEndToEnd(const Samples& setup_s, const Samples& query_p50,
-                  const Samples& query_ms, const Samples& epoch_ms,
+/// The pooled samples of the quietest quarter of a run's windows (its
+/// sessions, or runs of consecutive epochs), ranked by their medians. On
+/// a shared host every latency of a process slows together, by up to 2x,
+/// for seconds to minutes at a time: in one 30 s stream run over 10k-tuple
+/// relations the window medians ranged from 7.3 to 14.6 ms. Statistics
+/// over the quiet quarter ignore slowdowns that cover less than three
+/// quarters of a run, while a slower program moves every window. A
+/// quarter, not the fastest window alone, so that one window of unusually
+/// cheap data does not set it.
+Samples QuietQuarter(const std::vector<Samples>& windows) {
+  std::vector<std::pair<double, const Samples*>> ranked;
+  for (const Samples& w : windows) {
+    if (!w.empty()) ranked.push_back({w.Median(), &w});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  Samples kept;
+  for (std::size_t i = 0; i < (ranked.size() + 3) / 4; ++i) {
+    for (double v : ranked[i].second->values()) kept.Add(v);
+  }
+  return kept;
+}
+
+/// Fixed-shape end-to-end metrics every workload reports. query_p50_ms and
+/// epoch_p50_ms are medians over the quiet quarter of their windows;
+/// `query_tail` is the tail's population. `peak_rss_mb` is VmHWM at a point
+/// the caller chooses.
+void EmitEndToEnd(const Samples& setup_s,
+                  const std::vector<Samples>& query_windows,
+                  const Samples& query_tail,
+                  const std::vector<Samples>& epoch_windows,
                   double peak_rss_mb, RunResult* out) {
-  const Tail qt = query_ms.TailValue();
+  const Samples query_p50 = QuietQuarter(query_windows);
+  const Samples epoch_p50 = QuietQuarter(epoch_windows);
+  const Tail qt = query_tail.TailValue();
   out->Metric("setup_s", setup_s.Median(), "s");
   out->Metric("query_p50_ms", query_p50.Median(), "ms");
   out->Metric("query_tail_ms", qt.value, "ms");
-  out->Metric("epoch_p50_ms", epoch_ms.Median(), "ms");
+  out->Metric("epoch_p50_ms", epoch_p50.Median(), "ms");
   out->Metric("peak_rss_mb", peak_rss_mb, "MiB");
   out->Note(Format("setup_s: median of %zu set-ups", setup_s.size()));
-  out->Note(Format("query_p50_ms: median of %zu samples", query_p50.size()));
+  out->Note(Format("query_p50_ms: median of %zu samples, the quiet quarter of "
+                   "%zu windows", query_p50.size(), query_windows.size()));
+  out->Note(Format("epoch_p50_ms: median of %zu samples, the quiet quarter of "
+                   "%zu windows", epoch_p50.size(), epoch_windows.size()));
+  for (const auto& [name, windows] :
+       {std::pair{"query", &query_windows}, std::pair{"epoch", &epoch_windows}}) {
+    Samples medians;
+    for (const Samples& w : *windows) {
+      if (!w.empty()) medians.Add(w.Median());
+    }
+    out->Note(Format("%s window medians (ms): min %.4g q25 %.4g median %.4g "
+                     "q75 %.4g max %.4g", name, medians.Quantile(0.0),
+                     medians.Quantile(0.25), medians.Quantile(0.5),
+                     medians.Quantile(0.75), medians.Quantile(1.0)));
+  }
   out->Note(Format("query_tail_ms = p%.1f of %zu queries (%zu beyond)",
                    qt.percentile, qt.n, qt.beyond));
 }
@@ -354,25 +382,33 @@ void EmitLayers(const LayerTotals& lt, const Samples& epoch_ms,
                    lt.profiled_ms.size()));
 }
 
-/// Appends kOneshotEpochs 0.1% chain batches round-robin over a, b, c, then
-/// compacts each relation (untimed) so the session's queries read plain
-/// base levels. Appending before the queries puts the epochs on an arena
-/// of base variables only, whose size — and so whether a consing-index
-/// rehash lands on an append — depends on the tuple count, not the seed.
+/// The one-shot sessions' log relation `d`: per-fact chains that no query
+/// reads, so appending to it between the queries leaves them cold and
+/// their outputs unchanged.
+bool RegisterLog(QueryExecutor* exec, const std::shared_ptr<TpContext>& ctx,
+                 std::size_t n, Rng* rng, std::vector<TimePoint>* cursors) {
+  cursors->assign(std::max<std::size_t>(3, n / 1000), 0);
+  TpRelation log(ctx, tpset::Schema::SingleInt("fact"), "d");
+  tpset::SeedFactChains(&log, n, cursors, rng);
+  return exec->Register(log).ok();
+}
+
+/// Appends kOneshotEpochsPerQuery chain batches to `d`, compacting it
+/// (untimed) after every kOneshotCompactEvery.
 void OneshotEpochs(QueryExecutor* exec, std::size_t rows,
-                   std::vector<std::vector<TimePoint>>* cursors, Rng* rng,
+                   std::vector<TimePoint>* cursors, Rng* rng, Samples* block,
                    Samples* epoch_ms, RunResult* out) {
-  const char* names[] = {"a", "b", "c"};
-  for (std::size_t e = 0; e < kOneshotEpochs; ++e) {
-    const std::size_t k = e % 3;
-    const DeltaBatch batch = tpset::NextChainBatch(&(*cursors)[k], rows, rng);
+  for (std::size_t e = 1; e <= kOneshotEpochsPerQuery; ++e) {
+    const DeltaBatch batch = tpset::NextChainBatch(cursors, rows, rng);
     const auto t0 = Clock::now();
-    Result<tpset::EpochId> epoch = exec->Append(names[k], batch);
-    epoch_ms->Add(MsSince(t0));
-    out->Count(epoch.ok(), Format("append to %s", names[k]));
-  }
-  for (const char* name : names) {
-    out->Count(exec->Compact(name).ok(), Format("compact %s", name));
+    Result<tpset::EpochId> epoch = exec->Append("d", batch);
+    const double wall = MsSince(t0);
+    block->Add(wall);
+    epoch_ms->Add(wall);
+    out->Count(epoch.ok(), "append to d");
+    if (e % kOneshotCompactEvery == 0) {
+      out->Count(exec->Compact("d").ok(), "compact d");
+    }
   }
 }
 
@@ -441,42 +477,43 @@ void RunOneshot(const Options& opt, const RelationMaker& make,
   const std::size_t sessions = SessionsFor(opt.seconds, session_sec, 2 * modes.size());
 
   Samples setup_s, query_ms, epoch_ms;
+  std::vector<Samples> epoch_blocks;  // one window per query's epochs
   LayerTotals lt;
   // The four query shapes differ up to 4x in cost, so the median of the
   // pooled per-query samples would fall in the gap between two shapes and
   // read one shape's maximum against another's minimum. query_p50_ms is
-  // instead the median over sessions of the session's mean query latency.
-  Samples session_mean_ms;
+  // instead a median of the sessions' mean query latencies: one window per
+  // session.
+  std::vector<Samples> session_mean_ms;
   std::map<std::string, Samples> by_query;
   PhaseClock phases;
   double peak_rss_mb = 0.0;
 
   for (std::size_t session = 0; session < sessions; ++session) {
     const OneshotMode mode = modes[session % modes.size()];
+    MoveToCpu(session);
     Rng rng(SessionSeed(opt.seed, session));
     const auto setup_t0 = Clock::now();
     auto ctx = std::make_shared<TpContext>();
     auto exec = std::make_unique<QueryExecutor>(ctx);
-    std::vector<TpRelation> rels = make(ctx, tuples, &rng);
-    const bool registered = RegisterAll(exec.get(), rels);
+    std::vector<TimePoint> cursors;
+    const bool registered =
+        RegisterAll(exec.get(), make(ctx, tuples, &rng)) &&
+        RegisterLog(exec.get(), ctx, tuples / 10, &rng, &cursors);
     setup_s.Add(MsSince(setup_t0) / 1000.0);
-    std::vector<std::vector<TimePoint>> cursors(3);
-    bool cursors_ok = true;
-    for (std::size_t k = 0; k < 3; ++k) {
-      cursors_ok = cursors_ok &&
-                   ChainCursors(rels[k], ctx->facts().size(), &cursors[k]);
-    }
-    rels.clear();
-    out->Count(registered && cursors_ok, "session setup");
-    if (!registered || !cursors_ok) continue;
+    out->Count(registered, "session setup");
+    if (!registered) continue;
     phases.Lap("setup");
-    OneshotEpochs(exec.get(), tuples / 1000, &cursors, &rng, &epoch_ms, out);
-    phases.Lap("epochs");
 
     // Timed queries first, on the cold arena; every check afterwards.
     std::vector<Result<TpRelation>> outputs;
     double session_query_ms = 0.0;
     for (const char* q : kOneshotQueries) {
+      phases.Lap("queries");
+      epoch_blocks.emplace_back();
+      OneshotEpochs(exec.get(), tuples / 1000, &cursors, &rng,
+                    &epoch_blocks.back(), &epoch_ms, out);
+      phases.Lap("epochs");
       if (mode == OneshotMode::kReplay) {
         outputs.push_back(TracedReplay(*exec, q, &lt, out));
       } else if (mode == OneshotMode::kProfiled) {
@@ -565,7 +602,9 @@ void RunOneshot(const Options& opt, const RelationMaker& make,
 
     phases.Lap("queries");
     if (mode == OneshotMode::kUntraced) {
-      session_mean_ms.Add(session_query_ms / static_cast<double>(outputs.size()));
+      session_mean_ms.emplace_back();
+      session_mean_ms.back().Add(session_query_ms /
+                                 static_cast<double>(outputs.size()));
     }
 
     // Checks (untimed). Sequential sessions: the replay and Execute must
@@ -591,6 +630,9 @@ void RunOneshot(const Options& opt, const RelationMaker& make,
     outputs.clear();
     phases.Lap("checks");
     lt.arena_end.Add(static_cast<double>(ctx->lineage().size()));
+    // VmHWM when the first session ends: later sessions land on a heap the
+    // earlier ones freed, and how much of it they reuse varies run to run
+    // with the allocator's per-thread arenas (on the t4 workload by 15%).
     if (session == 0) peak_rss_mb = PeakRssMb();
     exec.reset();
     ctx.reset();
@@ -605,7 +647,7 @@ void RunOneshot(const Options& opt, const RelationMaker& make,
   if (opt.trace) {
     EmitLayers(lt, epoch_ms, out);
   } else {
-    EmitEndToEnd(setup_s, session_mean_ms, query_ms, epoch_ms, peak_rss_mb,
+    EmitEndToEnd(setup_s, session_mean_ms, query_ms, epoch_blocks, peak_rss_mb,
                  out);
   }
 }
@@ -670,13 +712,13 @@ struct StreamSession {
 
 const char* const kStreamNames[] = {"c", "r", "s"};
 
-/// Seeds c, r, s with per-fact chains (n/1000 facts each, at least 3),
+/// Seeds c, r, s with per-fact chains (n/100 facts each, at least 3),
 /// registers them and both continuous queries, and subscribes one folding
 /// subscriber each.
 bool SetUpStream(std::size_t n, Rng* rng, StreamSession* s) {
   s->ctx = std::make_shared<TpContext>();
   s->exec = std::make_unique<QueryExecutor>(s->ctx);
-  const std::size_t facts = std::max<std::size_t>(3, n / 1000);
+  const std::size_t facts = std::max<std::size_t>(3, n / 100);
   s->cursors.assign(3, std::vector<TimePoint>(facts, 0));
   for (std::size_t k = 0; k < 3; ++k) {
     TpRelation rel(s->ctx, tpset::Schema::SingleInt("fact"), kStreamNames[k]);
@@ -743,12 +785,16 @@ void RunStreamMixed(const Options& opt, RunResult* out) {
   const std::size_t rows = kStreamTuples / 1000;  // 0.1% batches
 
   Samples setup_s, query_ms, epoch_ms;
+  // Windows for the quiet-quarter statistics: a session's reads, and each
+  // run of kStreamReadEvery epochs between two reads.
+  std::vector<Samples> read_windows(kStreamSessions);
+  std::vector<Samples> epoch_windows;
   LayerTotals lt;
   std::size_t reads = 0;
   double generations = 0.0;
-  double peak_rss_mb = 0.0;
   PhaseClock phases;
   for (std::size_t session = 0; session < kStreamSessions; ++session) {
+    MoveToCpu(session);
     Rng rng(SessionSeed(opt.seed, session));
     StreamSession s;
     const auto setup_t0 = Clock::now();
@@ -770,7 +816,11 @@ void RunStreamMixed(const Options& opt, RunResult* out) {
       const auto t0 = Clock::now();
       Result<tpset::EpochId> epoch = s.exec->Append(kStreamNames[k], batch);
       const auto t1 = Clock::now();
-      epoch_ms.Add(std::chrono::duration<double, std::milli>(t1 - t0).count());
+      const double epoch_wall =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      epoch_ms.Add(epoch_wall);
+      if (e % kStreamReadEvery == 0) epoch_windows.emplace_back();
+      epoch_windows.back().Add(epoch_wall);
       out->Count(epoch.ok(), Format("append to %s", kStreamNames[k]));
       if (opt.trace) {
         // Deliveries happen inside Append; the last one splits the epoch
@@ -813,6 +863,7 @@ void RunStreamMixed(const Options& opt, RunResult* out) {
         if (res.ok()) ValuateAll(*res);
         const double wall = MsSince(r0);
         query_ms.Add(wall);
+        read_windows[session].Add(wall);
         if (opt.trace) lt.untraced_ms.Add(wall);
         read_ok = res.ok();
       }
@@ -827,7 +878,6 @@ void RunStreamMixed(const Options& opt, RunResult* out) {
     generations += static_cast<double>(gen1 - gen0);
     lt.arena_end.Add(static_cast<double>(s.ctx->lineage().size()));
     phases.Lap("epochs");
-    if (session == 0) peak_rss_mb = PeakRssMb();
     CheckStream(s, out);
     phases.Lap("checks");
     s.exec.reset();
@@ -841,7 +891,10 @@ void RunStreamMixed(const Options& opt, RunResult* out) {
         generations / static_cast<double>(kStreamSessions * epochs_per_session);
     EmitLayers(lt, epoch_ms, out);
   } else {
-    EmitEndToEnd(setup_s, query_ms, query_ms, epoch_ms, peak_rss_mb, out);
+    // VmHWM at the end of the run: the largest of 48 sessions, a steadier
+    // figure than the first session's alone.
+    EmitEndToEnd(setup_s, read_windows, query_ms, epoch_windows, PeakRssMb(),
+                 out);
   }
 }
 
