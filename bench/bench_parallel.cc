@@ -12,27 +12,22 @@
 // arena has not seen, so a warm-arena rerun — where every intern degrades
 // to a cache hit — would systematically understate the apply phase.
 //
-// A second section benchmarks the morsel scheduler under *fact skew* —
-// zipf(s=1.2) and a single 90%-weight fact — against the legacy static
-// partitioner (MorselOptions{.enabled = false}). Each configuration runs
-// for real (per-phase breakdown via ComputeTimed) and is additionally
-// *modeled* at 8 workers: per-unit staged sweep and splice times are
-// measured in isolation (this is exact — units run back to back on one
-// core), then list-scheduled greedily onto 8 idealized workers. The model
-// exists because wall-clock speedup at N threads saturates at the host's
-// core count (CI containers often pin 1-2 cores); the modeled makespan
-// isolates the scheduling effect the morsel design targets: static
-// apply+sweep = makespan + serial apply (barrier), morsel apply+sweep =
-// max(makespan, apply) (overlapped splice). Both real and modeled numbers
-// land in the JSON.
+// A second section runs the morsel scheduler under *fact skew* —
+// zipf(s=1.2) and a single 90%-weight fact — for real (per-phase breakdown
+// via ComputeTimed) and *modeled* at 8 workers: per-morsel staged sweep and
+// splice times are measured in isolation (this is exact — morsels run back
+// to back on one core), then list-scheduled greedily onto 8 idealized
+// workers, apply+sweep = max(makespan, apply) (overlapped splice). The
+// model exists because wall-clock speedup at N threads saturates at the
+// host's core count (CI containers often pin 1-2 cores). Both real and
+// modeled numbers land in the JSON.
 //
-// A third section A/Bs the sweep kernels (scalar vs columnar SoA, see
-// DESIGN.md "Columnar sweep kernel"): pure t1 sweep walls (window
-// enumeration only — the whole-op wall is dominated by lineage
-// concatenation, which no sweep kernel can move), whole-op t1 walls,
-// LAWA-P/8 bit-identical walls, with the window streams and outputs
-// cross-checked — any scalar/columnar divergence exits non-zero. A radix
-// vs comparison sort measurement on shuffled input rides along.
+// A third section A/Bs the advancers themselves (the scalar reference vs
+// the columnar SoA kernel, see DESIGN.md "Columnar sweep kernel"): pure t1
+// sweep walls (window enumeration only — the whole-op wall is dominated by
+// lineage concatenation, which no sweep kernel can move), with the window
+// streams cross-checked — any scalar/columnar divergence exits non-zero. A
+// radix vs comparison sort measurement on shuffled input rides along.
 //
 // Output: the harness CSV rows, one "# json {...}" summary line per
 // operation, and a machine-readable summary written to BENCH_parallel.json
@@ -131,7 +126,7 @@ void AppendPhaseJson(std::string* out, std::size_t threads, const Sample& s) {
   *out += buf;
 }
 
-// ---- Skewed scenarios (morsel scheduler vs static partitioner) ------------
+// ---- Skewed scenarios (morsel scheduler) ----------------------------------
 
 constexpr std::size_t kSkewThreads = 8;
 constexpr std::size_t kSkewPartitionsPerThread = 4;
@@ -148,15 +143,13 @@ struct SkewSample {
   LawaStats stats;
 };
 
-// Best-of-reps real execution with the given morsel config, cold arenas.
-SkewSample BestSkewCold(int reps, const SkewedPairSpec& spec,
-                        const MorselOptions& morsel, SetOpKind op) {
+// Best-of-reps real execution, cold arenas.
+SkewSample BestSkewCold(int reps, const SkewedPairSpec& spec, SetOpKind op) {
   SkewSample best;
   for (int i = 0; i < reps; ++i) {
     auto [r, s] = FreshSkewPair(spec);
     ParallelSetOpAlgorithm algo(kSkewThreads, SortMode::kComparison,
-                                kSkewPartitionsPerThread, ApplyMode::kStaged,
-                                morsel);
+                                kSkewPartitionsPerThread, ApplyMode::kStaged);
     PhaseTimings t;
     LawaStats stats;
     double ms = TimeMs([&]() {
@@ -168,11 +161,11 @@ SkewSample BestSkewCold(int reps, const SkewedPairSpec& spec,
   return best;
 }
 
-// Per-unit staged sweep and serial splice times, measured in isolation (one
-// unit at a time, which single-core hosts make exact). Mutates the pair's
-// context — callers pass a fresh pair.
+// Per-morsel staged sweep and serial splice times, measured in isolation
+// (one morsel at a time, which single-core hosts make exact). Mutates the
+// pair's context — callers pass a fresh pair.
 struct UnitTimes {
-  std::vector<double> sweep_ms;  // per plan unit, plan order
+  std::vector<double> sweep_ms;  // per morsel, plan order
   double apply_ms = 0.0;         // total serial splice + remap time
 };
 
@@ -241,48 +234,10 @@ struct KernelWindow {
   }
 };
 
-// Whole-operation sequential wall with a pinned kernel, cold arena per rep.
-double BestSequentialKernelCold(int reps, const Workload& wl, SetOpKind op,
-                                SweepKernel kernel) {
-  double best = 0.0;
-  for (int i = 0; i < reps; ++i) {
-    auto [r, s] = wl.Fresh();
-    double ms = TimeMs([&]() {
-      TpRelation out = LawaSetOp(op, r, s, SortMode::kComparison,
-                                 /*stats=*/nullptr, kernel);
-      (void)out;
-    });
-    if (i == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-// LAWA-P/8 bit-identical wall with a pinned kernel, cold arena per rep;
-// `out` receives the result tuples (identical across reps — cold arena +
-// bit-identical apply are deterministic), for the cross-kernel byte check.
-Sample BestParallelKernelCold(int reps, const Workload& wl, SetOpKind op,
-                              SweepKernel kernel, std::vector<TpTuple>* out) {
-  Sample best;
-  for (int i = 0; i < reps; ++i) {
-    auto [r, s] = wl.Fresh();
-    ParallelSetOpAlgorithm algo(8, SortMode::kComparison, 4,
-                                ApplyMode::kBitIdentical, MorselOptions{},
-                                kernel);
-    PhaseTimings t;
-    double ms = TimeMs([&]() {
-      TpRelation res = algo.ComputeTimed(op, r, s, &t);
-      if (i == 0) *out = res.tuples();
-    });
-    if (i == 0 || ms < best.wall_ms) best = Sample{ms, t};
-  }
-  return best;
-}
-
 // Greedy list scheduling of the units in plan order onto `workers`
 // idealized workers (each unit lands on the least-loaded one) — what the
-// stealing deques approximate. For the static plan this models the legacy
-// pool; a single heavy unit dominates the result exactly as it pins a
-// worker in practice.
+// stealing deques approximate; a single heavy unit dominates the result
+// exactly as it pins a worker in practice.
 double Makespan(const std::vector<double>& durations, std::size_t workers) {
   std::vector<double> load(workers, 0.0);
   for (double d : durations) {
@@ -474,7 +429,7 @@ int main(int argc, char** argv) {
   }
   json += "\n  ],\n";
 
-  // ---- Skewed scenarios: morsel scheduler vs static partitioner ----------
+  // ---- Skewed scenarios: morsel scheduler ---------------------------------
   std::printf("# skew: zipf(s=1.2) and one-hot(90%%) facts, staged apply, "
               "threads=%zu; real walls + modeled 8-worker makespan\n",
               kSkewThreads);
@@ -512,32 +467,13 @@ int main(int argc, char** argv) {
       }
       PrintRow("parallel-skew", tag.c_str(), "LAWA", n, seq_ms);
 
-      MorselOptions static_sched;
-      static_sched.enabled = false;
-      MorselOptions nosteal;
-      nosteal.steal = false;
-      SkewSample st = BestSkewCold(skew_reps, sc.spec, static_sched, op);
-      SkewSample ns = BestSkewCold(skew_reps, sc.spec, nosteal, op);
-      SkewSample mo = BestSkewCold(skew_reps, sc.spec, MorselOptions{}, op);
-      PrintRow("parallel-skew", tag.c_str(), "static/8", n, st.run.wall_ms);
-      PrintRow("parallel-skew", tag.c_str(), "morsel-nosteal/8", n,
-               ns.run.wall_ms);
+      SkewSample mo = BestSkewCold(skew_reps, sc.spec, op);
       PrintRow("parallel-skew", tag.c_str(), "morsel/8", n, mo.run.wall_ms);
 
-      // Modeled 8-worker makespans from per-unit measurements.
-      std::size_t units_static = 0, units_morsel = 0;
-      double static_sweep8 = 0.0, static_apply = 0.0;
-      double morsel_sweep8 = 0.0, morsel_apply = 0.0;
-      {
-        auto [r, s] = FreshSkewPair(sc.spec);
-        const std::vector<FactPartition> parts = PartitionByFactRange(
-            r.tuples().data(), r.tuples().size(), s.tuples().data(),
-            s.tuples().size(), kSkewThreads * kSkewPartitionsPerThread);
-        units_static = parts.size();
-        UnitTimes ut = MeasureStagedUnits(op, r, s, parts);
-        static_sweep8 = Makespan(ut.sweep_ms, kSkewThreads);
-        static_apply = ut.apply_ms;
-      }
+      // Modeled 8-worker makespan from per-morsel measurements: splices
+      // overlap the sweeps, so the phase pair costs max(makespan, apply).
+      std::size_t units = 0;
+      double sweep8 = 0.0, apply = 0.0;
       {
         auto [r, s] = FreshSkewPair(sc.spec);
         const std::vector<FactPartition> parts = PartitionByFactRange(
@@ -547,26 +483,18 @@ int main(int argc, char** argv) {
             r.tuples().data(), s.tuples().data(), parts,
             MorselAutoBudget(r.tuples().size() + s.tuples().size(),
                              kSkewThreads, kSkewPartitionsPerThread));
-        units_morsel = plan.morsels.size();
+        units = plan.morsels.size();
         UnitTimes ut = MeasureStagedUnits(op, r, s, plan.morsels);
-        morsel_sweep8 = Makespan(ut.sweep_ms, kSkewThreads);
-        morsel_apply = ut.apply_ms;
+        sweep8 = Makespan(ut.sweep_ms, kSkewThreads);
+        apply = ut.apply_ms;
       }
-      // Static: barrier, then serial apply. Morsel: splices overlap the
-      // sweeps, so the phase pair costs max(makespan, total apply).
-      const double static_total = static_sweep8 + static_apply;
-      const double morsel_total = std::max(morsel_sweep8, morsel_apply);
-      const double model_speedup =
-          morsel_total > 0 ? static_total / morsel_total : 0.0;
-      PrintRow("parallel-skew", tag.c_str(), "modeled-static/8", n,
-               static_total);
-      PrintRow("parallel-skew", tag.c_str(), "modeled-morsel/8", n,
-               morsel_total);
+      const double total = std::max(sweep8, apply);
+      PrintRow("parallel-skew", tag.c_str(), "modeled-morsel/8", n, total);
       std::printf(
           "# json {\"experiment\":\"parallel-skew\",\"scenario\":\"%s\","
-          "\"operation\":\"%s\",\"modeled8_apply_sweep_speedup\":%.3f,"
+          "\"operation\":\"%s\",\"modeled8_total_ms\":%.3f,"
           "\"morsels\":%zu,\"stolen\":%zu,\"facts_split\":%zu}\n",
-          sc.name, op_name, model_speedup, mo.stats.morsels_run,
+          sc.name, op_name, total, mo.stats.morsels_run,
           mo.stats.morsels_stolen, mo.stats.facts_split);
 
       if (!first_skew) json += ",\n";
@@ -575,30 +503,19 @@ int main(int argc, char** argv) {
       std::snprintf(
           buf, sizeof(buf),
           "    {\"scenario\": \"%s\", \"operation\": \"%s\", \"n\": %zu,\n"
-          "     \"lawa_ms\": %.3f,\n     \"real\": {",
+          "     \"lawa_ms\": %.3f,\n     \"real\": {\"morsel\": {",
           sc.name, op_name, n, seq_ms);
       json += buf;
-      json += "\"static\": {";
-      AppendPhaseJson(&json, kSkewThreads, st.run);
-      json += "}, \"morsel_nosteal\": {";
-      AppendPhaseJson(&json, kSkewThreads, ns.run);
-      json += "}, \"morsel\": {";
       AppendPhaseJson(&json, kSkewThreads, mo.run);
       json += "}},\n";
       std::snprintf(
           buf, sizeof(buf),
           "     \"morsels_run\": %zu, \"morsels_stolen\": %zu, "
           "\"facts_split\": %zu,\n"
-          "     \"modeled8\": {\"units_static\": %zu, \"units_morsel\": %zu,\n"
-          "       \"static_sweep_ms\": %.3f, \"static_apply_ms\": %.3f, "
-          "\"static_total_ms\": %.3f,\n"
-          "       \"morsel_sweep_ms\": %.3f, \"morsel_apply_ms\": %.3f, "
-          "\"morsel_total_ms\": %.3f,\n"
-          "       \"apply_sweep_speedup\": %.3f}}",
+          "     \"modeled8\": {\"units\": %zu, \"sweep_ms\": %.3f, "
+          "\"apply_ms\": %.3f, \"total_ms\": %.3f}}",
           mo.stats.morsels_run, mo.stats.morsels_stolen, mo.stats.facts_split,
-          units_static, units_morsel, static_sweep8, static_apply,
-          static_total, morsel_sweep8, morsel_apply, morsel_total,
-          model_speedup);
+          units, sweep8, apply, total);
       json += buf;
     }
   }
@@ -607,10 +524,9 @@ int main(int argc, char** argv) {
   // ---- Kernel A/B: scalar vs columnar LAWA advance -----------------------
   // Pure sweep at t1 (advancer + window enumeration only — no lineage
   // concatenation, which dominates the whole-op sequential wall and would
-  // bury the kernel difference), whole-op t1 walls for context, and
-  // LAWA-P/8 bit-identical walls with byte-equality of the outputs.
-  std::printf("# kernel A/B: scalar vs columnar advance — pure sweep t1, "
-              "whole-op t1, LAWA-P/8 bit-identical (outputs byte-checked)\n");
+  // bury the kernel difference), window streams cross-checked.
+  std::printf("# kernel A/B: scalar vs columnar advance — pure sweep t1 "
+              "(window streams checked)\n");
   PrintHeader("kernel-ab");
   json += "  \"kernel_ab\": [\n";
   const int ab_reps = 5;
@@ -663,37 +579,6 @@ int main(int argc, char** argv) {
     PrintRow("kernel-ab", tag.c_str(), "sweep-scalar/1", n, sweep_scalar);
     PrintRow("kernel-ab", tag.c_str(), "sweep-columnar/1", n, sweep_columnar);
 
-    const double whole_scalar =
-        BestSequentialKernelCold(reps, wl, op, SweepKernel::kScalar);
-    const double whole_columnar =
-        BestSequentialKernelCold(reps, wl, op, SweepKernel::kColumnar);
-    PrintRow("kernel-ab", tag.c_str(), "whole-scalar/1", n, whole_scalar);
-    PrintRow("kernel-ab", tag.c_str(), "whole-columnar/1", n, whole_columnar);
-
-    std::vector<TpTuple> out_scalar, out_columnar;
-    Sample t8_scalar = BestParallelKernelCold(reps, wl, op,
-                                              SweepKernel::kScalar,
-                                              &out_scalar);
-    Sample t8_columnar = BestParallelKernelCold(reps, wl, op,
-                                                SweepKernel::kColumnar,
-                                                &out_columnar);
-    // Field-wise, not memcmp: TpTuple has alignment padding whose bytes
-    // are indeterminate.
-    const bool out_equal =
-        out_scalar.size() == out_columnar.size() &&
-        std::equal(out_scalar.begin(), out_scalar.end(),
-                   out_columnar.begin());
-    if (!out_equal) {
-      std::fprintf(stderr,
-                   "bench_parallel: kernel divergence (%s): LAWA-P/8 "
-                   "bit-identical outputs differ (%zu vs %zu tuples)\n",
-                   op_name, out_scalar.size(), out_columnar.size());
-      ab_diverged = true;
-    }
-    PrintRow("kernel-ab", tag.c_str(), "t8-bit-scalar", n, t8_scalar.wall_ms);
-    PrintRow("kernel-ab", tag.c_str(), "t8-bit-columnar", n,
-             t8_columnar.wall_ms);
-
     const double sweep_speedup =
         sweep_columnar > 0 ? sweep_scalar / sweep_columnar : 0.0;
     std::printf(
@@ -701,23 +586,19 @@ int main(int argc, char** argv) {
         "\"sweep_scalar_t1_ms\":%.3f,\"sweep_columnar_t1_ms\":%.3f,"
         "\"sweep_speedup_t1\":%.3f,\"build_ms\":%.3f,\"identical\":%s}\n",
         op_name, sweep_scalar, sweep_columnar, sweep_speedup, build_ms,
-        stream_equal && out_equal ? "true" : "false");
+        stream_equal ? "true" : "false");
 
     if (!first_ab) json += ",\n";
     first_ab = false;
-    char buf[768];
+    char buf[512];
     std::snprintf(
         buf, sizeof(buf),
         "    {\"operation\": \"%s\", \"n\": %zu, \"windows\": %zu,\n"
         "     \"sweep_scalar_t1_ms\": %.3f, \"sweep_columnar_t1_ms\": %.3f,\n"
         "     \"sweep_speedup_t1\": %.3f, \"build_ms\": %.3f,\n"
-        "     \"whole_scalar_t1_ms\": %.3f, \"whole_columnar_t1_ms\": %.3f,\n"
-        "     \"t8_bit_scalar_ms\": %.3f, \"t8_bit_columnar_ms\": %.3f,\n"
         "     \"identical\": %s}",
         op_name, n, scalar_win.size(), sweep_scalar, sweep_columnar,
-        sweep_speedup, build_ms, whole_scalar, whole_columnar,
-        t8_scalar.wall_ms, t8_columnar.wall_ms,
-        stream_equal && out_equal ? "true" : "false");
+        sweep_speedup, build_ms, stream_equal ? "true" : "false");
     json += buf;
   }
   json += "\n  ],\n";

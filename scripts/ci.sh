@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification, as CI runs it: configure with warnings-as-errors,
-# build everything (library, tests, benches, examples), run ctest, then
-# smoke-run bench_parallel at a tiny scale so the bench binary and its
-# BENCH_parallel.json emitter cannot bitrot. A second build under
+# build everything (library, tests, benches, examples), run ctest, compile
+# the end-to-end benchmark project, then smoke-run bench_parallel at a tiny
+# scale so the bench binary and its BENCH_parallel.json emitter cannot
+# bitrot. A second build under
 # ThreadSanitizer reruns the concurrency-labelled test subset (morsel
 # scheduler, staged/overlapped apply, incremental staged delta apply,
 # storage epoch fence).
@@ -35,6 +36,14 @@ fi
 cmake -B "$BUILD_DIR" -S . -DTPSET_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+# End-to-end benchmark compile check: e2ebench/ is its own CMake project
+# that builds the library from src/ and drives it through the public
+# executor API, so an API change that breaks it fails here (configure and
+# build only; the benchmark itself runs through e2ebench/run.py).
+cmake -S e2ebench -B "$BUILD_DIR/e2ebench"
+cmake --build "$BUILD_DIR/e2ebench" -j "$JOBS"
+echo "e2ebench build OK"
 
 # Bench smoke: ~2K tuples/relation, JSON into the build dir (the committed
 # BENCH_parallel.json is produced by a full-scale manual run, not by CI).
@@ -144,10 +153,14 @@ SERVE_ADDR="$(grep -o 'http://[0-9.]*:[0-9]*' "$BUILD_DIR/serve_smoke.out" \
   | head -1 | sed 's#http://##')"
 test -n "$SERVE_ADDR"
 sleep 1  # a few collector ticks so /flight and /top carry ring history
-curl -fsS "http://$SERVE_ADDR/healthz" | grep -q 'ok'
-curl -fsS "http://$SERVE_ADDR/readyz" | grep -q 'ready'
+# Body checks read the whole body (grep > /dev/null, not grep -q): a grep
+# that exits at its first match can close the pipe while curl is still
+# writing a multi-chunk body, and under pipefail that curl's write error
+# (exit 23) would fail the stage although the check passed.
+curl -fsS "http://$SERVE_ADDR/healthz" | grep 'ok' > /dev/null
+curl -fsS "http://$SERVE_ADDR/readyz" | grep 'ready' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics" \
-  | grep -q '^tpset_net_http_requests_total '
+  | grep '^tpset_net_http_requests_total ' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics?format=json" \
   > "$BUILD_DIR/serve_metrics.jsonl"
 python3 scripts/validate_metrics.py "$BUILD_DIR/serve_metrics.jsonl" \
@@ -155,7 +168,7 @@ python3 scripts/validate_metrics.py "$BUILD_DIR/serve_metrics.jsonl" \
 curl -fsS "http://$SERVE_ADDR/flight" > "$BUILD_DIR/serve_flight.json"
 python3 scripts/validate_flight_record.py "$BUILD_DIR/serve_flight.json" \
   scripts/flight_record_schema.json
-curl -fsS "http://$SERVE_ADDR/queries" | grep -q '"name":"w1"'
+curl -fsS "http://$SERVE_ADDR/queries" | grep '"name":"w1"' > /dev/null
 printf '\\quit\n' >&9
 exec 9>&-
 wait "$SERVE_PID"

@@ -187,7 +187,7 @@ int ContinuousQuery::CompileNode(
     node.right = CompileNode(*q.right, resolve, memo, status);
     if (!status->ok()) return -1;
     node.op = q.op;
-    node.state = std::make_unique<IncrementalSetOp>(q.op, options_.sweep_kernel);
+    node.state = std::make_unique<IncrementalSetOp>(q.op);
   }
   const int index = static_cast<int>(nodes_.size());
   nodes_.push_back(std::move(node));

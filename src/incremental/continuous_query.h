@@ -46,11 +46,6 @@ struct ContinuousOptions {
 
   /// Fact-range oversubscription per thread, so straggler facts even out.
   std::size_t partitions_per_thread = 2;
-
-  /// Sweep kernel for the per-fact applies (set_ops.h SweepKernel). kAuto
-  /// resolves per apply on the tuples actually swept, so small per-epoch
-  /// deltas stay scalar while bulk resweeps/catch-ups go columnar.
-  SweepKernel sweep_kernel = SweepKernel::kAuto;
 };
 
 /// A registered continuous query. Created by QueryExecutor::RegisterContinuous;

@@ -15,22 +15,6 @@ namespace tpset {
 
 namespace {
 
-// Concatenates one surviving window's lineage pair per the operation's
-// Table I function. Sink is LineageManager or StagingArena — both expose
-// the same null-aware Concat* interface.
-template <typename Sink>
-LineageId Concat(SetOpKind op, Sink& sink, LineageId lr, LineageId ls) {
-  switch (op) {
-    case SetOpKind::kIntersect:
-      return sink.ConcatAnd(lr, ls);
-    case SetOpKind::kUnion:
-      return sink.ConcatOr(lr, ls);
-    case SetOpKind::kExcept:
-      return sink.ConcatAndNot(lr, ls);
-  }
-  return kNullLineage;
-}
-
 // True iff `d` (possibly null) appends to `side` in time order: inserted
 // tuples start at or after the side's last stored end (duplicate-freeness-
 // preserving append). The inserted list itself is start-ordered and
@@ -112,7 +96,7 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
     res.out_new_begin = st.out.size();
     const std::size_t windows_before = st.ckpt.windows_produced;
     auto emit = [&](const LineageAwareWindow& w) {
-      LineageId lin = Concat(op_, sink, w.lr, w.ls);
+      LineageId lin = ConcatLineage(op_, sink, w.lr, w.ls);
       st.out.push_back({w.t, w.lr, w.ls, lin});
       res.delta.inserted.push_back({fact, w.t, lin});
     };
@@ -121,7 +105,8 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
     // only the suffix past the checkpoint cursors and shifts the cursors
     // into / out of suffix space around the sweep.
     const SweepKernel resolved = ResolveSweepKernel(
-        kernel_, (st.r.size() - st.ckpt.ri) + (st.s.size() - st.ckpt.si));
+        SweepKernel::kAuto,
+        (st.r.size() - st.ckpt.ri) + (st.s.size() - st.ckpt.si));
     if (resolved == SweepKernel::kColumnar) {
       const std::size_t base_r = st.ckpt.ri;
       const std::size_t base_s = st.ckpt.si;
@@ -167,7 +152,7 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
   };
   AdvancerCheckpoint swept_ckpt;
   const SweepKernel resolved =
-      ResolveSweepKernel(kernel_, st.r.size() + st.s.size());
+      ResolveSweepKernel(SweepKernel::kAuto, st.r.size() + st.s.size());
   if (resolved == SweepKernel::kColumnar) {
     ColumnarView rview, sview;
     rview.Build(st.r.data(), st.r.size());
@@ -205,7 +190,7 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
       res.delta.retracted.push_back({fact, st.out[i].t, st.out[i].lineage});
       ++i;
     } else {
-      LineageId lin = Concat(op_, sink, fresh[j].lr, fresh[j].ls);
+      LineageId lin = ConcatLineage(op_, sink, fresh[j].lr, fresh[j].ls);
       next_out.push_back({fresh[j].t, fresh[j].lr, fresh[j].ls, lin});
       res.delta.inserted.push_back({fact, fresh[j].t, lin});
       ++j;

@@ -52,20 +52,17 @@ namespace tpset {
 /// Persistent sweep state of one TP set operation. See the file comment.
 class IncrementalSetOp {
  public:
-  /// `kernel` selects the sweep kernel for per-fact applies (set_ops.h
-  /// SweepKernel). kAuto resolves per apply on the tuples actually swept —
-  /// the unswept suffix for resumes, the whole fact for resweeps — so tiny
-  /// per-fact deltas stay on the scalar kernel and bulk catch-ups go
-  /// columnar. Checkpoints round-trip between kernels, so the choice can
-  /// differ epoch to epoch (and from the kernel that wrote the state).
-  explicit IncrementalSetOp(SetOpKind op,
-                            SweepKernel kernel = SweepKernel::kAuto)
-      : op_(op), kernel_(kernel) {}
+  /// Per-fact applies pick their sweep kernel with ResolveSweepKernel on
+  /// the tuples actually swept — the unswept suffix for resumes, the whole
+  /// fact for resweeps — so tiny per-fact deltas stay on the scalar kernel
+  /// and bulk catch-ups go columnar. Checkpoints round-trip between
+  /// kernels, so the choice can differ epoch to epoch (and from the kernel
+  /// that wrote the state).
+  explicit IncrementalSetOp(SetOpKind op) : op_(op) {}
   IncrementalSetOp(const IncrementalSetOp&) = delete;
   IncrementalSetOp& operator=(const IncrementalSetOp&) = delete;
 
   SetOpKind op() const { return op_; }
-  SweepKernel sweep_kernel() const { return kernel_; }
 
   /// Applies one epoch's input deltas (left / right side of the operation)
   /// and returns the output delta. With `pool` null or few touched facts the
@@ -150,7 +147,6 @@ class IncrementalSetOp {
   void Fold(const FactApplyResult& res);
 
   SetOpKind op_;
-  SweepKernel kernel_ = SweepKernel::kAuto;
   std::map<FactId, FactState> facts_;
   LawaStats stats_;
   std::size_t accumulated_ = 0;

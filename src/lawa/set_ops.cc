@@ -141,8 +141,7 @@ void NoteSweepKernels(SweepKernel resolved, std::size_t count,
 }
 
 TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
-                     SortMode sort_mode, LawaStats* stats,
-                     SweepKernel kernel) {
+                     SortMode sort_mode, LawaStats* stats) {
   assert(ValidateSetOpInputs(r, s).ok());
   LineageManager& mgr = r.context()->lineage();
   TpRelation out(r.context(), r.schema(),
@@ -174,40 +173,19 @@ TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
   // The drain conditions and λ-filters live in ForEachSurvivingWindow /
   // ColumnarAdvancer::Sweep, shared with the parallel sweep kernels.
   auto concat_emit = [&](const LineageAwareWindow& w) {
-    LineageId lineage = kNullLineage;
-    switch (op) {
-      case SetOpKind::kIntersect:
-        lineage = mgr.ConcatAnd(w.lr, w.ls);
-        break;
-      case SetOpKind::kUnion:
-        lineage = mgr.ConcatOr(w.lr, w.ls);
-        break;
-      case SetOpKind::kExcept:
-        lineage = mgr.ConcatAndNot(w.lr, w.ls);
-        break;
-    }
-    out.AddDerived(w.fact, w.t, lineage);
+    out.AddDerived(w.fact, w.t, ConcatLineage(op, mgr, w.lr, w.ls));
   };
-  const SweepKernel resolved = ResolveSweepKernel(kernel, rv->size() + sv->size());
+  const SweepKernel resolved =
+      ResolveSweepKernel(SweepKernel::kAuto, rv->size() + sv->size());
   std::size_t windows = 0;
   if (resolved == SweepKernel::kColumnar) {
-    // Witnessed inputs reuse the relation's cached SoA view; a locally
-    // sorted copy gets a local projection for the duration of the sweep.
-    ColumnarView local_r, local_s;
-    ColumnSpan rc, sc;
-    if (r.known_sorted()) {
-      rc = r.columnar();
-    } else {
-      local_r.Build(rv->data(), rv->size());
-      rc = local_r.Columns();
-    }
-    if (s.known_sorted()) {
-      sc = s.columnar();
-    } else {
-      local_s.Build(sv->data(), sv->size());
-      sc = local_s.Columns();
-    }
-    ColumnarAdvancer adv(rc, sc);
+    // A projection for the duration of the sweep, not the relation's cache:
+    // the executor sweeps catalog generations in place, and a cached view
+    // would stay resident as long as the generation does.
+    ColumnarView rcols, scols;
+    rcols.Build(rv->data(), rv->size());
+    scols.Build(sv->data(), sv->size());
+    ColumnarAdvancer adv(rcols.Columns(), scols.Columns());
     adv.Sweep(op, concat_emit);
     windows = adv.windows_produced();
   } else {

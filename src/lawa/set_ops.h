@@ -18,11 +18,11 @@ namespace tpset {
 enum class SortMode { kComparison = 0, kCounting = 1 };
 
 /// Which sweep kernel runs the LAWA advance loop. kScalar is the reference
-/// tuple-at-a-time advancer (lawa/advancer.h); kColumnar is the fused SoA
-/// kernel (lawa/columnar_advancer.h) — identical window stream, kept
-/// switchable for A/B benchmarking and differential testing. kAuto picks
-/// columnar above kColumnarAutoThreshold combined input tuples and scalar
-/// below it (tiny sweeps — the incremental engine's per-fact states — don't
+/// tuple-at-a-time advancer (lawa/advancer.h, the paper's Alg. 1);
+/// kColumnar is the fused SoA kernel (lawa/columnar_advancer.h) — identical
+/// window stream. Every engine resolves kAuto per sweep: columnar at
+/// kColumnarAutoThreshold combined input tuples and above, scalar below it
+/// (tiny sweeps — the incremental engine's per-fact resumes — don't
 /// amortize a column build).
 enum class SweepKernel { kAuto = 0, kScalar = 1, kColumnar = 2 };
 
@@ -99,6 +99,22 @@ struct LawaStats {
 void NoteSweepKernels(SweepKernel resolved, std::size_t count,
                       LawaStats* stats);
 
+/// Concatenates one surviving window's lineage pair per the operation's
+/// Table I function. Sink is LineageManager or StagingArena — both expose
+/// the same null-aware Concat* interface.
+template <typename Sink>
+LineageId ConcatLineage(SetOpKind op, Sink& sink, LineageId lr, LineageId ls) {
+  switch (op) {
+    case SetOpKind::kIntersect:
+      return sink.ConcatAnd(lr, ls);
+    case SetOpKind::kUnion:
+      return sink.ConcatOr(lr, ls);
+    case SetOpKind::kExcept:
+      return sink.ConcatAndNot(lr, ls);
+  }
+  return kNullLineage;
+}
+
 /// Computes r opTp s with LAWA. Inputs must satisfy ValidateSetOpInputs
 /// (asserted in debug builds, unchecked in release — use the Checked variant
 /// for untrusted input). The result is duplicate-free, change-preserved and
@@ -111,8 +127,7 @@ void NoteSweepKernels(SweepKernel resolved, std::size_t count,
 /// relations; normalize those with CoalesceEquivalent (algebra/) first.
 TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
                      SortMode sort_mode = SortMode::kComparison,
-                     LawaStats* stats = nullptr,
-                     SweepKernel kernel = SweepKernel::kAuto);
+                     LawaStats* stats = nullptr);
 
 /// Validating wrapper around LawaSetOp.
 Result<TpRelation> LawaSetOpChecked(SetOpKind op, const TpRelation& r,

@@ -34,122 +34,53 @@ struct PendingWindow {
   LineageId ls;
 };
 
+// One morsel's phase-3 result under ApplyMode::kBitIdentical: its deferred
+// concatenations, in window order.
 struct PartitionSweep {
   std::vector<PendingWindow> windows;
   std::size_t windows_produced = 0;
 };
 
-// Phase 3: the sequential advancer over one partition, deferring the
-// concatenations as pending windows. Drain conditions and λ-filters are
-// shared with LawaSetOp via ForEachSurvivingWindow — bit-identity depends
-// on them agreeing, and the cross-check is the parallel_set_op_test
-// property suite. Reads shared data only.
-PartitionSweep SweepPartition(SetOpKind op, const TpTuple* r, std::size_t nr,
-                              const TpTuple* s, std::size_t ns) {
-  PartitionSweep out;
-  LineageAwareWindowAdvancer adv(r, nr, s, ns);
-  ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
-    out.windows.push_back({w.fact, w.t, w.lr, w.ls});
-  });
-  out.windows_produced = adv.windows_produced();
-  return out;
-}
-
-// The same deferred sweep on the columnar kernel: a morsel is a column
-// sub-span of the shared SoA view, the fused advance loop replaces the
-// per-window Next() calls. Window stream identical to SweepPartition.
-PartitionSweep SweepPartitionColumnar(SetOpKind op, ColumnSpan r,
-                                      ColumnSpan s) {
-  PartitionSweep out;
-  ColumnarAdvancer adv(r, s);
-  adv.Sweep(op, [&](const LineageAwareWindow& w) {
-    out.windows.push_back({w.fact, w.t, w.lr, w.ls});
-  });
-  out.windows_produced = adv.windows_produced();
-  return out;
-}
-
-// Phase 4 kernel: one partition's deferred concatenations, in window order.
-void ApplyPartition(SetOpKind op, const PartitionSweep& sweep,
-                    LineageManager& mgr, TpRelation* out) {
-  for (const PendingWindow& w : sweep.windows) {
-    LineageId lineage = kNullLineage;
-    switch (op) {
-      case SetOpKind::kIntersect:
-        lineage = mgr.ConcatAnd(w.lr, w.ls);
-        break;
-      case SetOpKind::kUnion:
-        lineage = mgr.ConcatOr(w.lr, w.ls);
-        break;
-      case SetOpKind::kExcept:
-        lineage = mgr.ConcatAndNot(w.lr, w.ls);
-        break;
-    }
-    out->AddDerived(w.fact, w.t, lineage);
-  }
-}
-
-// One partition's result under ApplyMode::kStaged: output tuples whose
-// lineage ids may be partition-local (>= arena.frozen_size()), resolved at
-// splice time. Default-constructible so a morsel batch can pre-size its
-// result slots; workers move the real sweep in.
+// One morsel's result under ApplyMode::kStaged: output tuples whose lineage
+// ids may be morsel-local (>= arena.frozen_size()), resolved at splice
+// time. Default-constructible so a morsel batch can pre-size its result
+// slots; workers move the real sweep in.
 struct StagedSweep {
   StagingArena arena{2, false};
   std::vector<TpTuple> tuples;
   std::size_t windows_produced = 0;
 };
 
-// Staged phase 3: the same shared sweep, but the lineage concatenations run
-// here, on the pool thread, into a thread-local staging arena instead of
-// being deferred to a serialized apply phase.
-StagedSweep SweepPartitionStaged(SetOpKind op, const TpTuple* r, std::size_t nr,
-                                 const TpTuple* s, std::size_t ns,
-                                 LineageId frozen, bool hash_consing) {
-  StagedSweep out{StagingArena(frozen, hash_consing), {}, 0};
-  LineageAwareWindowAdvancer adv(r, nr, s, ns);
-  ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
-    LineageId lineage = kNullLineage;
-    switch (op) {
-      case SetOpKind::kIntersect:
-        lineage = out.arena.ConcatAnd(w.lr, w.ls);
-        break;
-      case SetOpKind::kUnion:
-        lineage = out.arena.ConcatOr(w.lr, w.ls);
-        break;
-      case SetOpKind::kExcept:
-        lineage = out.arena.ConcatAndNot(w.lr, w.ls);
-        break;
-    }
-    out.tuples.push_back({w.fact, w.t, lineage});
-  });
-  out.windows_produced = adv.windows_produced();
-  return out;
-}
+// The operation's sorted inputs, shared read-only by every morsel sweep:
+// tuple arrays for the scalar kernel, column spans of one SoA view for the
+// columnar kernel.
+struct SweepInputs {
+  const TpTuple* r;
+  const TpTuple* s;
+  bool columnar;
+  ColumnSpan rcols, scols;
+};
 
-// Staged sweep on the columnar kernel (concatenations interned into the
-// thread-local staging arena, as in SweepPartitionStaged).
-StagedSweep SweepPartitionStagedColumnar(SetOpKind op, ColumnSpan r,
-                                         ColumnSpan s, LineageId frozen,
-                                         bool hash_consing) {
-  StagedSweep out{StagingArena(frozen, hash_consing), {}, 0};
-  ColumnarAdvancer adv(r, s);
-  adv.Sweep(op, [&](const LineageAwareWindow& w) {
-    LineageId lineage = kNullLineage;
-    switch (op) {
-      case SetOpKind::kIntersect:
-        lineage = out.arena.ConcatAnd(w.lr, w.ls);
-        break;
-      case SetOpKind::kUnion:
-        lineage = out.arena.ConcatOr(w.lr, w.ls);
-        break;
-      case SetOpKind::kExcept:
-        lineage = out.arena.ConcatAndNot(w.lr, w.ls);
-        break;
-    }
-    out.tuples.push_back({w.fact, w.t, lineage});
-  });
-  out.windows_produced = adv.windows_produced();
-  return out;
+// Phase 3: one morsel swept on the operation's kernel, handing every window
+// that passes the per-operation λ-filter to `emit` — which defers it
+// (kBitIdentical) or interns it into a thread-local staging arena
+// (kStaged). Drain conditions and λ-filters are shared with LawaSetOp via
+// ForEachSurvivingWindow / ColumnarAdvancer::Sweep — bit-identity depends
+// on them agreeing, and the cross-check is the parallel_set_op_test
+// property suite. Reads shared data only; returns the candidate windows.
+template <typename Emit>
+std::size_t SweepMorsel(SetOpKind op, const SweepInputs& in,
+                        const FactPartition& part, Emit&& emit) {
+  if (in.columnar) {
+    ColumnarAdvancer adv(in.rcols.Slice(part.r_begin, part.r_end),
+                         in.scols.Slice(part.s_begin, part.s_end));
+    adv.Sweep(op, emit);
+    return adv.windows_produced();
+  }
+  LineageAwareWindowAdvancer adv(in.r + part.r_begin, part.r_end - part.r_begin,
+                                 in.s + part.s_begin, part.s_end - part.s_begin);
+  ForEachSurvivingWindow(op, adv, emit);
+  return adv.windows_produced();
 }
 
 }  // namespace
@@ -247,15 +178,13 @@ ParallelSetOpAlgorithm::ParallelSetOpAlgorithm(std::size_t num_threads,
                                                SortMode sort_mode,
                                                std::size_t partitions_per_thread,
                                                ApplyMode apply_mode,
-                                               MorselOptions morsel,
-                                               SweepKernel kernel)
+                                               std::size_t morsel_budget)
     : num_threads_(num_threads),
       sort_mode_(sort_mode),
       partitions_per_thread_(
           partitions_per_thread == 0 ? 1 : partitions_per_thread),
       apply_mode_(apply_mode),
-      morsel_(morsel),
-      kernel_(kernel) {}
+      morsel_budget_(morsel_budget) {}
 
 ParallelSetOpAlgorithm::~ParallelSetOpAlgorithm() = default;
 
@@ -300,7 +229,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
     turn.Wait();
     Clock::time_point t0 = Clock::now();
     LawaStats local_stats;
-    TpRelation out = LawaSetOp(op, r, s, sort_mode_, &local_stats, kernel_);
+    TpRelation out = LawaSetOp(op, r, s, sort_mode_, &local_stats);
     if (span != nullptr) {
       // The sequential algorithm interleaves all phases; report its whole
       // wall time as the sweep.
@@ -367,16 +296,11 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   // concurrently growing) arena itself.
   const std::vector<FactPartition> parts = PartitionByFactRange(
       rdata, rn, sdata, sn, num_threads_ * partitions_per_thread_);
-  MorselPlan plan;
-  if (morsel_.enabled) {
-    std::size_t budget = morsel_.morsel_size;
-    if (budget == 0) {
-      budget = MorselAutoBudget(rn + sn, num_threads_, partitions_per_thread_);
-    }
-    plan = BuildMorsels(rdata, sdata, parts, budget);
-  } else {
-    plan.morsels = parts;
-  }
+  const MorselPlan plan = BuildMorsels(
+      rdata, sdata, parts,
+      morsel_budget_ != 0
+          ? morsel_budget_
+          : MorselAutoBudget(rn + sn, num_threads_, partitions_per_thread_));
   const std::size_t n_morsels = plan.morsels.size();
   const bool staged = apply_mode_ == ApplyMode::kStaged;
   LineageId frozen = 2;  // constants stay below the snapshot
@@ -398,89 +322,60 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   t0 = Clock::now();
 
   // Sweep-kernel resolution (once per operation, on the combined input
-  // size). Under kColumnar, witnessed inputs reuse the relation's cached
-  // SoA view and locally sorted copies get local projections; the builds
-  // count into advance_ms — they are work the columnar kernel needs. The
-  // local views outlive every morsel sweep (WaitMorsel/WaitAll below
-  // complete before they leave scope).
-  const SweepKernel resolved = ResolveSweepKernel(kernel_, rn + sn);
-  const bool columnar = resolved == SweepKernel::kColumnar;
-  ColumnarView local_rview, local_sview;
-  ColumnSpan rcols, scols;
-  if (columnar) {
-    if (r.known_sorted()) {
-      rcols = r.columnar();
-    } else {
-      local_rview.Build(rdata, rn);
-      rcols = local_rview.Columns();
-    }
-    if (s.known_sorted()) {
-      scols = s.columnar();
-    } else {
-      local_sview.Build(sdata, sn);
-      scols = local_sview.Columns();
-    }
+  // size). Under kColumnar, morsels sweep column sub-spans of one
+  // per-operation projection of each input (not the relation's cache, for
+  // the reason LawaSetOp gives); the builds count into advance_ms — they
+  // are work the columnar kernel needs. The views outlive every morsel
+  // sweep (WaitMorsel below completes before they leave scope).
+  const SweepKernel resolved = ResolveSweepKernel(SweepKernel::kAuto, rn + sn);
+  SweepInputs in{rdata, sdata, resolved == SweepKernel::kColumnar, {}, {}};
+  ColumnarView rview, sview;
+  if (in.columnar) {
+    rview.Build(rdata, rn);
+    sview.Build(sdata, sn);
+    in.rcols = rview.Columns();
+    in.scols = sview.Columns();
   }
 
-  // Phase 3: sweep morsels on the work-stealing batch; each result lands in
-  // its own slot, so the apply below can consume them strictly in morsel
-  // index order regardless of which worker ran what. In staged mode the
-  // sweeps also intern their concatenations thread-locally and build
-  // morsel-local output tuples.
+  // Phase 3: sweep morsels on the work-stealing batch; each result is built
+  // locally and moved into its own slot, so the apply below can consume
+  // them strictly in morsel index order regardless of which worker ran
+  // what. In staged mode the sweeps also intern their concatenations
+  // thread-locally and build morsel-local output tuples.
   std::vector<PartitionSweep> results;
   std::vector<StagedSweep> staged_results;
   std::function<void(std::size_t)> body;
   if (staged) {
     staged_results.resize(n_morsels);
-    if (columnar) {
-      body = [op, rcols, scols, frozen, hash_consing, &plan,
-              &staged_results](std::size_t i) {
-        const FactPartition& part = plan.morsels[i];
-        staged_results[i] = SweepPartitionStagedColumnar(
-            op, rcols.Slice(part.r_begin, part.r_end),
-            scols.Slice(part.s_begin, part.s_end), frozen, hash_consing);
-      };
-    } else {
-      body = [op, rdata, sdata, frozen, hash_consing, &plan,
-              &staged_results](std::size_t i) {
-        const FactPartition& part = plan.morsels[i];
-        staged_results[i] = SweepPartitionStaged(
-            op, rdata + part.r_begin, part.r_end - part.r_begin,
-            sdata + part.s_begin, part.s_end - part.s_begin, frozen,
-            hash_consing);
-      };
-    }
+    body = [op, &in, frozen, hash_consing, &plan,
+            &staged_results](std::size_t i) {
+      StagedSweep sweep{StagingArena(frozen, hash_consing), {}, 0};
+      sweep.windows_produced =
+          SweepMorsel(op, in, plan.morsels[i], [&](const LineageAwareWindow& w) {
+            sweep.tuples.push_back(
+                {w.fact, w.t, ConcatLineage(op, sweep.arena, w.lr, w.ls)});
+          });
+      staged_results[i] = std::move(sweep);
+    };
   } else {
     results.resize(n_morsels);
-    if (columnar) {
-      body = [op, rcols, scols, &plan, &results](std::size_t i) {
-        const FactPartition& part = plan.morsels[i];
-        results[i] =
-            SweepPartitionColumnar(op, rcols.Slice(part.r_begin, part.r_end),
-                                   scols.Slice(part.s_begin, part.s_end));
-      };
-    } else {
-      body = [op, rdata, sdata, &plan, &results](std::size_t i) {
-        const FactPartition& part = plan.morsels[i];
-        results[i] = SweepPartition(op, rdata + part.r_begin,
-                                    part.r_end - part.r_begin,
-                                    sdata + part.s_begin,
-                                    part.s_end - part.s_begin);
-      };
-    }
+    body = [op, &in, &plan, &results](std::size_t i) {
+      PartitionSweep sweep;
+      sweep.windows_produced =
+          SweepMorsel(op, in, plan.morsels[i], [&](const LineageAwareWindow& w) {
+            sweep.windows.push_back({w.fact, w.t, w.lr, w.ls});
+          });
+      results[i] = std::move(sweep);
+    };
   }
-  // Stealing applies in both scheduler modes: in the legacy static model it
-  // is what the old shared FIFO pool queue provided (any idle worker takes
-  // the next pending partition), so the static baseline stays faithful.
-  MorselBatch batch(p, n_morsels, std::move(body), morsel_.steal);
+  MorselBatch batch(p, n_morsels, std::move(body));
 
   // Phase 4: the sequential arena-mutating tail, gated when subtrees race.
   // kBitIdentical replays every deferred concatenation; kStaged only
-  // splices pre-interned cells and bulk-appends tuples. With morsel
-  // scheduling the apply overlaps the sweeps: morsel i is applied as soon
-  // as morsels <= i finished, while later morsels are still advancing —
-  // apply order (and therefore the output) is unchanged, only the barrier
-  // is gone. The legacy static mode keeps the barrier for A/B benchmarks.
+  // splices pre-interned cells and bulk-appends tuples. The apply overlaps
+  // the sweeps: morsel i is applied as soon as morsels <= i finished, while
+  // later morsels are still advancing — apply order (and therefore the
+  // output) is that of a barrier-then-apply run.
   LineageManager& mgr = r.context()->lineage();
   std::size_t total_windows = 0;
   std::vector<LineageId> remap;
@@ -500,44 +395,24 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
     } else {
       const PartitionSweep& sweep = results[i];
       total_windows += sweep.windows_produced;
-      ApplyPartition(op, sweep, mgr, &out);
+      for (const PendingWindow& w : sweep.windows) {
+        out.AddDerived(w.fact, w.t, ConcatLineage(op, mgr, w.lr, w.ls));
+      }
     }
   };
 
-  double advance_ms, apply_ms;
-  if (!morsel_.enabled) {
-    batch.WaitAll();
-    advance_ms = MsSince(t0);
-    turn.Wait();
-    t0 = Clock::now();
-    // All sizes are known after the barrier: one exact reserve keeps vector
-    // growth out of the sequencer critical section. (The overlapped path
-    // below cannot know the total up front; its growth copies run on the
-    // caller thread while sweeps are still advancing, so they overlap too.)
-    std::size_t total_out = 0;
-    if (staged) {
-      for (const StagedSweep& sweep : staged_results) total_out += sweep.tuples.size();
-    } else {
-      for (const PartitionSweep& sweep : results) total_out += sweep.windows.size();
-    }
-    out.mutable_tuples().reserve(total_out);
-    for (std::size_t i = 0; i < n_morsels; ++i) apply_morsel(i);
-    apply_ms = MsSince(t0);
-  } else {
-    turn.Wait();
-    double apply_work_ms = 0.0;
-    for (std::size_t i = 0; i < n_morsels; ++i) {
-      batch.WaitMorsel(i);
-      Clock::time_point a0 = Clock::now();
-      apply_morsel(i);
-      apply_work_ms += MsSince(a0);
-    }
-    // Overlapped phases: report the splice work as apply and the rest of
-    // the combined span (sweeps + waits) as advance, so the sum still
-    // approximates the phase-3+4 wall time.
-    apply_ms = apply_work_ms;
-    advance_ms = MsSince(t0) - apply_work_ms;
+  turn.Wait();
+  double apply_ms = 0.0;
+  for (std::size_t i = 0; i < n_morsels; ++i) {
+    batch.WaitMorsel(i);
+    Clock::time_point a0 = Clock::now();
+    apply_morsel(i);
+    apply_ms += MsSince(a0);
   }
+  // Overlapped phases: report the splice work as apply and the rest of the
+  // combined span (sweeps + waits) as advance, so the sum still
+  // approximates the phase-3+4 wall time.
+  const double advance_ms = MsSince(t0) - apply_ms;
   // Windows come out in fact order with increasing starts per fact.
   out.MarkSortedUnchecked();
   turn.Release();

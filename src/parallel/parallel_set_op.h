@@ -7,20 +7,19 @@
 //                catalog relations, set-op outputs) is swept in place with
 //                no copy and no sort at all (the zero-sort fast path);
 //   2. split   — PartitionByFactRange cuts both inputs at fact boundaries,
-//                then BuildMorsels refines the plan into ~morsel_size
-//                chunks, time-splitting facts heavier than the budget at
-//                clean time boundaries (see parallel/scheduler.h);
+//                then BuildMorsels refines the plan into morsels of about
+//                the morsel budget, time-splitting facts heavier than the
+//                budget at clean time boundaries (see parallel/scheduler.h);
 //   3. advance — morsels are swept by the sequential advancer on a
 //                MorselBatch (per-worker deques + work stealing); what
 //                happens to the surviving windows depends on the apply mode
 //                (below);
 //   4. apply   — the sequential, arena-mutating tail, gated by the
-//                ApplySequencer when query subtrees race. With morsel
-//                scheduling enabled the apply overlaps phase 3: morsel i is
-//                applied as soon as morsels <= i finished sweeping, while
-//                later morsels are still advancing — apply *order* (the
-//                determinism invariant) is preserved, barrier completion is
-//                not required.
+//                ApplySequencer when query subtrees race. The apply overlaps
+//                phase 3: morsel i is applied as soon as morsels <= i
+//                finished sweeping, while later morsels are still advancing
+//                — apply *order* (the determinism invariant) is preserved,
+//                barrier completion is not required.
 //
 // Two apply modes trade strictness of the equivalence guarantee for the
 // size of the sequential term:
@@ -71,10 +70,9 @@ enum class ApplyMode {
 /// `advance_ms` includes staged-mode lineage staging (it runs inside the
 /// partition sweeps); `apply_ms` is the sequential arena-mutating tail —
 /// the sequencer critical section under concurrent subtree evaluation.
-/// With morsel scheduling enabled, apply overlaps the sweeps: `apply_ms`
-/// is then the time actually spent splicing/replaying and `advance_ms` the
-/// rest of the overlapped span (so the sum still approximates the combined
-/// wall time of phases 3+4).
+/// Apply overlaps the sweeps: `apply_ms` is the time actually spent
+/// splicing/replaying and `advance_ms` the rest of the overlapped span (so
+/// the sum still approximates the combined wall time of phases 3+4).
 ///
 /// Since the observability layer (src/obs/), this struct is a *thin
 /// adapter*: the engine records phases as child spans ("sort", "split",
@@ -101,19 +99,17 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   /// created; `apply_mode` is then irrelevant — the sequential algorithm is
   /// bit-identical by definition). `partitions_per_thread` oversubscribes
   /// the split so stragglers even out; the pool itself is created lazily on
-  /// first use. `morsel` configures the work-stealing refinement of the
-  /// partition plan (scheduler.h); MorselOptions{.enabled = false} restores
-  /// the legacy one-task-per-partition model with a barrier before apply.
-  /// `kernel` selects the sweep kernel for phase 3 (set_ops.h SweepKernel);
-  /// morsels sweep column sub-spans of one shared SoA view under
-  /// kColumnar. Kernel choice never changes the output — both kernels
-  /// produce the identical window stream.
+  /// first use. `morsel_budget` is the combined (r + s) tuple budget per
+  /// morsel of the work-stealing refinement (scheduler.h); 0 picks
+  /// MorselAutoBudget, and 1 is legal (every tuple its own morsel — tests
+  /// use small budgets to force time splits at test scale). Phase 3 sweeps
+  /// on the kernel ResolveSweepKernel picks for the combined input size;
+  /// under kColumnar, morsels sweep column sub-spans of one shared SoA view.
   explicit ParallelSetOpAlgorithm(std::size_t num_threads,
                                   SortMode sort_mode = SortMode::kComparison,
                                   std::size_t partitions_per_thread = 4,
                                   ApplyMode apply_mode = ApplyMode::kBitIdentical,
-                                  MorselOptions morsel = {},
-                                  SweepKernel kernel = SweepKernel::kAuto);
+                                  std::size_t morsel_budget = 0);
   ~ParallelSetOpAlgorithm() override;
 
   std::string name() const override { return "LAWA-P"; }
@@ -152,8 +148,6 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
 
   std::size_t num_threads() const { return num_threads_; }
   ApplyMode apply_mode() const { return apply_mode_; }
-  const MorselOptions& morsel_options() const { return morsel_; }
-  SweepKernel sweep_kernel() const { return kernel_; }
 
  private:
   ThreadPool* pool() const;
@@ -162,8 +156,7 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   SortMode sort_mode_;
   std::size_t partitions_per_thread_;
   ApplyMode apply_mode_;
-  MorselOptions morsel_;
-  SweepKernel kernel_;
+  std::size_t morsel_budget_;
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;
 };

@@ -163,7 +163,6 @@ struct MorselBatch::State {
 
   std::function<void(std::size_t)> body;
   std::vector<std::unique_ptr<Deque>> deques;  // unique_ptr: mutex pins them
-  bool steal = true;
 
   // Completion plane. `done` flips under `mu` after the body ran, so a
   // waiter that observed done[i] also observes every write the body made
@@ -177,7 +176,7 @@ struct MorselBatch::State {
 };
 
 MorselBatch::MorselBatch(ThreadPool* pool, std::size_t count,
-                         std::function<void(std::size_t)> body, bool steal)
+                         std::function<void(std::size_t)> body)
     : state_(std::make_shared<State>()) {
   // Register the whole scheduler metric family up front. Steals and splits
   // may legitimately never happen in a run, but a scrape should still see
@@ -188,7 +187,6 @@ MorselBatch::MorselBatch(ThreadPool* pool, std::size_t count,
   FactsSplitCounter();
   MorselLatencyHistogram();
   state_->body = std::move(body);
-  state_->steal = steal;
   state_->done.assign(count, 0);
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(pool == nullptr ? 1 : pool->size(), count));
@@ -231,7 +229,7 @@ void MorselBatch::RunWorker(const std::shared_ptr<State>& st,
         found = true;
       }
     }
-    if (!found && st->steal) {
+    if (!found) {
       for (std::size_t off = 1; off < workers && !found; ++off) {
         State::Deque& victim = *st->deques[(worker + off) % workers];
         std::lock_guard<std::mutex> lock(victim.mu);

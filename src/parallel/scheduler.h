@@ -6,8 +6,8 @@
 // and the sequential splice starts only after *every* sweep finishes. This
 // file removes both, HyPer-style, without giving up determinism:
 //
-//  * morsels — the partition plan is refined into morsels of roughly
-//    `morsel_size` combined tuples. Cuts happen first at fact boundaries
+//  * morsels — the partition plan is refined into morsels of roughly a
+//    budget of combined tuples. Cuts happen first at fact boundaries
 //    (free: windows never span facts) and, inside a fact heavier than the
 //    budget, at *clean time boundaries*: a cut time T such that every tuple
 //    of the fact either ends at or before T or starts at or after T. No
@@ -54,28 +54,6 @@
 #include "relation/tuple.h"
 
 namespace tpset {
-
-/// Scheduling knobs of the parallel set-op engine (surface of
-/// ExecOptions{morsel_size, steal} and the algorithm constructor).
-struct MorselOptions {
-  /// false = the legacy static model: one unit per fact-range partition (no
-  /// heavy-fact splitting) and a full barrier before the splice. Units are
-  /// still picked up dynamically (`steal` applies in both modes — with it
-  /// on, an idle worker takes remaining partitions exactly like the old
-  /// shared FIFO pool queue did), so the A/B against morsel mode isolates
-  /// the *splitting + overlap* effect, not a strawman dispatcher. Kept as
-  /// the measurable baseline (bench_parallel A/Bs it under skew).
-  bool enabled = true;
-  /// Combined (r + s) tuple budget per morsel; 0 picks a size that
-  /// oversubscribes the workers ~8x beyond the partition plan
-  /// (MorselAutoBudget). 1 is legal (every tuple its own morsel) — the
-  /// property tests use it.
-  std::size_t morsel_size = 0;
-  /// Allow idle workers to steal from other deques. Off, each worker drains
-  /// only its round-robin share — skew pins again, but the knob isolates the
-  /// stealing effect in benchmarks.
-  bool steal = true;
-};
 
 /// The engine's automatic morsel budget for a `total`-tuple operation:
 /// ~8 morsels per partition slot, floored so per-morsel overhead (one
@@ -130,10 +108,9 @@ MorselPlan BuildMorsels(const TpTuple* r, const TpTuple* s,
 /// caller-owned slots alive, matching std::async semantics).
 class MorselBatch {
  public:
-  /// Starts `count` morsels on min(pool->size(), count) workers. With
-  /// `steal` false, workers drain only their own deque.
+  /// Starts `count` morsels on min(pool->size(), count) workers.
   MorselBatch(ThreadPool* pool, std::size_t count,
-              std::function<void(std::size_t)> body, bool steal = true);
+              std::function<void(std::size_t)> body);
 
   MorselBatch(const MorselBatch&) = delete;
   MorselBatch& operator=(const MorselBatch&) = delete;

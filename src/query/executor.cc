@@ -1,7 +1,9 @@
 #include "query/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -303,41 +305,12 @@ Result<ContinuousQuery*> QueryExecutor::FindContinuous(
 
 Result<TpRelation> QueryExecutor::Execute(const std::string& query,
                                           const SetOpAlgorithm* algorithm) const {
-  Result<QueryPtr> parsed = ParseQuery(query);
-  if (!parsed.ok()) return parsed.status();
-  return Execute(**parsed, algorithm);
+  return Execute(query, ExecOptions{}, algorithm);
 }
 
 Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
                                           const SetOpAlgorithm* algorithm) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  Result<TpRelation> out = ExecuteTree(query, algorithm);
-  RecordQuery(t0, query);
-  return out;
-}
-
-Result<TpRelation> QueryExecutor::ExecuteTree(
-    const QueryNode& query, const SetOpAlgorithm* algorithm) const {
-  if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
-  if (query.kind == QueryNode::Kind::kRelation) {
-    // Leaves read through a refcounted fold of the relation's current
-    // generation: no reference into the catalog entry survives the call, so
-    // concurrent Execute / append / compaction cannot invalidate anything.
-    Result<const StoredRelation*> stored = FindStored(query.relation_name);
-    if (!stored.ok()) return stored.status();
-    const std::shared_ptr<const TpRelation> rel = (*stored)->FoldedView();
-    return *rel;
-  }
-  if (!algorithm->Supports(query.op)) {
-    return Status::NotSupported("algorithm " + algorithm->name() +
-                                " does not support TP set " +
-                                SetOpName(query.op) + " (Table II)");
-  }
-  Result<TpRelation> left = ExecuteTree(*query.left, algorithm);
-  if (!left.ok()) return left;
-  Result<TpRelation> right = ExecuteTree(*query.right, algorithm);
-  if (!right.ok()) return right;
-  return algorithm->Compute(query.op, *left, *right);
+  return Execute(query, ExecOptions{}, algorithm);
 }
 
 Result<TpRelation> QueryExecutor::Execute(const std::string& query,
@@ -353,48 +326,17 @@ Result<TpRelation> QueryExecutor::Execute(const std::string& query,
   return Execute(**parsed, options, algorithm);
 }
 
-Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
-                                          const ExecOptions& options,
-                                          const SetOpAlgorithm* algorithm) const {
-  if (options.num_threads <= 1) {
-    if (options.profile != nullptr) {
-      return ExecuteProfiled(query, options, algorithm);
-    }
-    // A pinned sweep kernel must reach LawaSetOp even without a profile:
-    // route default LAWA through the degenerate (sequential) partitioned
-    // algorithm, which carries the kernel. kAuto keeps the plain path.
-    if (algorithm == nullptr && options.sweep_kernel != SweepKernel::kAuto) {
-      return Execute(query, ParallelAlgoFor(options));
-    }
-    return Execute(query, algorithm);
-  }
-  return ExecuteConcurrent(query, options, algorithm);
-}
-
 const ParallelSetOpAlgorithm* QueryExecutor::ParallelAlgoFor(
     const ExecOptions& options) const {
   std::lock_guard<std::mutex> lock(parallel_mu_);
-  std::unique_ptr<ParallelSetOpAlgorithm>& slot = parallel_algos_[{
-      options.num_threads, options.apply_mode, options.morsel_size,
-      options.steal, options.sweep_kernel}];
+  std::unique_ptr<ParallelSetOpAlgorithm>& slot =
+      parallel_algos_[{options.num_threads, options.apply_mode}];
   if (slot == nullptr) {
-    MorselOptions morsel;
-    morsel.morsel_size = options.morsel_size;
-    morsel.steal = options.steal;
     slot = std::make_unique<ParallelSetOpAlgorithm>(
         options.num_threads, SortMode::kComparison,
-        /*partitions_per_thread=*/4, options.apply_mode, morsel,
-        options.sweep_kernel);
+        /*partitions_per_thread=*/4, options.apply_mode);
   }
   return slot.get();
-}
-
-const ParallelSetOpAlgorithm* QueryExecutor::ParallelAlgoFor(
-    std::size_t num_threads, ApplyMode apply_mode) const {
-  ExecOptions options;
-  options.num_threads = num_threads;
-  options.apply_mode = apply_mode;
-  return ParallelAlgoFor(options);
 }
 
 namespace {
@@ -413,165 +355,201 @@ Status CheckSupported(const QueryNode& q, const SetOpAlgorithm& algorithm) {
   return Status::OK();
 }
 
+// Every leaf's storage, in evaluation (left-to-right) order.
+Status ResolveLeaves(const QueryExecutor& exec, const QueryNode& q,
+                     std::vector<const StoredRelation*>* leaves) {
+  if (q.kind == QueryNode::Kind::kRelation) {
+    Result<const StoredRelation*> stored = exec.FindStored(q.relation_name);
+    if (!stored.ok()) return stored.status();
+    leaves->push_back(*stored);
+    return Status::OK();
+  }
+  TPSET_RETURN_NOT_OK(ResolveLeaves(exec, *q.left, leaves));
+  return ResolveLeaves(exec, *q.right, leaves);
+}
+
+// Proposition 1's bound on the candidate windows LAWA produces for r op s:
+// 2|r| + 2|s| - |distinct facts of r ∪ s|. Consecutive equal facts collapse
+// while collecting, so (fact, start)-sorted inputs — every catalog relation
+// and LAWA output — sort only their distinct facts.
+std::size_t WindowBound(const TpRelation& r, const TpRelation& s) {
+  std::vector<FactId> facts;
+  for (const TpRelation* rel : {&r, &s}) {
+    for (const TpTuple& t : rel->tuples()) {
+      if (facts.empty() || facts.back() != t.fact) facts.push_back(t.fact);
+    }
+  }
+  std::sort(facts.begin(), facts.end());
+  const std::size_t distinct = static_cast<std::size_t>(
+      std::unique(facts.begin(), facts.end()) - facts.begin());
+  return 2 * r.size() + 2 * s.size() - distinct;
+}
+
+// A plan node's value: a borrowed leaf, or an operator's output — ready
+// (computed inline) or in flight on the operator's own task.
+struct Operand {
+  std::shared_ptr<const TpRelation> leaf;
+  std::shared_ptr<TpRelation> out;
+  std::shared_future<std::shared_ptr<TpRelation>> pending;
+
+  // Blocks until the value exists; rethrows the producing task's exception.
+  const TpRelation& Get() const {
+    if (leaf != nullptr) return *leaf;
+    return pending.valid() ? *pending.get() : *out;
+  }
+};
+
+// One query's bottom-up evaluation. Every operator takes a post-order
+// ticket and runs its arena-mutating phase in ticket order on one
+// ApplySequencer, so the arena sees the mutation sequence of a sequential
+// post-order evaluation in every mode. Sequentially, each operator runs
+// inline on the calling thread as soon as its operands are ready (its
+// ticket is then always next, so turns never wait). Concurrently, each
+// operator runs on its own std::async task, so sibling subtrees overlap;
+// the span tree is pre-built on the calling thread during the descent and
+// each task writes only its own operator's span (the same disjoint-slot
+// discipline as the morsel result vectors). Pool tasks never block on other
+// pool tasks: all blocking — operand futures, sequencer turns — happens on
+// the per-operator threads.
+class Evaluation {
+ public:
+  // `leaves` holds the query's resolved leaves in evaluation order. A
+  // non-null `parallel` (== `algorithm`) defers its arena writes to its
+  // turn; any other algorithm's whole Compute is its turn.
+  Evaluation(const SetOpAlgorithm& algorithm,
+             const ParallelSetOpAlgorithm* parallel, bool concurrent,
+             std::vector<const StoredRelation*> leaves)
+      : algorithm_(algorithm),
+        parallel_(parallel),
+        concurrent_(concurrent),
+        leaves_(std::move(leaves)) {}
+  // Operator tasks hold `this`.
+  Evaluation(const Evaluation&) = delete;
+  Evaluation& operator=(const Evaluation&) = delete;
+
+  // The query's answer. An operator's output is moved out — nothing else
+  // references it once evaluation ends; a bare-relation query copies its
+  // leaf, the one copy left on the read path.
+  TpRelation Run(const QueryNode& query, obs::Span* root) {
+    Operand answer = Eval(query, root);
+    if (answer.leaf != nullptr) return *answer.leaf;
+    return std::move(answer.pending.valid() ? *answer.pending.get()
+                                            : *answer.out);
+  }
+
+ private:
+  Operand Eval(const QueryNode& node, obs::Span* parent) {
+    if (node.kind == QueryNode::Kind::kRelation) {
+      // Leaves read a refcounted fold of the relation's current generation:
+      // no reference into the catalog entry survives the call, so
+      // concurrent Execute / append / compaction cannot invalidate it.
+      obs::Span* span =
+          parent == nullptr ? nullptr
+                            : parent->AddChild("relation " + node.relation_name);
+      obs::SpanTimer timer(span);
+      Operand leaf;
+      leaf.leaf = leaves_[next_leaf_++]->FoldedView();
+      timer.Stop();
+      if (span != nullptr) {
+        span->SetAttr("kind", "relation");
+        span->SetAttr("tuples", leaf.leaf->size());
+      }
+      return leaf;
+    }
+    // The operator's span holds both its input subtrees and (from Apply)
+    // its phase children; its own wall covers only the compute.
+    obs::Span* span =
+        parent == nullptr ? nullptr : parent->AddChild(SetOpName(node.op));
+    if (span != nullptr) span->SetAttr("kind", "setop");
+    Operand left = Eval(*node.left, span);
+    Operand right = Eval(*node.right, span);
+    const std::size_t ticket = next_ticket_++;  // post-order: children first
+    Operand result;
+    if (concurrent_) {
+      result.pending =
+          std::async(std::launch::async,
+                     [this, op = node.op, left = std::move(left),
+                      right = std::move(right), ticket, span]() mutable {
+                       return Apply(op, std::move(left), std::move(right),
+                                    ticket, span);
+                     })
+              .share();
+    } else {
+      result.out = Apply(node.op, std::move(left), std::move(right), ticket,
+                         span);
+    }
+    return result;
+  }
+
+  // One operator. Takes its operands by value so each input is released as
+  // soon as its consumer has computed.
+  std::shared_ptr<TpRelation> Apply(SetOpKind op, Operand left, Operand right,
+                                    std::size_t ticket, obs::Span* span) {
+    // The guard keeps the ticket sequence alive on every exit, including an
+    // operand task's exception rethrown by Get() — an unreleased ticket
+    // would hang all later turns.
+    TurnGuard turn(&sequencer_, ticket);
+    const TpRelation& l = left.Get();
+    const TpRelation& r = right.Get();
+    if (span != nullptr) span->SetAttr("bound", WindowBound(l, r));
+    if (parallel_ != nullptr) {
+      turn.Disarm();  // ComputeSequenced owns the ticket
+      return std::make_shared<TpRelation>(parallel_->ComputeSequenced(
+          op, l, r, &sequencer_, ticket, /*stats=*/nullptr, span));
+    }
+    turn.Wait();
+    obs::SpanTimer timer(span);
+    auto out = std::make_shared<TpRelation>(algorithm_.Compute(op, l, r));
+    timer.Stop();
+    if (span != nullptr) span->SetAttr("out", out->size());
+    return out;
+  }
+
+  const SetOpAlgorithm& algorithm_;
+  const ParallelSetOpAlgorithm* parallel_;
+  const bool concurrent_;
+  const std::vector<const StoredRelation*> leaves_;
+  std::size_t next_leaf_ = 0;
+  std::size_t next_ticket_ = 0;
+  ApplySequencer sequencer_;
+};
+
 }  // namespace
 
-Result<TpRelation> QueryExecutor::ExecuteProfiled(
-    const QueryNode& query, const ExecOptions& options,
-    const SetOpAlgorithm* algorithm) const {
+Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
+                                          const ExecOptions& options,
+                                          const SetOpAlgorithm* algorithm) const {
   const auto t0 = std::chrono::steady_clock::now();
-  obs::Span& root = options.profile->root();
-  obs::SpanTimer timer(&root);
-  if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
-  // The degenerate (num_threads <= 1) partitioned algorithm *is* sequential
-  // LawaSetOp, and it records its own phase span — route plain LAWA through
-  // it so sequential profiles carry the same sections as parallel ones.
-  const auto* parallel = dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm);
-  if (parallel == nullptr && algorithm->name() == "LAWA") {
-    parallel = ParallelAlgoFor(options);
-    algorithm = parallel;
-  }
-  {
-    obs::SpanTimer analyze(root.AddChild("analyze"));
-    Status supported = CheckSupported(query, *algorithm);
-    if (!supported.ok()) return supported;
-  }
-  Result<TpRelation> out = ExecuteNode(query, algorithm, parallel, &root);
-  if (out.ok()) root.SetAttr("out", out->size());
-  timer.Stop();
-  RecordQuery(t0, query, options.profile);
-  return out;
-}
-
-Result<TpRelation> QueryExecutor::ExecuteNode(
-    const QueryNode& node, const SetOpAlgorithm* algorithm,
-    const ParallelSetOpAlgorithm* parallel, obs::Span* span) const {
-  if (node.kind == QueryNode::Kind::kRelation) {
-    obs::Span* child = span->AddChild("relation " + node.relation_name);
-    obs::SpanTimer timer(child);
-    Result<const StoredRelation*> stored = FindStored(node.relation_name);
-    if (!stored.ok()) return stored.status();
-    const std::shared_ptr<const TpRelation> rel = (*stored)->FoldedView();
-    timer.Stop();
-    child->SetAttr("tuples", rel->size());
-    return *rel;
-  }
-  // The operator's span holds both its input subtrees and (from the compute
-  // below) its phase children; its own wall covers only the compute, like
-  // the per-node timings EXPLAIN always reported.
-  obs::Span* child = span->AddChild(SetOpName(node.op));
-  Result<TpRelation> left = ExecuteNode(*node.left, algorithm, parallel, child);
-  if (!left.ok()) return left;
-  Result<TpRelation> right =
-      ExecuteNode(*node.right, algorithm, parallel, child);
-  if (!right.ok()) return right;
-  if (parallel != nullptr) {
-    return parallel->ComputeSequenced(node.op, *left, *right, /*seq=*/nullptr,
-                                      /*ticket=*/0, /*stats=*/nullptr, child);
-  }
-  obs::SpanTimer timer(child);
-  TpRelation out = algorithm->Compute(node.op, *left, *right);
-  timer.Stop();
-  child->SetAttr("out", out.size());
-  return Result<TpRelation>(std::move(out));
-}
-
-Result<TpRelation> QueryExecutor::ExecuteConcurrent(
-    const QueryNode& query, const ExecOptions& options,
-    const SetOpAlgorithm* algorithm) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
-  // Plain LAWA is transparently upgraded to its partitioned variant; any
-  // other algorithm keeps its own Compute but is serialized per node (see
-  // below), since only the partitioned algorithm can defer arena writes.
-  const auto* parallel = dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm);
-  if (parallel == nullptr && algorithm->name() == "LAWA") {
-    parallel = ParallelAlgoFor(options);
-    algorithm = parallel;
-  }
-  obs::Span* profile_root =
+  obs::Span* root =
       options.profile == nullptr ? nullptr : &options.profile->root();
-  obs::SpanTimer profile_timer(profile_root);
-  {
-    obs::SpanTimer analyze(profile_root == nullptr
-                               ? nullptr
-                               : profile_root->AddChild("analyze"));
+  obs::SpanTimer timer(root);
+  if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
+  // Plain LAWA runs as the executor's partitioned algorithm — at
+  // num_threads <= 1 its degenerate instance *is* sequential LawaSetOp — so
+  // every mode records the same phase spans and defers arena writes to the
+  // operator's turn. An explicit ParallelSetOpAlgorithm keeps its own
+  // configuration; any other algorithm is serialized per operator.
+  const auto* parallel = dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm);
+  if (parallel == nullptr && algorithm->name() == "LAWA") {
+    parallel = ParallelAlgoFor(options);
+    algorithm = parallel;
+  }
+  std::vector<const StoredRelation*> leaves;
+  const Status analyzed = [&]() {
+    obs::SpanTimer analyze(root == nullptr ? nullptr
+                                           : root->AddChild("analyze"));
     TPSET_RETURN_NOT_OK(CheckSupported(query, *algorithm));
-  }
-
-  // One std::async task per set-op node, joined through shared_futures; the
-  // arena-mutating phase of node i waits for turn i of a post-order ticket
-  // sequence, making the result bit-identical to sequential evaluation.
-  // Query trees are user-written and small, so a thread per node is cheap;
-  // the heavy data parallelism lives inside the partitioned algorithm.
-  ApplySequencer sequencer;
-  using NodeFuture = std::shared_future<Result<TpRelation>>;
-  std::size_t next_ticket = 0;
-
-  // The span tree is pre-built here, on the coordinating thread, during the
-  // recursive descent; each async task then writes only its own node's span
-  // (the same disjoint-slot discipline as the morsel result vectors).
-  auto eval = [&](auto&& self, const QueryNode& node,
-                  obs::Span* span) -> NodeFuture {
-    if (node.kind == QueryNode::Kind::kRelation) {
-      obs::Span* child =
-          span == nullptr ? nullptr
-                          : span->AddChild("relation " + node.relation_name);
-      std::promise<Result<TpRelation>> ready;
-      obs::SpanTimer timer(child);
-      Result<const StoredRelation*> stored = FindStored(node.relation_name);
-      timer.Stop();
-      if (!stored.ok()) {
-        ready.set_value(stored.status());
-      } else {
-        const std::shared_ptr<const TpRelation> rel = (*stored)->FoldedView();
-        if (child != nullptr) child->SetAttr("tuples", rel->size());
-        ready.set_value(*rel);
-      }
-      return ready.get_future().share();
-    }
-    obs::Span* child =
-        span == nullptr ? nullptr : span->AddChild(SetOpName(node.op));
-    NodeFuture left = self(self, *node.left, child);
-    NodeFuture right = self(self, *node.right, child);
-    const std::size_t ticket = next_ticket++;  // post-order: children first
-    const SetOpAlgorithm* algo = algorithm;
-    const ParallelSetOpAlgorithm* par = parallel;
-    ApplySequencer* seq = &sequencer;
-    SetOpKind op = node.op;
-    return std::async(std::launch::async,
-                      [left, right, ticket, algo, par, seq, op, child]() {
-                        // The guard keeps the ticket sequence alive on every
-                        // exit, including exceptions rethrown by get() — an
-                        // unreleased ticket would hang all later turns.
-                        TurnGuard turn(seq, ticket);
-                        const Result<TpRelation>& l = left.get();
-                        const Result<TpRelation>& r = right.get();
-                        if (!l.ok() || !r.ok()) {
-                          return !l.ok() ? l : r;  // guard skips the turn
-                        }
-                        if (par != nullptr) {
-                          turn.Disarm();  // ComputeSequenced owns the ticket
-                          return Result<TpRelation>(par->ComputeSequenced(
-                              op, *l, *r, seq, ticket, /*stats=*/nullptr,
-                              child));
-                        }
-                        // Foreign algorithm: its whole compute is the turn.
-                        turn.Wait();
-                        obs::SpanTimer timer(child);
-                        TpRelation out = algo->Compute(op, *l, *r);
-                        timer.Stop();
-                        if (child != nullptr) child->SetAttr("out", out.size());
-                        turn.Release();
-                        return Result<TpRelation>(std::move(out));
-                      })
-        .share();
-  };
-
-  Result<TpRelation> out = eval(eval, query, profile_root).get();
-  if (profile_root != nullptr && out.ok()) {
-    profile_root->SetAttr("out", out->size());
-  }
-  profile_timer.Stop();
+    return ResolveLeaves(*this, query, &leaves);
+  }();
+  Result<TpRelation> out =
+      analyzed.ok()
+          ? Result<TpRelation>(Evaluation(*algorithm, parallel,
+                                          options.num_threads > 1,
+                                          std::move(leaves))
+                                   .Run(query, root))
+          : Result<TpRelation>(analyzed);
+  if (root != nullptr && out.ok()) root->SetAttr("out", out->size());
+  timer.Stop();
   RecordQuery(t0, query, options.profile);
   return out;
 }

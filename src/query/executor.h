@@ -7,7 +7,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -46,31 +45,11 @@ struct ExecOptions {
   /// DESIGN.md, "Staged apply").
   ApplyMode apply_mode = ApplyMode::kBitIdentical;
 
-  /// Combined (r + s) tuple budget per morsel for the work-stealing
-  /// scheduler (parallel/scheduler.h); 0 picks an automatic size. Only
-  /// meaningful with num_threads > 1. Results are unaffected — morsel
-  /// granularity changes scheduling, not output.
-  std::size_t morsel_size = 0;
-
-  /// Work stealing between the scheduler's per-worker deques. Off, each
-  /// worker drains only its round-robin share of the morsels (a skewed
-  /// input then pins a worker again — the knob exists to isolate the
-  /// stealing effect).
-  bool steal = true;
-
-  /// Which kernel runs the LAWA advance loop (set_ops.h SweepKernel):
-  /// kAuto (default) picks columnar for large sweeps and scalar for tiny
-  /// ones; kScalar / kColumnar pin it for A/B runs. Results are unaffected
-  /// — both kernels produce the identical window stream (under kScalar vs
-  /// kColumnar with apply_mode kBitIdentical, outputs are byte-equal).
-  /// Applies under the same algorithm rules as num_threads, including the
-  /// sequential (num_threads <= 1) path.
-  SweepKernel sweep_kernel = SweepKernel::kAuto;
-
   /// When non-null, the execution records its span tree here: root (whole
   /// query; admission timestamp on start_unix_us) → "parse"/"analyze" →
   /// one span per plan node ("relation <name>" leaves, operator nodes with
-  /// sort/split/advance/apply phase children and LawaStats attached).
+  /// sort/split/advance/apply phase children and LawaStats attached; plan
+  /// nodes carry the kind/tuples/out/bound attrs EXPLAIN renders).
   /// Results are unaffected; the caller owns the profile and must keep it
   /// alive for the call. Not part of the algorithm cache key.
   obs::QueryProfile* profile = nullptr;
@@ -129,11 +108,17 @@ class QueryExecutor {
   Result<TpRelation> Execute(const std::string& query, const ExecOptions& options,
                              const SetOpAlgorithm* algorithm = nullptr) const;
 
-  /// Executes a query tree with explicit execution options. With
-  /// options.num_threads > 1, sibling subtrees are evaluated concurrently
-  /// and leaf set operations are partition-parallel; the shared lineage
-  /// arena is mutated in post-order turns, so the result (tuples and
-  /// lineage ids) equals sequential execution exactly.
+  /// Executes a query tree with explicit execution options — the one
+  /// evaluator behind every Execute overload and EXPLAIN. Its analyze step
+  /// checks every operator against `algorithm` and resolves every leaf
+  /// before any work, so a query that cannot run fails without touching
+  /// the lineage arena. With options.num_threads > 1, sibling subtrees are
+  /// evaluated concurrently and leaf set operations are partition-parallel;
+  /// the shared lineage arena is mutated in post-order turns, so the result
+  /// (tuples and lineage ids) equals sequential execution exactly. Leaves
+  /// are read in place; a bare-relation query returns a copy. Every call
+  /// that gets past parsing counts once into tpset_exec_queries_total,
+  /// failed ones included.
   Result<TpRelation> Execute(const QueryNode& query, const ExecOptions& options,
                              const SetOpAlgorithm* algorithm = nullptr) const;
 
@@ -221,38 +206,12 @@ class QueryExecutor {
 
   const std::shared_ptr<TpContext>& context() const { return ctx_; }
 
-  /// The executor-owned parallel algorithm for a (thread count, apply mode,
-  /// morsel config) combination: lazily built, cached for the executor's
-  /// lifetime (a handful of distinct configs in practice; each retains its
-  /// pool threads once first used). Exposed so tools that execute plans
-  /// themselves — EXPLAIN's per-node phase timing — reuse the warm pools
-  /// instead of paying thread startup inside their measurements.
-  const ParallelSetOpAlgorithm* ParallelAlgoFor(const ExecOptions& options) const;
-  const ParallelSetOpAlgorithm* ParallelAlgoFor(std::size_t num_threads,
-                                                ApplyMode apply_mode) const;
-
  private:
-  /// The recursive bottom-up evaluation behind the public Execute overloads
-  /// (which add per-query metrics once, at the top level).
-  Result<TpRelation> ExecuteTree(const QueryNode& query,
-                                 const SetOpAlgorithm* algorithm) const;
-
-  /// Sequential evaluation recording a span per plan node into
-  /// options.profile (num_threads <= 1 with a profile attached).
-  Result<TpRelation> ExecuteProfiled(const QueryNode& query,
-                                     const ExecOptions& options,
-                                     const SetOpAlgorithm* algorithm) const;
-
-  /// One recursion step of ExecuteProfiled: evaluates `node` under `span`'s
-  /// freshly added child span.
-  Result<TpRelation> ExecuteNode(const QueryNode& node,
-                                 const SetOpAlgorithm* algorithm,
-                                 const ParallelSetOpAlgorithm* parallel,
-                                 obs::Span* span) const;
-
-  Result<TpRelation> ExecuteConcurrent(const QueryNode& query,
-                                       const ExecOptions& options,
-                                       const SetOpAlgorithm* algorithm) const;
+  /// The executor-owned parallel algorithm for a (thread count, apply mode)
+  /// combination: lazily built, cached for the executor's lifetime (a
+  /// handful of distinct configs in practice; each retains its pool threads
+  /// once first used, so repeated queries pay no thread startup).
+  const ParallelSetOpAlgorithm* ParallelAlgoFor(const ExecOptions& options) const;
 
   /// The widest idle continuous-query pool for parallel compaction (null
   /// when no parallel continuous query ever registered — compact
@@ -287,9 +246,8 @@ class QueryExecutor {
   // (Append applies them one at a time, so at most one pool is ever busy).
   std::map<std::size_t, std::unique_ptr<ThreadPool>> continuous_pools_;
   mutable std::mutex parallel_mu_;
-  mutable std::map<
-      std::tuple<std::size_t, ApplyMode, std::size_t, bool, SweepKernel>,
-      std::unique_ptr<ParallelSetOpAlgorithm>>
+  mutable std::map<std::pair<std::size_t, ApplyMode>,
+                   std::unique_ptr<ParallelSetOpAlgorithm>>
       parallel_algos_;
   // Background compaction: a lazily created single worker draining budgeted
   // CompactStep tasks; bg_scheduled_ deduplicates one in-flight step per

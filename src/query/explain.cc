@@ -1,7 +1,6 @@
 #include "query/explain.h"
 
 #include <cstdio>
-#include <set>
 #include <sstream>
 
 #include "lawa/set_ops.h"
@@ -13,45 +12,6 @@
 namespace tpset {
 
 namespace {
-
-std::size_t DistinctFacts(const TpRelation& r, const TpRelation& s) {
-  std::set<FactId> facts;
-  for (const TpTuple& t : r.tuples()) facts.insert(t.fact);
-  for (const TpTuple& t : s.tuples()) facts.insert(t.fact);
-  return facts.size();
-}
-
-// Executes the plan bottom-up, recording one span per plan node under
-// `span`. All numbers EXPLAIN later renders live on the spans: relation
-// leaves carry kind/tuples attrs, operator nodes carry kind/out/bound attrs
-// plus the phase children and LawaStats that ComputeSequenced attaches.
-// Sequential explains run the same recorder through the degenerate
-// (num_threads <= 1) partitioned algorithm, so both render identical
-// sections from identical span shapes.
-Result<TpRelation> ExplainNode(const QueryExecutor& exec, const QueryNode& q,
-                               const ParallelSetOpAlgorithm& parallel,
-                               obs::Span* span) {
-  if (q.kind == QueryNode::Kind::kRelation) {
-    Result<const TpRelation*> rel = exec.Find(q.relation_name);
-    if (!rel.ok()) return rel.status();
-    obs::Span* child = span->AddChild("relation " + q.relation_name);
-    child->SetAttr("kind", "relation");
-    child->SetAttr("tuples", (*rel)->size());
-    return **rel;
-  }
-  obs::Span* child = span->AddChild(SetOpName(q.op));
-  child->SetAttr("kind", "setop");
-  Result<TpRelation> left = ExplainNode(exec, *q.left, parallel, child);
-  if (!left.ok()) return left;
-  Result<TpRelation> right = ExplainNode(exec, *q.right, parallel, child);
-  if (!right.ok()) return right;
-  TpRelation result = parallel.ComputeSequenced(
-      q.op, *left, *right, /*seq=*/nullptr, /*ticket=*/0, /*stats=*/nullptr,
-      child);
-  child->SetAttr("bound", 2 * left->size() + 2 * right->size() -
-                              DistinctFacts(*left, *right));
-  return result;
-}
 
 // One plan node's line, rebuilt purely from its span. Children stream out
 // first (depth-first), the node's own line follows with the depth marker —
@@ -84,47 +44,6 @@ void RenderNode(const obs::Span& span, int depth, std::string* out) {
           ", windows=" + std::to_string(span.stats.windows_produced) + "/" +
           span.Attr("bound") + "(bound)" + phases + " kernel=" + kernel +
           "]\n";
-}
-
-Result<std::string> ExplainInto(const QueryExecutor& exec,
-                                const QueryNode& query,
-                                const ParallelSetOpAlgorithm* parallel,
-                                bool parallel_header,
-                                obs::QueryProfile* profile) {
-  std::ostringstream out;
-  out << "query: " << QueryToString(query) << "\n";
-  if (parallel_header) {
-    out << "parallel: threads=" << parallel->num_threads() << " apply="
-        << (parallel->apply_mode() == ApplyMode::kStaged ? "staged"
-                                                         : "bit-identical");
-    const MorselOptions& morsel = parallel->morsel_options();
-    if (morsel.enabled) {
-      out << " scheduler=morsel(size=";
-      if (morsel.morsel_size == 0) {
-        out << "auto";
-      } else {
-        out << morsel.morsel_size;
-      }
-      out << (morsel.steal ? ", steal" : ", no-steal") << ")";
-    } else {
-      out << " scheduler=static";
-    }
-    out << "\n";
-  }
-  obs::Span& root = profile->root();
-  obs::SpanTimer timer(&root);
-  Result<TpRelation> result = ExplainNode(exec, query, *parallel, &root);
-  timer.Stop();
-  if (!result.ok()) return result.status();
-  root.SetAttr("out", result->size());
-  out << RenderExplainPlan(root);
-  bool non_repeating = IsNonRepeating(query);
-  out << "non-repeating: " << (non_repeating ? "yes" : "no")
-      << " -> valuation: "
-      << (non_repeating ? "read-once (linear, exact by Theorem 1)"
-                        : "Shannon expansion (exact; #P-hard in general)")
-      << "\n";
-  return out.str();
 }
 
 }  // namespace
@@ -161,14 +80,28 @@ Result<std::string> ExplainQuery(const QueryExecutor& exec,
                                  const QueryNode& query,
                                  const ExecOptions& options,
                                  obs::QueryProfile* profile) {
-  // Explain walks the tree bottom-up on one thread (no subtree concurrency,
-  // so no sequencer needed); each node runs the partitioned algorithm to
-  // surface its true phase profile — degenerating to sequential LawaSetOp
-  // at num_threads <= 1, so sequential and parallel explains share one
-  // recorder and one renderer. The executor's cached instance keeps
-  // pool-thread startup out of the first node's timings.
-  return ExplainInto(exec, query, exec.ParallelAlgoFor(options),
-                     /*parallel_header=*/options.num_threads > 1, profile);
+  // EXPLAIN is an ordinary profiled execution — sequential or concurrent,
+  // the same run Execute performs — rendered from the span tree it left.
+  ExecOptions profiled = options;
+  profiled.profile = profile;
+  Result<TpRelation> result = exec.Execute(query, profiled);
+  if (!result.ok()) return result.status();
+  std::ostringstream out;
+  out << "query: " << QueryToString(query) << "\n";
+  if (options.num_threads > 1) {
+    out << "parallel: threads=" << options.num_threads << " apply="
+        << (options.apply_mode == ApplyMode::kStaged ? "staged"
+                                                     : "bit-identical")
+        << "\n";
+  }
+  out << RenderExplainPlan(profile->root());
+  const bool non_repeating = IsNonRepeating(query);
+  out << "non-repeating: " << (non_repeating ? "yes" : "no")
+      << " -> valuation: "
+      << (non_repeating ? "read-once (linear, exact by Theorem 1)"
+                        : "Shannon expansion (exact; #P-hard in general)")
+      << "\n";
+  return out.str();
 }
 
 Result<std::string> ExplainQuery(const QueryExecutor& exec,

@@ -1,9 +1,11 @@
-// EXPLAIN for TP set queries: executes the plan bottom-up, recording one
-// trace span per plan node (obs/profile.h), and renders every annotation —
-// cardinalities, LAWA window counts against the Proposition 1 bound, phase
-// walls, scheduler counters, the recommended probability-valuation method —
-// from that span tree. Sequential and parallel explains share the recorder
-// and renderer; only the "parallel:" config header differs.
+// EXPLAIN for TP set queries: runs the query through QueryExecutor::Execute
+// with a profile attached (one trace span per plan node, obs/profile.h) and
+// renders every annotation — cardinalities, LAWA window counts against the
+// Proposition 1 bound, phase walls, scheduler counters, the recommended
+// probability-valuation method — from that span tree. Sequential and
+// parallel explains are the same execution the options request (at
+// num_threads > 1, the concurrent run with its real subtree overlap); only
+// the "parallel:" config header differs.
 #ifndef TPSET_QUERY_EXPLAIN_H_
 #define TPSET_QUERY_EXPLAIN_H_
 
@@ -25,17 +27,19 @@ namespace tpset {
 ///       relation b  [2 tuples]
 ///   non-repeating: yes -> valuation: read-once (linear, exact)
 ///
-/// The query is actually executed (with LAWA), so the numbers are exact.
+/// The query is actually executed (with LAWA, through Execute), so the
+/// numbers are exact — and the execution counts into the executor's query
+/// metrics like any other.
 Result<std::string> ExplainQuery(const QueryExecutor& exec, const QueryNode& query);
 
 /// Parses, then explains.
 Result<std::string> ExplainQuery(const QueryExecutor& exec,
                                  const std::string& query);
 
-/// Explain under explicit execution options. With options.num_threads > 1
-/// every set-op node runs the partitioned parallel algorithm (with the
-/// requested apply mode) and its line additionally carries the per-phase
-/// wall-time breakdown:
+/// Explain under explicit execution options: the execution Execute runs
+/// for them (at num_threads > 1, concurrent subtrees over the partitioned
+/// parallel algorithm with the requested apply mode). Every node line
+/// carries the per-phase wall-time breakdown:
 ///
 ///   except  [out=5, windows=8/9(bound), sort=0.01ms split=0.00ms
 ///            advance=0.05ms apply=0.02ms]
@@ -61,9 +65,9 @@ Result<std::string> ExplainQuery(const QueryExecutor& exec,
                                  obs::QueryProfile* profile);
 
 /// Renders the plan section (node tree only — no query/parallel header, no
-/// valuation footer) from a span tree recorded by ExplainQuery. Children
-/// stream out before their parent with depth markers, the layout EXPLAIN
-/// always used.
+/// valuation footer) from a span tree recorded by ExplainQuery or by any
+/// profiled Execute. Children stream out before their parent with depth
+/// markers, the layout EXPLAIN always used.
 std::string RenderExplainPlan(const obs::Span& root);
 
 /// EXPLAIN for a registered continuous plan: the incremental operator DAG

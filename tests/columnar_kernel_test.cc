@@ -1,13 +1,14 @@
 // Differential belt for the columnar SoA sweep kernel: ColumnarAdvancer
-// must be indistinguishable from LineageAwareWindowAdvancer at every
-// observable surface — the window stream (fact, interval, λr, λs in emit
-// order), the final advancer status (AdvancerCheckpoint), the sequential
-// LawaSetOp output (byte-equal, lineage ids included), the parallel
-// bit-identical output across thread counts and morsel sizes, and the
-// incremental engine's accumulated state under forced-kernel continuous
-// queries. Checkpoints are additionally round-tripped across kernels in
-// both directions: state saved by one kernel, restored into the other,
-// must continue the sweep identically.
+// must be indistinguishable from LineageAwareWindowAdvancer — the paper's
+// Alg. 1, kept as the reference — at every observable surface: the window
+// stream (fact, interval, λr, λs in emit order), the final advancer status
+// (AdvancerCheckpoint), and, on inputs large enough for the size rule to
+// pick the columnar kernel, the sequential LawaSetOp output and the
+// parallel bit-identical output across thread counts and morsel budgets
+// (byte-equal to a scalar-advancer reference, lineage ids included).
+// Checkpoints are additionally round-tripped across kernels in both
+// directions: state saved by one kernel, restored into the other, must
+// continue the sweep identically.
 //
 // Shapes are the ones that stress distinct kernel paths: zipf and one-hot
 // fact skew (many short groups vs one huge group), all-one-fact (a single
@@ -24,12 +25,10 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "incremental/continuous_query.h"
 #include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
 #include "lawa/set_ops.h"
 #include "parallel/parallel_set_op.h"
-#include "query/executor.h"
 #include "relation/columnar.h"
 #include "relation/relation.h"
 #include "tests/test_util.h"
@@ -106,6 +105,34 @@ void ExpectBitEqual(const TpRelation& a, const TpRelation& b,
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << what << " tuple " << i;
   }
+}
+
+// The scalar reference for one whole operation: the Alg. 1 advancer driven
+// through the shared λ-filters, concatenating in window order — the
+// sequence LawaSetOp must reproduce whichever kernel its size rule picks.
+// Inputs must be (fact, start)-sorted.
+TpRelation ScalarReference(SetOpKind op, const TpRelation& r,
+                           const TpRelation& s) {
+  LineageManager& mgr = r.context()->lineage();
+  TpRelation out(r.context(), r.schema(), "reference");
+  LineageAwareWindowAdvancer adv(r.tuples().data(), r.size(),
+                                 s.tuples().data(), s.size());
+  ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
+    LineageId lineage = kNullLineage;
+    switch (op) {
+      case SetOpKind::kIntersect:
+        lineage = mgr.ConcatAnd(w.lr, w.ls);
+        break;
+      case SetOpKind::kUnion:
+        lineage = mgr.ConcatOr(w.lr, w.ls);
+        break;
+      case SetOpKind::kExcept:
+        lineage = mgr.ConcatAndNot(w.lr, w.ls);
+        break;
+    }
+    out.AddDerived(w.fact, w.t, lineage);
+  });
+  return out;
 }
 
 // Per-fact chain generation (non-overlapping intervals per fact, the input
@@ -245,9 +272,9 @@ TEST(ColumnarKernelTest, EmptyAndOneSidedInputs) {
   }
 }
 
-// ---- Sequential LawaSetOp: byte-equal outputs -----------------------------
+// ---- Sequential LawaSetOp: byte-equal to the scalar reference ------------
 
-TEST(ColumnarKernelTest, SequentialLawaByteEqual) {
+TEST(ColumnarKernelTest, SequentialLawaMatchesScalarReference) {
   for (std::uint64_t seed : testing::PropertySeeds({111, 112})) {
     for (const Shape& shape : Shapes(400)) {
       SCOPED_TRACE("shape=" + shape.name + " seed=" + std::to_string(seed));
@@ -259,11 +286,12 @@ TEST(ColumnarKernelTest, SequentialLawaByteEqual) {
         std::shared_ptr<TpContext> ctx1, ctx2;
         auto [r1, s1] = FreshPair(shape, seed, &ctx1);
         auto [r2, s2] = FreshPair(shape, seed, &ctx2);
-        TpRelation scalar = LawaSetOp(op, r1, s1, SortMode::kComparison,
-                                      nullptr, SweepKernel::kScalar);
-        TpRelation columnar = LawaSetOp(op, r2, s2, SortMode::kComparison,
-                                        nullptr, SweepKernel::kColumnar);
-        ExpectBitEqual(scalar, columnar, "sequential scalar vs columnar");
+        ASSERT_GE(r2.size() + s2.size(), kColumnarAutoThreshold);
+        TpRelation expected = ScalarReference(op, r1, s1);
+        LawaStats stats;
+        TpRelation out = LawaSetOp(op, r2, s2, SortMode::kComparison, &stats);
+        EXPECT_EQ(stats.sweeps_columnar, 1u) << "size rule picked scalar";
+        ExpectBitEqual(out, expected, "LawaSetOp vs scalar reference");
       }
     }
   }
@@ -273,7 +301,7 @@ TEST(ColumnarKernelTest, SequentialLawaByteEqual) {
 
 TEST(ColumnarKernelTest, ParallelBitIdenticalByteEqual) {
   const std::size_t thread_counts[] = {1, 4, 8};
-  const std::size_t morsel_sizes[] = {1, 16, 0};  // 0 = auto
+  const std::size_t morsel_budgets[] = {1, 16, 0};  // 0 = auto
   for (std::uint64_t seed : testing::PropertySeeds({121})) {
     for (const Shape& shape : Shapes(400)) {
       SCOPED_TRACE("shape=" + shape.name + " seed=" + std::to_string(seed));
@@ -281,20 +309,19 @@ TEST(ColumnarKernelTest, ParallelBitIdenticalByteEqual) {
         SCOPED_TRACE(SetOpName(op));
         std::shared_ptr<TpContext> oracle_ctx;
         auto [ro, so] = FreshPair(shape, seed, &oracle_ctx);
-        TpRelation expected = LawaSetOp(op, ro, so, SortMode::kComparison,
-                                        nullptr, SweepKernel::kScalar);
+        TpRelation expected = ScalarReference(op, ro, so);
         for (std::size_t threads : thread_counts) {
-          for (std::size_t morsel_size : morsel_sizes) {
+          for (std::size_t budget : morsel_budgets) {
             SCOPED_TRACE("threads=" + std::to_string(threads) +
-                         " morsel_size=" + std::to_string(morsel_size));
-            MorselOptions morsel;
-            morsel.morsel_size = morsel_size;
+                         " morsel_budget=" + std::to_string(budget));
             ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2,
-                                        ApplyMode::kBitIdentical, morsel,
-                                        SweepKernel::kColumnar);
+                                        ApplyMode::kBitIdentical, budget);
             std::shared_ptr<TpContext> ctx;
             auto [r, s] = FreshPair(shape, seed, &ctx);
-            TpRelation out = algo.Compute(op, r, s);
+            LawaStats stats;
+            TpRelation out = algo.ComputeTimed(op, r, s, nullptr, &stats);
+            EXPECT_GT(stats.sweeps_columnar, 0u) << "size rule picked scalar";
+            EXPECT_EQ(stats.sweeps_scalar, 0u);
             ExpectBitEqual(out, expected, "columnar parallel vs scalar seq");
           }
         }
@@ -368,74 +395,6 @@ TEST(ColumnarKernelTest, CheckpointRoundTripsAcrossKernels) {
   }
 }
 
-// ---- Incremental engine under forced kernels ------------------------------
-
-// Runs one deterministic append schedule on a fresh executor with the given
-// continuous-query kernel and returns the accumulated results.
-std::vector<TpRelation> RunContinuousSchedule(std::uint64_t seed,
-                                              SweepKernel kernel) {
-  auto ctx = std::make_shared<TpContext>();
-  QueryExecutor exec(ctx);
-  Rng rng(seed);
-  const std::vector<std::string> rel_names = {"r", "s", "u"};
-  for (const std::string& name : rel_names) {
-    TpRelation rel(ctx, Schema::SingleInt("fact"), name);
-    EXPECT_TRUE(exec.Register(rel).ok());
-  }
-  ContinuousOptions options;
-  options.sweep_kernel = kernel;
-  const std::vector<std::string> queries = {"r - s", "(r | s) & u"};
-  std::vector<ContinuousQuery*> cqs;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    Result<ContinuousQuery*> cq = exec.RegisterContinuous(
-        "q" + std::to_string(i), queries[i], options);
-    EXPECT_TRUE(cq.ok()) << cq.status().ToString();
-    if (cq.ok()) cqs.push_back(*cq);
-  }
-  const std::size_t num_facts = 5;
-  std::vector<std::vector<TimePoint>> cursor(
-      rel_names.size(), std::vector<TimePoint>(num_facts, 0));
-  for (std::size_t e = 0; e < 30; ++e) {
-    std::size_t ri = static_cast<std::size_t>(rng.Below(rel_names.size()));
-    DeltaBatch batch;
-    for (std::size_t k = 0; k < 4; ++k) {
-      const std::size_t fact = static_cast<std::size_t>(rng.Below(num_facts));
-      TimePoint& cur = cursor[ri][fact];
-      cur += rng.Uniform(0, 3);
-      const TimePoint len = rng.Uniform(1, 4);
-      batch.Add({Value(static_cast<std::int64_t>(fact))},
-                Interval(cur, cur + len), 0.1 + 0.8 * rng.NextDouble());
-      cur += len;
-    }
-    Result<EpochId> epoch = exec.Append(rel_names[ri], batch);
-    EXPECT_TRUE(epoch.ok()) << epoch.status().ToString();
-  }
-  std::vector<TpRelation> out;
-  for (ContinuousQuery* cq : cqs) out.push_back(cq->Current());
-  return out;
-}
-
-TEST(ColumnarKernelTest, IncrementalKernelEquivalence) {
-  for (std::uint64_t seed : testing::PropertySeeds({141, 142})) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    std::vector<TpRelation> scalar =
-        RunContinuousSchedule(seed, SweepKernel::kScalar);
-    std::vector<TpRelation> columnar =
-        RunContinuousSchedule(seed, SweepKernel::kColumnar);
-    std::vector<TpRelation> autok =
-        RunContinuousSchedule(seed, SweepKernel::kAuto);
-    ASSERT_EQ(scalar.size(), columnar.size());
-    ASSERT_EQ(scalar.size(), autok.size());
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      SCOPED_TRACE("query " + std::to_string(i));
-      // Sequential apply with identical window streams concatenates in the
-      // same order on identically seeded contexts: ids must coincide.
-      ExpectBitEqual(scalar[i], columnar[i], "incremental scalar vs columnar");
-      ExpectBitEqual(scalar[i], autok[i], "incremental scalar vs auto");
-    }
-  }
-}
-
 // ---- Auto threshold -------------------------------------------------------
 
 TEST(ColumnarKernelTest, AutoResolvesByCombinedSize) {
@@ -447,40 +406,6 @@ TEST(ColumnarKernelTest, AutoResolvesByCombinedSize) {
             SweepKernel::kScalar);
   EXPECT_EQ(ResolveSweepKernel(SweepKernel::kColumnar, 0),
             SweepKernel::kColumnar);
-}
-
-// The executor honors a pinned kernel on the sequential no-profile path
-// (the routing exercised by EXPLAIN-less A/B runs).
-TEST(ColumnarKernelTest, ExecutorSequentialPinnedKernel) {
-  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kColumnar}) {
-    auto ctx1 = std::make_shared<TpContext>();
-    auto ctx2 = std::make_shared<TpContext>();
-    Rng rng1(55), rng2(55);
-    QueryExecutor scalar_exec(ctx1);
-    QueryExecutor pinned_exec(ctx2);
-    {
-      TpRelation r = ChainRelation(ctx1, "r", {40, 40}, 6, 3, &rng1);
-      TpRelation s = ChainRelation(ctx1, "s", {40, 40}, 9, 2, &rng1);
-      ASSERT_TRUE(scalar_exec.Register(r).ok());
-      ASSERT_TRUE(scalar_exec.Register(s).ok());
-    }
-    {
-      TpRelation r = ChainRelation(ctx2, "r", {40, 40}, 6, 3, &rng2);
-      TpRelation s = ChainRelation(ctx2, "s", {40, 40}, 9, 2, &rng2);
-      ASSERT_TRUE(pinned_exec.Register(r).ok());
-      ASSERT_TRUE(pinned_exec.Register(s).ok());
-    }
-    Result<TpRelation> plain = scalar_exec.Execute("(r & s) | (r - s)");
-    ExecOptions options;
-    options.sweep_kernel = kernel;
-    Result<TpRelation> pinned =
-        pinned_exec.Execute("(r & s) | (r - s)", options);
-    ASSERT_TRUE(plain.ok());
-    ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-    ExpectBitEqual(*plain, *pinned,
-                   std::string("executor pinned kernel ") +
-                       SweepKernelName(kernel));
-  }
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 
 #include "datagen/synthetic.h"
 #include "lineage/eval.h"
+#include "obs/profile.h"
 #include "query/analyzer.h"
 #include "query/executor.h"
+#include "query/parser.h"
 #include "relation/snapshot.h"
 #include "relation/validate.h"
 #include "tests/test_util.h"
@@ -93,6 +95,51 @@ TEST_P(QueryPropertyTest, LawaMatchesReferenceOnNestedQueries) {
         << QueryToString(*q) << ": expected " << expected.size() << " got "
         << actual->size();
     EXPECT_TRUE(ValidateDuplicateFree(*actual).ok()) << QueryToString(*q);
+  }
+}
+
+// Execution mode is not an input to the answer: every tree run at {t1, t4}
+// x {no profile, profile} is bit-identical to the unprofiled t1 run — same
+// tuples, same lineage ids (hash-consing hands re-executions the same
+// nodes), same name. Fixed shapes cover a bare relation (the one leaf copy
+// left on the read path) and self-aliased leaves, where both operands
+// borrow one shared relation.
+TEST_P(QueryPropertyTest, ExecutionModesAreBitIdentical) {
+  Rng rng(Seed() ^ 0x3333);
+  std::vector<QueryPtr> trees;
+  for (const char* text : {"rel0", "rel0 | rel0", "rel0 - rel0"}) {
+    trees.push_back(std::move(ParseQuery(text)).value());
+  }
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<std::string> pool = names_;
+    trees.push_back(RandomTree(&rng, &pool, 3, /*non_repeating=*/false));
+  }
+  for (const QueryPtr& q : trees) {
+    ASSERT_NE(q, nullptr);
+    const std::string text = QueryToString(*q);
+    Result<TpRelation> base = exec_->Execute(*q);
+    ASSERT_TRUE(base.ok()) << text;
+    if (q->kind == QueryNode::Kind::kRelation) {
+      EXPECT_TRUE(base->tuples() == (*exec_->Find(q->relation_name))->tuples())
+          << text;
+    }
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (bool profiled : {false, true}) {
+        SCOPED_TRACE(text + " threads=" + std::to_string(threads) +
+                     (profiled ? " profiled" : ""));
+        obs::QueryProfile profile;
+        ExecOptions options;
+        options.num_threads = threads;
+        if (profiled) options.profile = &profile;
+        Result<TpRelation> got = exec_->Execute(*q, options);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->name(), base->name());
+        ASSERT_EQ(got->size(), base->size());
+        for (std::size_t i = 0; i < got->size(); ++i) {
+          ASSERT_EQ((*got)[i], (*base)[i]) << "tuple " << i;
+        }
+      }
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include "lawa/set_ops.h"
 #include "lineage/eval.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 #include "query/analyzer.h"
 #include "query/executor.h"
 #include "query/parser.h"
@@ -120,6 +122,41 @@ TEST_F(ExecutorTest, AlgorithmCapabilityIsEnforced) {
   Result<TpRelation> u = exec_.Execute("a | c", FindAlgorithm("TPDB"));
   ASSERT_TRUE(u.ok());
   EXPECT_TRUE(RelationsEquivalent(LawaUnion(db_.a, db_.c), *u));
+}
+
+// An operator the algorithm cannot compute fails the query before any work
+// in every execution mode — the lineage arena does not grow — and the failed
+// call still counts exactly once as an executed query.
+TEST_F(ExecutorTest, UnsupportedOperatorFailsBeforeAnyWorkInEveryMode) {
+  const SetOpAlgorithm* tpdb = FindAlgorithm("TPDB");
+  ASSERT_NE(tpdb, nullptr);
+  const obs::Counter& queries = obs::MetricsRegistry::Global().GetCounter(
+      "tpset_exec_queries_total", "queries executed (top-level Execute calls)");
+#ifdef TPSET_OBS_DISABLED
+  constexpr std::uint64_t kCounted = 0;  // recording compiled out
+#else
+  constexpr std::uint64_t kCounted = 1;
+#endif
+  struct Mode {
+    const char* name;
+    std::size_t threads;
+    bool profiled;
+  };
+  for (const Mode& mode : {Mode{"t1", 1, false}, Mode{"t1+profile", 1, true},
+                           Mode{"t4", 4, false}}) {
+    SCOPED_TRACE(mode.name);
+    obs::QueryProfile profile;
+    ExecOptions options;
+    options.num_threads = mode.threads;
+    if (mode.profiled) options.profile = &profile;
+    const std::size_t arena_before = db_.ctx->lineage().size();
+    const std::uint64_t queries_before = queries.Value();
+    Result<TpRelation> q = exec_.Execute("(a & c) | (c - a)", options, tpdb);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kNotSupported);
+    EXPECT_EQ(db_.ctx->lineage().size(), arena_before);
+    EXPECT_EQ(queries.Value() - queries_before, kCounted);
+  }
 }
 
 TEST_F(ExecutorTest, AllBackendsAgreeOnIntersection) {

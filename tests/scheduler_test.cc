@@ -54,17 +54,6 @@ TEST(MorselBatchTest, NullPoolRunsInline) {
   EXPECT_EQ(batch.morsels_stolen(), 0u);
 }
 
-TEST(MorselBatchTest, NoStealRunsOnlyOwnDeque) {
-  ThreadPool pool(4);
-  constexpr std::size_t kCount = 64;
-  std::vector<std::atomic<int>> runs(kCount);
-  MorselBatch batch(&pool, kCount, [&](std::size_t i) { runs[i].fetch_add(1); },
-                    /*steal=*/false);
-  batch.WaitAll();
-  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
-  EXPECT_EQ(batch.morsels_stolen(), 0u);
-}
-
 // A morsel pinned behind a dependency that only a *steal* can satisfy: with
 // 2 workers and round-robin assignment, worker 0 owns {0, 2} and worker 1
 // owns {1, 3}. Morsel 0 blocks until morsel 2 ran — worker 0 is pinned, so
@@ -328,10 +317,8 @@ TEST(SchedulerEngineTest, OneHotFactBitIdenticalWithSplitting) {
 
   TpRelation seq = LawaSetOp(SetOpKind::kUnion, r, s);
 
-  MorselOptions morsel;
-  morsel.morsel_size = 64;
   ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2,
-                              ApplyMode::kBitIdentical, morsel);
+                              ApplyMode::kBitIdentical, /*morsel_budget=*/64);
   LawaStats stats;
   TpRelation par = algo.ComputeTimed(SetOpKind::kUnion, r, s, nullptr, &stats);
 

@@ -4,9 +4,9 @@
 // kBitIdentical mode, probability-equal lineage in kStaged mode — and
 // (b) run-to-run deterministic: the same configuration over a fresh but
 // identically seeded context reproduces the output bit for bit, across
-// thread counts 1/2/4/8 and morsel sizes including the pathological
-// morsel_size = 1. The skew shapes are exactly the inputs the static
-// partitioner cannot balance (a heavy fact is never cut at fact
+// thread counts 1/2/4/8 and morsel budgets including the pathological
+// budget 1. The skew shapes are exactly the inputs a fact-granularity
+// partition plan cannot balance (a heavy fact is never cut at fact
 // granularity), so these tests pin the correctness side of the scheduler's
 // reason to exist; the performance side lives in bench_parallel.
 #include <memory>
@@ -86,7 +86,7 @@ std::vector<SkewShape> Shapes(std::size_t scale) {
     hot[0] = scale * 9 / 10;
     shapes.push_back({"one_hot", hot, hot});
   }
-  // all-one-fact: the static partitioner's degenerate case.
+  // all-one-fact: a fact-granularity partition plan's degenerate case.
   shapes.push_back({"all_one_fact",
                     std::vector<std::size_t>{scale},
                     std::vector<std::size_t>{scale}});
@@ -142,7 +142,7 @@ void RunShape(const SkewShape& shape, std::uint64_t seed) {
   SCOPED_TRACE("shape=" + shape.name + " seed=" + std::to_string(seed));
 
   const std::size_t thread_counts[] = {1, 2, 4, 8};
-  const std::size_t morsel_sizes[] = {1, 16, 0};  // 0 = auto
+  const std::size_t morsel_budgets[] = {1, 16, 0};  // 0 = auto
 
   for (SetOpKind op : kAllSetOps) {
     SCOPED_TRACE(SetOpName(op));
@@ -154,15 +154,13 @@ void RunShape(const SkewShape& shape, std::uint64_t seed) {
     ASSERT_TRUE(ValidateSetOpInputs(seq_r, seq_s).ok());
     TpRelation expected = LawaSetOp(op, seq_r, seq_s);
     for (std::size_t threads : thread_counts) {
-      for (std::size_t morsel_size : morsel_sizes) {
+      for (std::size_t budget : morsel_budgets) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " morsel_size=" + std::to_string(morsel_size));
-        MorselOptions morsel;
-        morsel.morsel_size = morsel_size;
+                     " morsel_budget=" + std::to_string(budget));
         for (ApplyMode mode : {ApplyMode::kBitIdentical, ApplyMode::kStaged}) {
           SCOPED_TRACE(mode == ApplyMode::kStaged ? "staged" : "bit-identical");
           ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2, mode,
-                                      morsel);
+                                      budget);
           // Two runs over fresh, identically seeded contexts: run-to-run
           // determinism must hold bit for bit (tuples AND lineage ids).
           std::shared_ptr<TpContext> ctx1, ctx2;
@@ -208,10 +206,8 @@ TEST(SkewPropertyTest, AllOneFact) {
 TEST(SkewPropertyTest, SplitterEngagesOnHotFact) {
   std::shared_ptr<TpContext> ctx;
   auto [r, s] = FreshPair(Shapes(800)[1], 7, &ctx);
-  MorselOptions morsel;
-  morsel.morsel_size = 32;
   ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2, ApplyMode::kStaged,
-                              morsel);
+                              /*morsel_budget=*/32);
   LawaStats stats;
   TpRelation out = algo.ComputeTimed(SetOpKind::kIntersect, r, s, nullptr,
                                      &stats);
