@@ -287,6 +287,11 @@ TEST(HttpServerTest, ShedsWith503AtSaturation) {
   // Worker busy + queue full: the next connection is shed at the door with
   // an immediate 503 — no worker involved, no waiting.
   EXPECT_EQ(StatusOf(Get(server.port(), "/slow")), 503);
+  // The accept loop counts the shed after writing the 503, so the client
+  // can read the response first: wait for the count, not the clock.
+  for (int i = 0; i < 5000 && server.stats().saturated < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(server.stats().saturated, 1u);
 
   release.store(true, std::memory_order_release);
@@ -420,8 +425,14 @@ TEST(HttpEndpointsTest, ScrapesRaceEpochAppliesCleanly) {
   });
 
   // Epochs apply while the scrapers run; every append fires the subscriber
-  // and advances the rings the scrapes read.
-  for (int i = 0; i < 40; ++i) {
+  // and advances the rings the scrapes read. Applies go on past the first
+  // 40 until a scrape has landed (bounded), so a loaded host that delays
+  // the scrapers' first response still gets a real race.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int i = 0; i < 40 || (scrapes.load(std::memory_order_relaxed) == 0 &&
+                             std::chrono::steady_clock::now() < deadline);
+       ++i) {
     DeltaBatch batch;
     batch.Add({Value(std::string("beer"))},
               Interval(100 + 2 * i, 101 + 2 * i), 0.25);

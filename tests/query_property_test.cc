@@ -82,30 +82,15 @@ class QueryPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
   std::vector<std::string> names_;
 };
 
+// Random trees, plus fixed shapes — a bare relation (its answer is the one
+// leaf copy left on the read path) and self-aliased leaves (both operands
+// borrow one shared relation) — match the reference. Execution mode is one
+// more input that must not change the answer: every tree run at {t1, t4} x
+// {no profile, profile} is bit-identical to the unprofiled t1 run — same
+// tuples, same lineage ids (hash-consing hands re-executions the same
+// nodes), same name.
 TEST_P(QueryPropertyTest, LawaMatchesReferenceOnNestedQueries) {
   Rng rng(Seed() ^ 0x9999);
-  for (int trial = 0; trial < 6; ++trial) {
-    std::vector<std::string> pool = names_;
-    QueryPtr q = RandomTree(&rng, &pool, 3, /*non_repeating=*/false);
-    ASSERT_NE(q, nullptr);
-    Result<TpRelation> actual = exec_->Execute(*q);
-    ASSERT_TRUE(actual.ok()) << QueryToString(*q);
-    TpRelation expected = ReferenceEvaluate(*exec_, *q);
-    EXPECT_TRUE(RelationsEquivalent(expected, *actual))
-        << QueryToString(*q) << ": expected " << expected.size() << " got "
-        << actual->size();
-    EXPECT_TRUE(ValidateDuplicateFree(*actual).ok()) << QueryToString(*q);
-  }
-}
-
-// Execution mode is not an input to the answer: every tree run at {t1, t4}
-// x {no profile, profile} is bit-identical to the unprofiled t1 run — same
-// tuples, same lineage ids (hash-consing hands re-executions the same
-// nodes), same name. Fixed shapes cover a bare relation (the one leaf copy
-// left on the read path) and self-aliased leaves, where both operands
-// borrow one shared relation.
-TEST_P(QueryPropertyTest, ExecutionModesAreBitIdentical) {
-  Rng rng(Seed() ^ 0x3333);
   std::vector<QueryPtr> trees;
   for (const char* text : {"rel0", "rel0 | rel0", "rel0 - rel0"}) {
     trees.push_back(std::move(ParseQuery(text)).value());
@@ -117,11 +102,15 @@ TEST_P(QueryPropertyTest, ExecutionModesAreBitIdentical) {
   for (const QueryPtr& q : trees) {
     ASSERT_NE(q, nullptr);
     const std::string text = QueryToString(*q);
-    Result<TpRelation> base = exec_->Execute(*q);
-    ASSERT_TRUE(base.ok()) << text;
+    Result<TpRelation> actual = exec_->Execute(*q);
+    ASSERT_TRUE(actual.ok()) << text;
+    TpRelation expected = ReferenceEvaluate(*exec_, *q);
+    EXPECT_TRUE(RelationsEquivalent(expected, *actual))
+        << text << ": expected " << expected.size() << " got "
+        << actual->size();
+    EXPECT_TRUE(ValidateDuplicateFree(*actual).ok()) << text;
     if (q->kind == QueryNode::Kind::kRelation) {
-      EXPECT_TRUE(base->tuples() == (*exec_->Find(q->relation_name))->tuples())
-          << text;
+      EXPECT_TRUE(actual->tuples() == expected.tuples()) << text;
     }
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       for (bool profiled : {false, true}) {
@@ -133,10 +122,10 @@ TEST_P(QueryPropertyTest, ExecutionModesAreBitIdentical) {
         if (profiled) options.profile = &profile;
         Result<TpRelation> got = exec_->Execute(*q, options);
         ASSERT_TRUE(got.ok());
-        EXPECT_EQ(got->name(), base->name());
-        ASSERT_EQ(got->size(), base->size());
+        EXPECT_EQ(got->name(), actual->name());
+        ASSERT_EQ(got->size(), actual->size());
         for (std::size_t i = 0; i < got->size(); ++i) {
-          ASSERT_EQ((*got)[i], (*base)[i]) << "tuple " << i;
+          ASSERT_EQ((*got)[i], (*actual)[i]) << "tuple " << i;
         }
       }
     }
