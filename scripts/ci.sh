@@ -161,6 +161,8 @@ curl -fsS "http://$SERVE_ADDR/healthz" | grep 'ok' > /dev/null
 curl -fsS "http://$SERVE_ADDR/readyz" | grep 'ready' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics" \
   | grep '^tpset_net_http_requests_total ' > /dev/null
+curl -fsS "http://$SERVE_ADDR/metrics" \
+  | grep '^tpset_lineage_nodes ' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics?format=json" \
   > "$BUILD_DIR/serve_metrics.jsonl"
 python3 scripts/validate_metrics.py "$BUILD_DIR/serve_metrics.jsonl" \

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
-#include <sstream>
-
-#include "common/value.h"
 
 namespace tpset {
 
@@ -44,14 +40,6 @@ std::string VarTable::name(VarId v) const {
   return "x" + std::to_string(v);
 }
 
-std::size_t LineageManager::ConsKeyHash::operator()(const ConsKey& k) const {
-  std::size_t seed = static_cast<std::size_t>(k.kind);
-  HashCombine(seed, std::hash<std::uint32_t>()(k.var));
-  HashCombine(seed, std::hash<std::uint32_t>()(k.left));
-  HashCombine(seed, std::hash<std::uint32_t>()(k.right));
-  return seed;
-}
-
 LineageManager::LineageManager(bool hash_consing) : hash_consing_(hash_consing) {
   // Reserve ids 0 and 1 for the constants.
   nodes_.push_back({LineageKind::kFalse, kInvalidVar, kNullLineage, kNullLineage});
@@ -60,18 +48,22 @@ LineageManager::LineageManager(bool hash_consing) : hash_consing_(hash_consing) 
 
 LineageId LineageManager::Intern(LineageKind kind, VarId var, LineageId left,
                                  LineageId right) {
+  const LineageId fresh = static_cast<LineageId>(nodes_.size());
   if (hash_consing_) {
-    ConsKey key{kind, var, left, right};
-    auto it = cons_.find(key);
-    if (it != cons_.end()) return it->second;
-    LineageId id = static_cast<LineageId>(nodes_.size());
-    nodes_.push_back({kind, var, left, right});
-    cons_.emplace(key, id);
-    return id;
+    ++counts_.lookups;
+    const LineageId id = index_.FindOrAdd(
+        ConsIndex::Hash(kind, var, left, right), fresh, [&](LineageId cand) {
+          const LineageNode& n = nodes_[cand];
+          return n.kind == kind && n.var == var && n.left == left &&
+                 n.right == right;
+        });
+    if (id != fresh) {
+      ++counts_.hits;
+      return id;
+    }
   }
-  LineageId id = static_cast<LineageId>(nodes_.size());
   nodes_.push_back({kind, var, left, right});
-  return id;
+  return fresh;
 }
 
 LineageId LineageManager::MakeVar(VarId v) {

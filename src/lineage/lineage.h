@@ -18,10 +18,12 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "lineage/cons_index.h"
 
 namespace tpset {
 
@@ -78,9 +80,12 @@ class VarTable {
 ///
 /// All constructors apply constant folding (And(True,x)=x, Not(False)=True,
 /// ...) so restriction produces simplified cofactors. With hash-consing
-/// enabled, construction deduplicates nodes; disable it (e.g. for bulk
-/// benchmark runs that never compare lineages) to trade memory of the consing
-/// index for append-only speed.
+/// enabled, construction deduplicates nodes through a flat open-addressed
+/// index (lineage/cons_index.h), so equal formulas share one id; an intern
+/// costs one hash and a short linear probe of 8-byte slots. Disable it only
+/// where lineages are never compared (the paper-figure benches do): every
+/// construction then appends without a probe, at the price of duplicate
+/// nodes and of the id-equality check.
 class LineageManager {
  public:
   /// Ids of the Boolean constants; reserved by the constructor, stable for
@@ -130,6 +135,23 @@ class LineageManager {
 
   bool hash_consing() const { return hash_consing_; }
 
+  /// Bytes held by the consing index's slot table.
+  std::size_t index_bytes() const { return index_.bytes(); }
+
+  /// Intern-path counts: lookups probe the consing index (hash-consing
+  /// only), hits find an existing node. Plain single-writer fields — the
+  /// intern path carries no atomic — so only the arena's writer may read
+  /// them.
+  struct InternCounts {
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+  };
+
+  /// The counts accumulated since the previous call; starts a new period,
+  /// so each lookup is handed out once however many publishers share the
+  /// arena.
+  InternCounts TakeInternCounts() { return std::exchange(counts_, {}); }
+
   /// Appends every distinct variable of the formula to *out (deduplicated,
   /// ascending). kNullLineage yields nothing.
   void CollectVars(LineageId id, std::vector<VarId>* out) const;
@@ -161,24 +183,13 @@ class LineageManager {
   /// are NOT entered into the hash-consing index: a cell structurally equal
   /// to an existing node becomes a duplicate arena node, which valuation
   /// and CanonicalKey see through (deduplication remains local to each
-  /// staging arena). The caller must hold exclusive access to this manager
-  /// (the sequencer turn). Defined in staging.cc.
+  /// staging arena). Since the index's growth never walks the arena, a
+  /// spliced cell stays unindexed for good: interning its structure later
+  /// appends a fresh node. The caller must hold exclusive access to this
+  /// manager (the sequencer turn). Defined in staging.cc.
   void SpliceStaged(const StagingArena& staged, std::vector<LineageId>* remap);
 
  private:
-  struct ConsKey {
-    LineageKind kind;
-    VarId var;
-    LineageId left;
-    LineageId right;
-    bool operator==(const ConsKey& o) const {
-      return kind == o.kind && var == o.var && left == o.left && right == o.right;
-    }
-  };
-  struct ConsKeyHash {
-    std::size_t operator()(const ConsKey& k) const;
-  };
-
   LineageId Intern(LineageKind kind, VarId var, LineageId left, LineageId right);
 
   void AppendString(LineageId id, const VarTable& vars, bool ascii, int parent_prec,
@@ -188,7 +199,8 @@ class LineageManager {
 
   bool hash_consing_;
   std::vector<LineageNode> nodes_;
-  std::unordered_map<ConsKey, LineageId, ConsKeyHash> cons_;
+  ConsIndex index_;
+  InternCounts counts_;
 };
 
 }  // namespace tpset

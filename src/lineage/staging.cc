@@ -1,30 +1,21 @@
 #include "lineage/staging.h"
 
-#include <functional>
-
-#include "common/value.h"
-
 namespace tpset {
-
-std::size_t StagingArena::CellKeyHash::operator()(const CellKey& k) const {
-  std::size_t seed = static_cast<std::size_t>(k.kind);
-  HashCombine(seed, std::hash<std::uint32_t>()(k.left));
-  HashCombine(seed, std::hash<std::uint32_t>()(k.right));
-  return seed;
-}
 
 LineageId StagingArena::Intern(LineageKind kind, LineageId left,
                                LineageId right) {
+  const LineageId fresh = static_cast<LineageId>(frozen_ + cells_.size());
   if (hash_consing_) {
-    auto [it, inserted] = cons_.try_emplace(
-        CellKey{kind, left, right},
-        static_cast<LineageId>(frozen_ + cells_.size()));
-    if (inserted) cells_.push_back({kind, kInvalidVar, left, right});
-    return it->second;
+    const LineageId id = index_.FindOrAdd(
+        ConsIndex::Hash(kind, kInvalidVar, left, right), fresh,
+        [&](LineageId cand) {
+          const LineageNode& c = cells_[cand - frozen_];
+          return c.kind == kind && c.left == left && c.right == right;
+        });
+    if (id != fresh) return id;
   }
-  LineageId id = static_cast<LineageId>(frozen_ + cells_.size());
   cells_.push_back({kind, kInvalidVar, left, right});
-  return id;
+  return fresh;
 }
 
 LineageId StagingArena::MakeNot(LineageId a) {

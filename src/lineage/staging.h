@@ -10,7 +10,7 @@
 // merge (LineageManager::SpliceStaged) later walks partitions in fact order
 // and splices the staged cells into the shared arena with a deterministic
 // old-id→new-id remap — O(staged cells) of mostly-memcpy work instead of
-// O(output windows) of serialized hash-map interning.
+// O(output windows) of serialized consing-index interning.
 //
 // Safety: staging runs on pool threads while *other* query subtrees may be
 // appending to the shared arena (their sequencer turn). A StagingArena
@@ -50,10 +50,10 @@
 
 #include <cassert>
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
+#include "lineage/cons_index.h"
 #include "lineage/lineage.h"
 
 namespace tpset {
@@ -116,23 +116,11 @@ class StagingArena {
   LineageId MakeOr(LineageId a, LineageId b);
   LineageId Intern(LineageKind kind, LineageId left, LineageId right);
 
-  // Local consing key; staging never creates kVar cells so no var field.
-  struct CellKey {
-    LineageKind kind;
-    LineageId left;
-    LineageId right;
-    bool operator==(const CellKey& o) const {
-      return kind == o.kind && left == o.left && right == o.right;
-    }
-  };
-  struct CellKeyHash {
-    std::size_t operator()(const CellKey& k) const;
-  };
-
   LineageId frozen_;
   bool hash_consing_;
   std::vector<LineageNode> cells_;
-  std::unordered_map<CellKey, LineageId, CellKeyHash> cons_;
+  // Local consing index over cell ids; staging never creates kVar cells.
+  ConsIndex index_;
 };
 
 }  // namespace tpset

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "lineage/lineage.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -48,6 +49,31 @@ void RecordQuery(std::chrono::steady_clock::time_point t0,
     recorder.RecordExecution("query", QueryToString(query),
                              static_cast<double>(usec) / 1000.0, profile);
   }
+}
+
+// Lineage-arena metrics, published by the arena's writer right after it
+// wrote: an Execute that ran a set operation, and every Append epoch (under
+// the fence). The intern counts are plain fields, so a reader that is not
+// the writer must not touch them — which is why a bare-relation Execute,
+// legal beside an Append, publishes nothing.
+void PublishLineage(LineageManager& lineage) {
+  static obs::Gauge& nodes = obs::MetricsRegistry::Global().GetGauge(
+      "tpset_lineage_nodes",
+      "nodes in the lineage arena at its last publish (constants included)");
+  static obs::Gauge& index_bytes = obs::MetricsRegistry::Global().GetGauge(
+      "tpset_lineage_index_bytes",
+      "bytes of the lineage arena's hash-consing slot table");
+  static obs::Counter& lookups = obs::MetricsRegistry::Global().GetCounter(
+      "tpset_lineage_intern_lookups_total",
+      "hash-consing index lookups (one per node construction that interns)");
+  static obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
+      "tpset_lineage_intern_hits_total",
+      "lookups that found an existing node (dedup rate vs ..._lookups_total)");
+  nodes.Set(static_cast<std::int64_t>(lineage.size()));
+  index_bytes.Set(static_cast<std::int64_t>(lineage.index_bytes()));
+  const LineageManager::InternCounts counts = lineage.TakeInternCounts();
+  lookups.Increment(counts.lookups);
+  hits.Increment(counts.hits);
 }
 
 }  // namespace
@@ -148,6 +174,7 @@ Result<EpochId> QueryExecutor::Append(const std::string& relation,
       cq->ApplyAppend(*epoch, relation, grouped, fence_t0);
     }
   }
+  PublishLineage(ctx_->lineage());
   // The append itself never merges: once run debt piles up, a budgeted
   // background step claims it off the writer's (and every reader's) path.
   ScheduleCompaction(it->second);
@@ -549,6 +576,9 @@ Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
                                    .Run(query, root))
           : Result<TpRelation>(analyzed);
   if (root != nullptr && out.ok()) root->SetAttr("out", out->size());
+  if (analyzed.ok() && query.kind != QueryNode::Kind::kRelation) {
+    PublishLineage(ctx_->lineage());
+  }
   timer.Stop();
   RecordQuery(t0, query, options.profile);
   return out;

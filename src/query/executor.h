@@ -118,7 +118,8 @@ class QueryExecutor {
   /// (tuples and lineage ids) equals sequential execution exactly. Leaves
   /// are read in place; a bare-relation query returns a copy. Every call
   /// that gets past parsing counts once into tpset_exec_queries_total,
-  /// failed ones included.
+  /// failed ones included; a call that ran a set operation also publishes
+  /// the lineage-arena metrics (tpset_lineage_*).
   Result<TpRelation> Execute(const QueryNode& query, const ExecOptions& options,
                              const SetOpAlgorithm* algorithm = nullptr) const;
 
@@ -147,7 +148,8 @@ class QueryExecutor {
   /// one logical sorted view is re-folded lazily by the next Find). The
   /// delta propagates through every registered continuous query that reads
   /// the relation, delivering an EpochDelta to its subscribers. Returns the
-  /// assigned monotone epoch id. Thread-safe: concurrent Append calls
+  /// assigned monotone epoch id, after publishing the lineage-arena
+  /// metrics (tpset_lineage_*). Thread-safe: concurrent Append calls
   /// serialize on the epoch fence (distinct gapless epochs, propagation in
   /// epoch order); appends still must not race with Execute. Subscriber
   /// callbacks fire inside the fence — they must not call back into

@@ -1,8 +1,16 @@
 // Lineage algebra: hash-consing, Table I concatenation functions, printing,
-// canonical keys, variable analysis.
+// canonical keys, variable analysis, and the consing index behind both
+// LineageManager and StagingArena.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
+#include "lineage/cons_index.h"
 #include "lineage/lineage.h"
+#include "lineage/staging.h"
 
 namespace tpset {
 namespace {
@@ -41,15 +49,28 @@ TEST_F(LineageTest, HashConsingDeduplicates) {
   EXPECT_EQ(mgr_.MakeNot(va), mgr_.MakeNot(va));
   // And(a,b) and And(b,a) are syntactically different formulas.
   EXPECT_NE(mgr_.MakeAnd(va, vb), mgr_.MakeAnd(vb, va));
+  EXPECT_EQ(mgr_.MakeAnd(mgr_.True(), va), va);  // folded: no lookup
+  // 11 lookups, 5 of them hits; each count is handed out once.
+  const LineageManager::InternCounts counts = mgr_.TakeInternCounts();
+  EXPECT_EQ(counts.lookups, 11u);
+  EXPECT_EQ(counts.hits, 5u);
+  EXPECT_EQ(mgr_.TakeInternCounts().lookups, 0u);
 }
 
 TEST_F(LineageTest, NoConsingStillBuildsCorrectNodes) {
   LineageManager mgr(false);
+  const std::size_t bytes = mgr.index_bytes();
   LineageId va = mgr.MakeVar(a1_);
   LineageId vb = mgr.MakeVar(a1_);
   EXPECT_NE(va, vb) << "without consing, each construction appends";
   EXPECT_EQ(mgr.kind(va), LineageKind::kVar);
   EXPECT_EQ(mgr.node(va).var, a1_);
+  LineageId first = mgr.MakeAnd(va, vb);
+  EXPECT_EQ(mgr.MakeAnd(va, vb), first + 1);
+  EXPECT_NE(mgr.MakeNot(va), mgr.MakeNot(va));
+  EXPECT_EQ(mgr.size(), 8u);
+  EXPECT_EQ(mgr.index_bytes(), bytes) << "nothing was indexed";
+  EXPECT_EQ(mgr.TakeInternCounts().lookups, 0u);
 }
 
 TEST_F(LineageTest, ConstantFolding) {
@@ -157,6 +178,186 @@ TEST_F(LineageTest, ArenaGrowth) {
   mgr_.MakeAnd(va, vb);
   mgr_.MakeAnd(va, vb);  // deduplicated
   EXPECT_EQ(mgr_.size(), before + 3);
+}
+
+// One ∧/∨/¬ construction and the id it returned.
+struct Built {
+  LineageKind kind;
+  LineageId a;
+  LineageId b;
+  LineageId id;
+};
+
+LineageId Construct(LineageManager* mgr, LineageKind kind, LineageId a,
+                    LineageId b) {
+  switch (kind) {
+    case LineageKind::kAnd:
+      return mgr->MakeAnd(a, b);
+    case LineageKind::kOr:
+      return mgr->MakeOr(a, b);
+    default:
+      return mgr->MakeNot(a);
+  }
+}
+
+// Builds at least `distinct` new ∧/∨/¬ nodes over `pool` (which grows with
+// every new node), recording every construction.
+std::vector<Built> BuildDistinct(LineageManager* mgr,
+                                 std::vector<LineageId>* pool,
+                                 std::size_t distinct) {
+  constexpr std::array<LineageKind, 3> kKinds = {
+      LineageKind::kAnd, LineageKind::kOr, LineageKind::kNot};
+  std::vector<Built> built;
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  auto next = [&]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::size_t>(state >> 33);
+  };
+  const std::size_t target = mgr->size() + distinct;
+  while (mgr->size() < target) {
+    const LineageKind kind = kKinds[next() % kKinds.size()];
+    const LineageId a = (*pool)[next() % pool->size()];
+    const LineageId b = (*pool)[next() % pool->size()];
+    const std::size_t before = mgr->size();
+    const LineageId id = Construct(mgr, kind, a, b);
+    if (mgr->size() > before) pool->push_back(id);
+    built.push_back({kind, a, b, id});
+  }
+  return built;
+}
+
+TEST_F(LineageTest, IndexKeepsIdsAcrossManyDoublings) {
+  std::vector<LineageId> pool;
+  for (int i = 0; i < 64; ++i) pool.push_back(mgr_.MakeVar(vars_.Add(0.5)));
+  const std::vector<Built> built = BuildDistinct(&mgr_, &pool, 200000);
+  const std::size_t size = mgr_.size();
+  // 200k indexed nodes at most three quarters full take more than 2^18
+  // 8-byte slots: the 16-slot table doubled at least 15 times.
+  EXPECT_GT(mgr_.index_bytes(), std::size_t{8} << 18);
+  for (const Built& c : built) {
+    ASSERT_EQ(Construct(&mgr_, c.kind, c.a, c.b), c.id);
+  }
+  EXPECT_EQ(mgr_.size(), size) << "re-interning added nodes";
+  for (LineageId v = 2; v < 2 + 64; ++v) {
+    EXPECT_EQ(mgr_.MakeVar(mgr_.node(v).var), v);
+  }
+  EXPECT_EQ(mgr_.size(), size);
+}
+
+// Spliced cells never enter the consing index (DESIGN.md, "Staged apply"),
+// and index growth never walks the arena, so a later intern of a spliced
+// cell's structure appends a fresh node — right after the splice and after
+// the index has since doubled.
+TEST_F(LineageTest, SplicedCellsStayOutOfTheIndex) {
+  LineageId va = mgr_.MakeVar(a1_);
+  LineageId vb = mgr_.MakeVar(b1_);
+  StagingArena staged(static_cast<LineageId>(mgr_.size()), true);
+  staged.ConcatAnd(va, vb);
+  staged.ConcatOr(va, vb);
+  std::vector<LineageId> remap;
+  mgr_.SpliceStaged(staged, &remap);
+  ASSERT_EQ(remap.size(), 2u);
+
+  const LineageId fresh_and = mgr_.MakeAnd(va, vb);
+  EXPECT_NE(fresh_and, remap[0]);
+  EXPECT_EQ(fresh_and, mgr_.size() - 1);
+  EXPECT_EQ(mgr_.MakeAnd(va, vb), fresh_and) << "the fresh node is indexed";
+
+  // Grow the index over formulas that never mention a1 or b1.
+  const std::size_t bytes = mgr_.index_bytes();
+  std::vector<LineageId> pool;
+  for (int i = 0; i < 8; ++i) pool.push_back(mgr_.MakeVar(vars_.Add(0.5)));
+  BuildDistinct(&mgr_, &pool, 5000);
+  ASSERT_GT(mgr_.index_bytes(), bytes);
+  const std::size_t size = mgr_.size();
+  const LineageId fresh_or = mgr_.MakeOr(va, vb);
+  EXPECT_NE(fresh_or, remap[1]);
+  EXPECT_EQ(fresh_or, size);
+}
+
+TEST(StagingArenaTest, DedupHoldsAcrossGrowthWithSequentialCellIds) {
+  constexpr LineageId kFrozen = 1000;
+  StagingArena arena(kFrozen, true);
+  auto concat = [&](LineageId l, LineageId r) {
+    return (l + r) % 2 == 0 ? arena.ConcatOr(l, r) : arena.ConcatAnd(l, r);
+  };
+  std::vector<LineageId> ids;
+  for (LineageId l = 2; l < 202; ++l) {
+    for (LineageId r = 500; r < 550; ++r) {
+      ids.push_back(concat(l, r));
+      EXPECT_EQ(ids.back(), kFrozen + ids.size() - 1) << "cells in order";
+    }
+  }
+  ASSERT_EQ(arena.size(), 10000u);
+  std::size_t i = 0;
+  for (LineageId l = 2; l < 202; ++l) {
+    for (LineageId r = 500; r < 550; ++r) ASSERT_EQ(concat(l, r), ids[i++]);
+  }
+  EXPECT_EQ(arena.size(), 10000u) << "re-interning added cells";
+  // Cells over cells dedup too.
+  const LineageId nested = arena.ConcatAndNot(ids[0], ids[1]);
+  EXPECT_EQ(arena.ConcatAndNot(ids[0], ids[1]), nested);
+
+  StagingArena plain(kFrozen, false);
+  EXPECT_EQ(plain.ConcatAnd(2, 3), kFrozen);
+  EXPECT_EQ(plain.ConcatAnd(2, 3), kFrozen + 1);
+}
+
+// Keys that collide on the whole 32-bit tag are still told apart: the tag
+// only filters, the owner's full compare decides.
+TEST(ConsIndexTest, FullCompareSeparatesEqualTags) {
+  struct Key {
+    LineageKind kind;
+    VarId var;
+  };
+  std::vector<Key> keys(2);  // ids 0/1 are reserved, as in the arena
+  ConsIndex index;
+  auto find_or_add = [&](const Key& k) {
+    const LineageId fresh = static_cast<LineageId>(keys.size());
+    const LineageId id = index.FindOrAdd(7, fresh, [&](LineageId cand) {
+      return keys[cand].kind == k.kind && keys[cand].var == k.var;
+    });
+    if (id == fresh) keys.push_back(k);
+    return id;
+  };
+  std::vector<LineageId> ids;
+  for (VarId v = 0; v < 300; ++v) {
+    for (LineageKind kind : {LineageKind::kVar, LineageKind::kNot}) {
+      ids.push_back(find_or_add({kind, v}));
+      EXPECT_EQ(ids.back(), ids.size() + 1);
+    }
+  }
+  std::size_t i = 0;
+  for (VarId v = 0; v < 300; ++v) {
+    for (LineageKind kind : {LineageKind::kVar, LineageKind::kNot}) {
+      ASSERT_EQ(find_or_add({kind, v}), ids[i++]);
+    }
+  }
+  EXPECT_EQ(keys.size(), 602u);
+}
+
+// Variables whose keys differ only in `var` and whose real hashes collide:
+// with 2^18 variables, some 32-bit tags repeat.
+TEST_F(LineageTest, VarsWithCollidingTagsGetDistinctIds) {
+  std::unordered_map<std::uint32_t, VarId> seen;
+  VarId first = kInvalidVar, second = kInvalidVar;
+  for (VarId v = 0; v < (1u << 18) && first == kInvalidVar; ++v) {
+    const std::uint32_t tag =
+        ConsIndex::Hash(LineageKind::kVar, v, kNullLineage, kNullLineage);
+    auto [it, inserted] = seen.emplace(tag, v);
+    if (!inserted) {
+      first = it->second;
+      second = v;
+    }
+  }
+  ASSERT_NE(first, kInvalidVar) << "no tag collision among 2^18 variables";
+  LineageId a = mgr_.MakeVar(first);
+  LineageId b = mgr_.MakeVar(second);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(mgr_.MakeVar(first), a);
+  EXPECT_EQ(mgr_.MakeVar(second), b);
+  EXPECT_EQ(mgr_.node(a).var, first);
+  EXPECT_EQ(mgr_.node(b).var, second);
 }
 
 }  // namespace

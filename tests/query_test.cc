@@ -159,6 +159,49 @@ TEST_F(ExecutorTest, UnsupportedOperatorFailsBeforeAnyWorkInEveryMode) {
   }
 }
 
+// The executor publishes the lineage arena after each Execute that ran a
+// set operation and after each Append epoch: the gauges mirror the arena,
+// and the counters advance by exactly the lookups since the last publish.
+TEST_F(ExecutorTest, PublishesLineageArenaMetrics) {
+#ifdef TPSET_OBS_DISABLED
+  GTEST_SKIP() << "recording compiled out";
+#endif
+  ASSERT_TRUE(exec_.Execute("c - (a | b)").ok());  // registers the family
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Gauge& nodes = registry.GetGauge("tpset_lineage_nodes", "");
+  const obs::Gauge& bytes = registry.GetGauge("tpset_lineage_index_bytes", "");
+  const obs::Counter& lookups =
+      registry.GetCounter("tpset_lineage_intern_lookups_total", "");
+  const obs::Counter& hits =
+      registry.GetCounter("tpset_lineage_intern_hits_total", "");
+  LineageManager& lineage = db_.ctx->lineage();
+  EXPECT_EQ(nodes.Value(), static_cast<std::int64_t>(lineage.size()));
+  EXPECT_EQ(bytes.Value(), static_cast<std::int64_t>(lineage.index_bytes()));
+
+  // A repeat interns nothing new: every lookup hits.
+  std::uint64_t lookups0 = lookups.Value();
+  std::uint64_t hits0 = hits.Value();
+  ASSERT_TRUE(exec_.Execute("c - (a | b)").ok());
+  EXPECT_GT(lookups.Value(), lookups0);
+  EXPECT_EQ(lookups.Value() - lookups0, hits.Value() - hits0);
+
+  // A bare-relation query writes nothing and publishes nothing; the next
+  // epoch publishes both the write made meanwhile and its own MakeVar.
+  const std::int64_t published = nodes.Value();
+  lineage.MakeVar(db_.ctx->vars().Add(0.5));
+  ASSERT_TRUE(exec_.Execute("a").ok());
+  EXPECT_EQ(nodes.Value(), published);
+  lookups0 = lookups.Value();
+  hits0 = hits.Value();
+  DeltaBatch batch;
+  batch.Add({Value(std::string("milk"))}, Interval(100, 104), 0.5);
+  ASSERT_TRUE(exec_.Append("a", batch).ok());
+  EXPECT_EQ(nodes.Value(), published + 2);
+  EXPECT_EQ(nodes.Value(), static_cast<std::int64_t>(lineage.size()));
+  EXPECT_EQ(lookups.Value() - lookups0, 2u);
+  EXPECT_EQ(hits.Value() - hits0, 0u);
+}
+
 TEST_F(ExecutorTest, AllBackendsAgreeOnIntersection) {
   TpRelation expected = LawaIntersect(db_.a, db_.c);
   for (const char* name : {"NORM", "TPDB", "OIP", "TI"}) {
