@@ -6,16 +6,18 @@
 # bitrot. A second build under
 # ThreadSanitizer reruns the concurrency-labelled test subset (morsel
 # scheduler, staged/overlapped apply, incremental staged delta apply,
-# storage epoch fence).
+# storage epoch fence), and a third under AddressSanitizer + UBSan reruns
+# the whole suite.
 #
-# Env knobs: TPSET_TSAN_ONLY=1 runs just the TSan stage (the dedicated CI
-# job); TPSET_SKIP_TSAN=1 skips it (the main job, which runs everything
-# else).
+# Env knobs: TPSET_TSAN_ONLY=1 / TPSET_ASAN_ONLY=1 run just the TSan / ASan
+# stage (the dedicated CI jobs); TPSET_SKIP_TSAN=1 / TPSET_SKIP_ASAN=1 skip
+# it (the main job skips both and runs everything else).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-ci}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
+ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 run_tsan() {
@@ -28,8 +30,22 @@ run_tsan() {
   echo "tsan concurrency suite OK"
 }
 
+run_asan() {
+  # AddressSanitizer + UndefinedBehaviorSanitizer over the full suite: an
+  # out-of-bounds index (the lineage leaf table's VarId lookups included),
+  # a use-after-free, a leak or any UB fails CI here.
+  cmake -B "$ASAN_BUILD_DIR" -S . -DTPSET_ASAN=ON
+  cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
+  ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$JOBS"
+  echo "asan+ubsan suite OK"
+}
+
 if [[ "${TPSET_TSAN_ONLY:-0}" == "1" ]]; then
   run_tsan
+  exit 0
+fi
+if [[ "${TPSET_ASAN_ONLY:-0}" == "1" ]]; then
+  run_asan
   exit 0
 fi
 
@@ -163,6 +179,8 @@ curl -fsS "http://$SERVE_ADDR/metrics" \
   | grep '^tpset_net_http_requests_total ' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics" \
   | grep '^tpset_lineage_nodes ' > /dev/null
+curl -fsS "http://$SERVE_ADDR/metrics" \
+  | grep '^tpset_lineage_node_bytes ' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics?format=json" \
   > "$BUILD_DIR/serve_metrics.jsonl"
 python3 scripts/validate_metrics.py "$BUILD_DIR/serve_metrics.jsonl" \
@@ -209,4 +227,7 @@ echo "bench_storage smoke OK"
 
 if [[ "${TPSET_SKIP_TSAN:-0}" != "1" ]]; then
   run_tsan
+fi
+if [[ "${TPSET_SKIP_ASAN:-0}" != "1" ]]; then
+  run_asan
 fi

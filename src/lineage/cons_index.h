@@ -5,15 +5,17 @@
 // False, which is never interned (nor is any staged cell, whose ids start
 // at frozen_size >= 2). A probe compares the stored hash first — the tag
 // filter — and asks the owner to compare nodes only when the tags match, so
-// walking past an occupied slot reads no node.
+// walking past an occupied slot reads no node. Only ∧/∨/¬ nodes are keyed
+// here: a variable leaf is found by its VarId in LineageManager's leaf
+// table, which needs no hash.
 //
 // The table doubles once more than three quarters of its slots are taken,
 // so it holds 11-21 bytes per indexed node and linear probes stay short.
 // Growth re-inserts each occupied slot at `stored hash & new mask`: the
 // index keeps the whole hash, so it needs neither a rehash nor the nodes,
 // and never walks the arena. That is what lets arena nodes that were never
-// indexed (SpliceStaged cells, every node with hash_consing off) sit beside
-// indexed ones — growth cannot pick them up.
+// indexed (variable leaves, SpliceStaged cells, every node with
+// hash_consing off) sit beside indexed ones — growth cannot pick them up.
 #ifndef TPSET_LINEAGE_CONS_INDEX_H_
 #define TPSET_LINEAGE_CONS_INDEX_H_
 
@@ -30,15 +32,12 @@ enum class LineageKind : std::uint8_t;
 
 class ConsIndex {
  public:
-  /// Hash of a node's full key. The pre-mix is injective per kind over
-  /// (left, right) and over var; the 64-bit finalizer (MurmurHash3's fmix64)
-  /// spreads every input bit into the low bits the table masks with.
-  static std::uint32_t Hash(LineageKind kind, VarId var, LineageId left,
-                            LineageId right) {
-    const std::uint64_t kind_var =
-        std::uint64_t{var} << 3 | static_cast<std::uint8_t>(kind);
+  /// Hash of a ∧/∨/¬ node's full key. The pre-mix is injective per kind
+  /// over (left, right); the 64-bit finalizer (MurmurHash3's fmix64) spreads
+  /// every input bit into the low bits the table masks with.
+  static std::uint32_t Hash(LineageKind kind, LineageId left, LineageId right) {
     std::uint64_t x = (std::uint64_t{left} << 32 | right) ^
-                      (kind_var * 0x9E3779B97F4A7C15ull);
+                      (static_cast<std::uint8_t>(kind) * 0x9E3779B97F4A7C15ull);
     x ^= x >> 33;
     x *= 0xFF51AFD7ED558CCDull;
     x ^= x >> 33;

@@ -46,29 +46,39 @@ LineageManager::LineageManager(bool hash_consing) : hash_consing_(hash_consing) 
   nodes_.push_back({LineageKind::kTrue, kInvalidVar, kNullLineage, kNullLineage});
 }
 
-LineageId LineageManager::Intern(LineageKind kind, VarId var, LineageId left,
+LineageId LineageManager::Intern(LineageKind kind, LineageId left,
                                  LineageId right) {
   const LineageId fresh = static_cast<LineageId>(nodes_.size());
   if (hash_consing_) {
     ++counts_.lookups;
     const LineageId id = index_.FindOrAdd(
-        ConsIndex::Hash(kind, var, left, right), fresh, [&](LineageId cand) {
+        ConsIndex::Hash(kind, left, right), fresh, [&](LineageId cand) {
           const LineageNode& n = nodes_[cand];
-          return n.kind == kind && n.var == var && n.left == left &&
-                 n.right == right;
+          return n.kind == kind && n.left == left && n.right == right;
         });
     if (id != fresh) {
       ++counts_.hits;
       return id;
     }
   }
-  nodes_.push_back({kind, var, left, right});
+  nodes_.push_back({kind, kInvalidVar, left, right});
   return fresh;
 }
 
 LineageId LineageManager::MakeVar(VarId v) {
   assert(v != kInvalidVar);
-  return Intern(LineageKind::kVar, v, kNullLineage, kNullLineage);
+  const LineageId fresh = static_cast<LineageId>(nodes_.size());
+  if (hash_consing_) {
+    ++counts_.lookups;
+    if (v >= leaves_.size()) leaves_.resize(std::size_t{v} + 1, kNoLeaf);
+    if (leaves_[v] != kNoLeaf) {
+      ++counts_.hits;
+      return leaves_[v];
+    }
+    leaves_[v] = fresh;
+  }
+  nodes_.push_back({LineageKind::kVar, v, kNullLineage, kNullLineage});
+  return fresh;
 }
 
 LineageId LineageManager::MakeNot(LineageId a) {
@@ -77,7 +87,7 @@ LineageId LineageManager::MakeNot(LineageId a) {
   if (a == kTrueId) return kFalseId;
   // ¬¬x = x keeps restriction results small.
   if (nodes_[a].kind == LineageKind::kNot) return nodes_[a].left;
-  return Intern(LineageKind::kNot, kInvalidVar, a, kNullLineage);
+  return Intern(LineageKind::kNot, a, kNullLineage);
 }
 
 LineageId LineageManager::MakeAnd(LineageId a, LineageId b) {
@@ -86,7 +96,7 @@ LineageId LineageManager::MakeAnd(LineageId a, LineageId b) {
   if (a == kTrueId) return b;
   if (b == kTrueId) return a;
   if (a == b) return a;
-  return Intern(LineageKind::kAnd, kInvalidVar, a, b);
+  return Intern(LineageKind::kAnd, a, b);
 }
 
 LineageId LineageManager::MakeOr(LineageId a, LineageId b) {
@@ -95,7 +105,7 @@ LineageId LineageManager::MakeOr(LineageId a, LineageId b) {
   if (a == kFalseId) return b;
   if (b == kFalseId) return a;
   if (a == b) return a;
-  return Intern(LineageKind::kOr, kInvalidVar, a, b);
+  return Intern(LineageKind::kOr, a, b);
 }
 
 LineageId LineageManager::ConcatAndNot(LineageId l1, LineageId l2) {

@@ -80,12 +80,15 @@ class VarTable {
 ///
 /// All constructors apply constant folding (And(True,x)=x, Not(False)=True,
 /// ...) so restriction produces simplified cofactors. With hash-consing
-/// enabled, construction deduplicates nodes through a flat open-addressed
-/// index (lineage/cons_index.h), so equal formulas share one id; an intern
-/// costs one hash and a short linear probe of 8-byte slots. Disable it only
-/// where lineages are never compared (the paper-figure benches do): every
-/// construction then appends without a probe, at the price of duplicate
-/// nodes and of the id-equality check.
+/// enabled, construction deduplicates nodes, so equal formulas share one id.
+/// A ∧/∨/¬ node costs one hash and a short linear probe of 8-byte slots in
+/// a flat open-addressed index (lineage/cons_index.h); a variable leaf
+/// costs one read of a dense table indexed by VarId. Three kinds of node
+/// never enter the index: variable leaves, cells spliced from a staging
+/// arena, and every node of a manager without hash-consing. Disable it
+/// only where lineages are never compared (the paper-figure benches do):
+/// every construction then appends without a lookup, at the price of
+/// duplicate nodes and of the id-equality check.
 class LineageManager {
  public:
   /// Ids of the Boolean constants; reserved by the constructor, stable for
@@ -135,11 +138,20 @@ class LineageManager {
 
   bool hash_consing() const { return hash_consing_; }
 
-  /// Bytes held by the consing index's slot table.
-  std::size_t index_bytes() const { return index_.bytes(); }
+  /// Bytes spent on dedup: the consing index's slot table plus the leaf
+  /// table.
+  std::size_t index_bytes() const {
+    return index_.bytes() + leaves_.capacity() * sizeof(LineageId);
+  }
 
-  /// Intern-path counts: lookups probe the consing index (hash-consing
-  /// only), hits find an existing node. Plain single-writer fields — the
+  /// Bytes held by the node array.
+  std::size_t node_bytes() const {
+    return nodes_.capacity() * sizeof(LineageNode);
+  }
+
+  /// Intern-path counts (hash-consing only): a lookup is one MakeVar (a
+  /// leaf-table read) or one ∧/∨/¬ construction that probes the consing
+  /// index; a hit finds an existing node. Plain single-writer fields — the
   /// intern path carries no atomic — so only the arena's writer may read
   /// them.
   struct InternCounts {
@@ -190,7 +202,11 @@ class LineageManager {
   void SpliceStaged(const StagingArena& staged, std::vector<LineageId>* remap);
 
  private:
-  LineageId Intern(LineageKind kind, VarId var, LineageId left, LineageId right);
+  /// A leaf-table entry for a variable with no leaf yet. Id 0 is the
+  /// constant False, which is never a leaf.
+  static constexpr LineageId kNoLeaf = kFalseId;
+
+  LineageId Intern(LineageKind kind, LineageId left, LineageId right);
 
   void AppendString(LineageId id, const VarTable& vars, bool ascii, int parent_prec,
                     std::string* out) const;
@@ -199,6 +215,11 @@ class LineageManager {
 
   bool hash_consing_;
   std::vector<LineageNode> nodes_;
+  /// Hash-consing only: leaves_[v] is the id of variable v's leaf, or
+  /// kNoLeaf. VarIds are dense (one per base tuple), so the table needs no
+  /// hash and costs 4 bytes per variable.
+  std::vector<LineageId> leaves_;
+  /// Hash-consing only: the ∧/∨/¬ nodes.
   ConsIndex index_;
   InternCounts counts_;
 };

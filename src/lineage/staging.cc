@@ -7,7 +7,7 @@ LineageId StagingArena::Intern(LineageKind kind, LineageId left,
   const LineageId fresh = static_cast<LineageId>(frozen_ + cells_.size());
   if (hash_consing_) {
     const LineageId id = index_.FindOrAdd(
-        ConsIndex::Hash(kind, kInvalidVar, left, right), fresh,
+        ConsIndex::Hash(kind, left, right), fresh,
         [&](LineageId cand) {
           const LineageNode& c = cells_[cand - frozen_];
           return c.kind == kind && c.left == left && c.right == right;

@@ -62,15 +62,20 @@ void PublishLineage(LineageManager& lineage) {
       "nodes in the lineage arena at its last publish (constants included)");
   static obs::Gauge& index_bytes = obs::MetricsRegistry::Global().GetGauge(
       "tpset_lineage_index_bytes",
-      "bytes of the lineage arena's hash-consing slot table");
+      "bytes of the lineage arena's hash-consing slot table and leaf table");
+  static obs::Gauge& node_bytes = obs::MetricsRegistry::Global().GetGauge(
+      "tpset_lineage_node_bytes",
+      "bytes of the lineage arena's node array (its capacity)");
   static obs::Counter& lookups = obs::MetricsRegistry::Global().GetCounter(
       "tpset_lineage_intern_lookups_total",
-      "hash-consing index lookups (one per node construction that interns)");
+      "hash-consing lookups (one per MakeVar and per and/or/not node "
+      "construction that interns)");
   static obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
       "tpset_lineage_intern_hits_total",
       "lookups that found an existing node (dedup rate vs ..._lookups_total)");
   nodes.Set(static_cast<std::int64_t>(lineage.size()));
   index_bytes.Set(static_cast<std::int64_t>(lineage.index_bytes()));
+  node_bytes.Set(static_cast<std::int64_t>(lineage.node_bytes()));
   const LineageManager::InternCounts counts = lineage.TakeInternCounts();
   lookups.Increment(counts.lookups);
   hits.Increment(counts.hits);
@@ -155,8 +160,14 @@ Result<EpochId> QueryExecutor::Append(const std::string& relation,
     return Status::NotFound("no relation named '" + relation +
                             "' is registered");
   }
+  // The applied tuples and their per-fact grouping feed only the queries
+  // that read the relation; with none, the log skips the copy.
+  const bool read = std::any_of(
+      continuous_.begin(), continuous_.end(),
+      [&](const auto& entry) { return entry.second->Reads(relation); });
   std::vector<TpTuple> applied;
-  Result<EpochId> epoch = append_log_.Append(&it->second, batch, &applied);
+  Result<EpochId> epoch =
+      append_log_.Append(&it->second, batch, read ? &applied : nullptr);
   if (!epoch.ok()) {
     obs::EmitEvent(obs::Severity::kWarn, "storage",
                    "append rejected relation=%.32s tuples=%zu: %.40s",
@@ -164,7 +175,8 @@ Result<EpochId> QueryExecutor::Append(const std::string& relation,
                    epoch.status().message().c_str());
     return epoch;
   }
-  const DeltaMap grouped = GroupInsertsByFact(applied);  // shared, not copied
+  // Shared across the readers, not copied.
+  const DeltaMap grouped = read ? GroupInsertsByFact(applied) : DeltaMap();
   for (auto& [name, cq] : continuous_) {
     (void)name;
     // Every query observes the log advancing (lag accounting); readers then

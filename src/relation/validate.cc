@@ -30,11 +30,19 @@ Status ValidateWellFormed(const TpRelation& rel) {
 }
 
 Status ValidateDuplicateFree(const TpRelation& rel) {
-  std::vector<TpTuple> sorted = rel.tuples();
-  std::sort(sorted.begin(), sorted.end(), FactTimeOrder());
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    const TpTuple& prev = sorted[i - 1];
-    const TpTuple& cur = sorted[i];
+  // In (fact, start) order, two overlapping tuples of one fact imply an
+  // overlapping adjacent pair, so sorted input (all that Register accepts)
+  // is checked in place. Only unsorted input is copied and sorted.
+  std::vector<TpTuple> copy;
+  const std::vector<TpTuple>* sorted = &rel.tuples();
+  if (!rel.IsSortedFactTime()) {
+    copy = rel.tuples();
+    std::sort(copy.begin(), copy.end(), FactTimeOrder());
+    sorted = &copy;
+  }
+  for (std::size_t i = 1; i < sorted->size(); ++i) {
+    const TpTuple& prev = (*sorted)[i - 1];
+    const TpTuple& cur = (*sorted)[i];
     if (prev.fact == cur.fact && prev.t.Overlaps(cur.t)) {
       return Status::InvalidArgument(
           "relation '" + rel.name() + "' is not duplicate-free: fact " +

@@ -12,7 +12,8 @@ namespace tpset {
 Status ValidateWellFormed(const TpRelation& rel);
 
 /// The paper's duplicate-freeness (§III): for any two distinct tuples with
-/// the same fact, the intervals must not overlap. O(n log n).
+/// the same fact, the intervals must not overlap. O(n) with no copy on
+/// (fact, start)-sorted input; O(n log n) on a sorted copy otherwise.
 Status ValidateDuplicateFree(const TpRelation& rel);
 
 /// The (fact, start) order required by LAWA and by the fact-range

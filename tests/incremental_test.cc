@@ -161,6 +161,39 @@ TEST(ContinuousQueryTest, EpochOrderingAndScopedDelivery) {
   EXPECT_EQ(on_c->last_epoch(), e2);
 }
 
+// An append to a relation no query reads still advances every query's log
+// epoch and subscriber lag, and delivers nothing.
+TEST(ContinuousQueryTest, UnreadAppendAdvancesLagWithoutDelivery) {
+  SupermarketDb db;
+  QueryExecutor exec(db.ctx);
+  for (TpRelation* rel : {&db.a, &db.b, &db.c}) {
+    rel->SortFactTime();
+    ASSERT_TRUE(exec.Register(*rel).ok());
+  }
+  ContinuousQuery* on_a = exec.RegisterContinuous("aonly", "a").value();
+  ContinuousQuery* on_b = exec.RegisterContinuous("bonly", "b").value();
+  std::size_t delivered = 0;
+  on_a->Subscribe([&](const EpochDelta&) { ++delivered; });
+  on_b->Subscribe([&](const EpochDelta&) { ++delivered; });
+
+  const EpochId e1 = exec.Append("c", OneRow("milk", 9, 12, 0.4)).value();
+  const EpochId e2 = exec.Append("c", OneRow("milk", 12, 13, 0.4)).value();
+  EXPECT_EQ(delivered, 0u);
+  for (ContinuousQuery* cq : {on_a, on_b}) {
+    EXPECT_EQ(cq->log_epoch(), e2);
+    EXPECT_EQ(cq->epochs_applied(), 0u);
+    const std::vector<ContinuousQuery::SubscriberInfo> infos =
+        cq->SubscriberInfos();
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_EQ(infos[0].last_delivered, 0u);
+    EXPECT_EQ(infos[0].lag, e2);
+  }
+  EXPECT_EQ(e2, e1 + 1);
+  Result<const TpRelation*> c = exec.Find("c");
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ((*c)->size(), 6u) << "the unread relation still took the rows";
+}
+
 TEST(ContinuousQueryTest, WatchOnPlainRelationStreamsAppends) {
   SupermarketDb db;
   QueryExecutor exec(db.ctx);

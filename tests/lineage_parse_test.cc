@@ -4,6 +4,7 @@
 #include "common/random.h"
 #include "lineage/lineage.h"
 #include "lineage/parse.h"
+#include "relation/relation.h"
 
 namespace tpset {
 namespace {
@@ -57,6 +58,22 @@ TEST_F(ParseTest, Constants) {
   EXPECT_EQ(*ParseLineage("true", &mgr_, vars_), mgr_.True());
   EXPECT_EQ(*ParseLineage("false", &mgr_, vars_), mgr_.False());
   EXPECT_EQ(*ParseLineage("null", &mgr_, vars_), kNullLineage);
+}
+
+// A base tuple's lineage is its variable's leaf; parsing the variable's
+// name finds that leaf rather than building a new node.
+TEST(ParseBaseTest, NamedBaseVariableResolvesToItsLeaf) {
+  auto ctx = std::make_shared<TpContext>();
+  TpRelation rel(ctx, Schema::SingleString("Product"), "a");
+  for (const char* var : {"a1", "a2", "a3"}) {
+    ASSERT_TRUE(rel.AddBase({Value(std::string(var))}, Interval(0, 5), 0.5, var)
+                    .ok());
+  }
+  const std::size_t arena = ctx->lineage().size();
+  Result<LineageId> r = ParseLineage("a2", &ctx->lineage(), ctx->vars());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, rel[1].lineage);
+  EXPECT_EQ(ctx->lineage().size(), arena);
 }
 
 TEST_F(ParseTest, Whitespace) {

@@ -1,9 +1,10 @@
 // Lineage algebra: hash-consing, Table I concatenation functions, printing,
-// canonical keys, variable analysis, and the consing index behind both
-// LineageManager and StagingArena.
+// canonical keys, variable analysis, the variable-leaf table, and the
+// consing index behind both LineageManager and StagingArena.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -336,28 +337,72 @@ TEST(ConsIndexTest, FullCompareSeparatesEqualTags) {
   EXPECT_EQ(keys.size(), 602u);
 }
 
-// Variables whose keys differ only in `var` and whose real hashes collide:
-// with 2^18 variables, some 32-bit tags repeat.
-TEST_F(LineageTest, VarsWithCollidingTagsGetDistinctIds) {
-  std::unordered_map<std::uint32_t, VarId> seen;
-  VarId first = kInvalidVar, second = kInvalidVar;
-  for (VarId v = 0; v < (1u << 18) && first == kInvalidVar; ++v) {
-    const std::uint32_t tag =
-        ConsIndex::Hash(LineageKind::kVar, v, kNullLineage, kNullLineage);
-    auto [it, inserted] = seen.emplace(tag, v);
+// Derived nodes whose keys differ only in their operand and whose real
+// hashes collide: with 2^18 negated leaves, some 32-bit tags repeat.
+TEST_F(LineageTest, NodesWithCollidingTagsGetDistinctIds) {
+  std::unordered_map<std::uint32_t, LineageId> seen;
+  LineageId first = kNullLineage, second = kNullLineage;
+  for (VarId v = 0; v < (1u << 18); ++v) {
+    const LineageId leaf = mgr_.MakeVar(v);
+    if (first != kNullLineage) continue;
+    auto [it, inserted] = seen.emplace(
+        ConsIndex::Hash(LineageKind::kNot, leaf, kNullLineage), leaf);
     if (!inserted) {
       first = it->second;
-      second = v;
+      second = leaf;
     }
   }
-  ASSERT_NE(first, kInvalidVar) << "no tag collision among 2^18 variables";
-  LineageId a = mgr_.MakeVar(first);
-  LineageId b = mgr_.MakeVar(second);
+  ASSERT_NE(first, kNullLineage) << "no tag collision among 2^18 negations";
+  LineageId a = mgr_.MakeNot(first);
+  LineageId b = mgr_.MakeNot(second);
   EXPECT_NE(a, b);
-  EXPECT_EQ(mgr_.MakeVar(first), a);
-  EXPECT_EQ(mgr_.MakeVar(second), b);
-  EXPECT_EQ(mgr_.node(a).var, first);
-  EXPECT_EQ(mgr_.node(b).var, second);
+  EXPECT_EQ(mgr_.MakeNot(first), a);
+  EXPECT_EQ(mgr_.MakeNot(second), b);
+  EXPECT_EQ(mgr_.node(a).left, first);
+  EXPECT_EQ(mgr_.node(b).left, second);
+}
+
+// Variable leaves come from the leaf table, not the consing index: a fresh
+// variable gets the next arena id and a known one its first leaf, whatever
+// the VarId order and whatever was built in between.
+TEST_F(LineageTest, LeafIdsFollowCallOrder) {
+  EXPECT_EQ(mgr_.MakeVar(0), 2u);
+  EXPECT_EQ(mgr_.MakeVar(10), 3u);
+  EXPECT_EQ(mgr_.MakeVar(3), 4u) << "out of order";
+  EXPECT_EQ(mgr_.MakeVar(10), 3u);
+  EXPECT_EQ(mgr_.MakeAnd(2, 3), 5u);
+  EXPECT_EQ(mgr_.MakeNot(4), 6u);
+  EXPECT_EQ(mgr_.MakeVar(5), 7u);
+  EXPECT_EQ(mgr_.MakeOr(5, 6), 8u);
+  EXPECT_EQ(mgr_.MakeVar(3), 4u);
+  EXPECT_EQ(mgr_.MakeAnd(2, 3), 5u);
+  EXPECT_EQ(mgr_.MakeVar(1), 9u);
+  EXPECT_EQ(mgr_.MakeNot(6), 4u) << "double negation folds, no lookup";
+  EXPECT_EQ(mgr_.MakeAnd(7, 9), 10u);
+  EXPECT_EQ(mgr_.MakeVar(0), 2u);
+  EXPECT_EQ(mgr_.size(), 11u);
+  EXPECT_EQ(mgr_.node(3).var, 10u);
+  EXPECT_EQ(mgr_.node(4).var, 3u);
+  // Every MakeVar is one lookup (8, 3 hits), as is every ∧/∨/¬ that
+  // reached the index (5, 1 hit).
+  const LineageManager::InternCounts counts = mgr_.TakeInternCounts();
+  EXPECT_EQ(counts.lookups, 13u);
+  EXPECT_EQ(counts.hits, 4u);
+}
+
+// Variables never enter the consing index: 200k leaves leave its slot table
+// at the 16-slot minimum (128 bytes), and index_bytes() grows only by the
+// leaf table's 4 bytes per variable (capacity rounded up to a power of
+// two). Indexed as nodes they would take 2^19 8-byte slots.
+TEST_F(LineageTest, VarsDoNotGrowTheSlotTable) {
+  constexpr std::size_t kVars = 200000;
+  const std::size_t slot_table = mgr_.index_bytes();
+  EXPECT_EQ(slot_table, 16 * 8u);
+  for (VarId v = 0; v < kVars; ++v) mgr_.MakeVar(v);
+  EXPECT_GE(mgr_.index_bytes(), slot_table + kVars * sizeof(LineageId));
+  EXPECT_LE(mgr_.index_bytes(),
+            slot_table + std::bit_ceil(kVars) * sizeof(LineageId));
+  EXPECT_EQ(mgr_.size(), 2 + kVars);
 }
 
 }  // namespace

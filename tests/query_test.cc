@@ -170,6 +170,8 @@ TEST_F(ExecutorTest, PublishesLineageArenaMetrics) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const obs::Gauge& nodes = registry.GetGauge("tpset_lineage_nodes", "");
   const obs::Gauge& bytes = registry.GetGauge("tpset_lineage_index_bytes", "");
+  const obs::Gauge& node_bytes =
+      registry.GetGauge("tpset_lineage_node_bytes", "");
   const obs::Counter& lookups =
       registry.GetCounter("tpset_lineage_intern_lookups_total", "");
   const obs::Counter& hits =
@@ -177,6 +179,9 @@ TEST_F(ExecutorTest, PublishesLineageArenaMetrics) {
   LineageManager& lineage = db_.ctx->lineage();
   EXPECT_EQ(nodes.Value(), static_cast<std::int64_t>(lineage.size()));
   EXPECT_EQ(bytes.Value(), static_cast<std::int64_t>(lineage.index_bytes()));
+  EXPECT_EQ(node_bytes.Value(),
+            static_cast<std::int64_t>(lineage.node_bytes()));
+  EXPECT_GE(lineage.node_bytes(), lineage.size() * sizeof(LineageNode));
 
   // A repeat interns nothing new: every lookup hits.
   std::uint64_t lookups0 = lookups.Value();
@@ -198,6 +203,9 @@ TEST_F(ExecutorTest, PublishesLineageArenaMetrics) {
   ASSERT_TRUE(exec_.Append("a", batch).ok());
   EXPECT_EQ(nodes.Value(), published + 2);
   EXPECT_EQ(nodes.Value(), static_cast<std::int64_t>(lineage.size()));
+  EXPECT_EQ(bytes.Value(), static_cast<std::int64_t>(lineage.index_bytes()));
+  EXPECT_EQ(node_bytes.Value(),
+            static_cast<std::int64_t>(lineage.node_bytes()));
   EXPECT_EQ(lookups.Value() - lookups0, 2u);
   EXPECT_EQ(hits.Value() - hits0, 0u);
 }

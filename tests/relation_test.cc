@@ -137,6 +137,32 @@ TEST(ValidateTest, DuplicateFree) {
   TpRelation mixed = MakeRelation(ctx, "mixed",
                                   {{"f", "v5", 0, 5, 0.5}, {"g", "v6", 0, 5, 0.5}});
   EXPECT_TRUE(ValidateDuplicateFree(mixed).ok());
+
+  // Unsorted input, its overlap not adjacent in input order: checked on a
+  // sorted copy.
+  TpRelation unsorted = MakeRelation(ctx, "unsorted",
+                                     {{"f", "v7", 4, 9, 0.5},
+                                      {"g", "v8", 0, 5, 0.5},
+                                      {"f", "v9", 0, 5, 0.5}});
+  ASSERT_FALSE(unsorted.IsSortedFactTime());
+  Status st = ValidateDuplicateFree(unsorted);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(),
+            "relation 'unsorted' is not duplicate-free: fact 'f' has "
+            "overlapping intervals [0,5) and [4,9)");
+  // Witnessed (fact, start) order: checked in place, same message. [0,10)
+  // overlaps both later tuples, the second not adjacent to it; the first
+  // adjacent pair reports it.
+  TpRelation witnessed = MakeRelation(ctx, "witnessed",
+                                      {{"g", "v10", 0, 10, 0.5},
+                                       {"g", "v11", 2, 3, 0.5},
+                                       {"g", "v12", 5, 7, 0.5}});
+  ASSERT_TRUE(witnessed.known_sorted());
+  st = ValidateDuplicateFree(witnessed);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(),
+            "relation 'witnessed' is not duplicate-free: fact 'g' has "
+            "overlapping intervals [0,10) and [2,3)");
 }
 
 TEST(ValidateTest, SetOpInputsSchemaCompatibility) {
