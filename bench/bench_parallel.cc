@@ -1,26 +1,23 @@
-// Thread-scaling of the partitioned parallel engine: LAWA-P at 1/2/4/8
+// Thread-scaling of the partitioned parallel engine: LAWA-P at 1/2/4
 // threads against sequential LAWA on a 1M-tuple-per-relation synthetic pair
-// (scaled by TPSET_BENCH_SCALE), all three operations, in both apply modes
-// (bit-identical and staged; see parallel/parallel_set_op.h).
+// (scaled by TPSET_BENCH_SCALE), all three operations, measured on the
+// host's own cores (the JSON records host_cpus).
 //
 // Each LAWA-P measurement carries the per-phase wall-time breakdown
-// (sort/split/advance/apply); `apply` is the sequential arena-mutating tail
-// — the Amdahl term the staged mode attacks. The context uses hash-consing
-// (the production default), which is what makes the bit-identical apply
-// phase hash-heavy. Every rep runs against a freshly generated context and
-// pair (same seed): a production operation builds lineage formulas the
-// arena has not seen, so a warm-arena rerun — where every intern degrades
-// to a cache hit — would systematically understate the apply phase.
+// (sort/split/advance/apply); `apply` is the lineage intern in the
+// operation's turn (LineageManager::ConcatBlock on the operation's pool)
+// plus the output fill. The context uses hash-consing (the production
+// default). Every rep runs against a freshly generated context and pair
+// (same seed): a production operation builds lineage formulas the arena has
+// not seen, so a warm-arena rerun — where every intern degrades to a cache
+// hit — would systematically understate the apply phase. Every rep's output
+// is compared with sequential LAWA's on its own fresh context, tuple for
+// tuple and lineage id for id; each entry records the verdict as
+// "identical", and any divergence exits non-zero.
 //
-// A second section runs the morsel scheduler under *fact skew* —
-// zipf(s=1.2) and a single 90%-weight fact — for real (per-phase breakdown
-// via ComputeTimed) and *modeled* at 8 workers: per-morsel staged sweep and
-// splice times are measured in isolation (this is exact — morsels run back
-// to back on one core), then list-scheduled greedily onto 8 idealized
-// workers, apply+sweep = max(makespan, apply) (overlapped splice). The
-// model exists because wall-clock speedup at N threads saturates at the
-// host's core count (CI containers often pin 1-2 cores). Both real and
-// modeled numbers land in the JSON.
+// A second section runs the same measurement under *fact skew* — zipf(s=1.2)
+// and a single 90%-weight fact — the inputs the morsel scheduler exists
+// for.
 //
 // A third section A/Bs the advancers themselves (the scalar reference vs
 // the columnar SoA kernel, see DESIGN.md "Columnar sweep kernel"): pure t1
@@ -54,82 +51,34 @@
 #include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
 #include "lawa/set_ops.h"
-#include "lineage/staging.h"
 #include "net/http_server.h"
 #include "obs/export.h"
 #include "obs/http_endpoints.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "parallel/parallel_set_op.h"
-#include "parallel/partition.h"
-#include "parallel/scheduler.h"
 
 using namespace tpset;
 using namespace tpset::bench;
 
 namespace {
 
+// The thread counts every LAWA-P entry is measured at.
+constexpr std::size_t kThreadCounts[] = {1, 2, 4};
+
 struct Sample {
   double wall_ms = 0.0;
   PhaseTimings phases;
+  LawaStats stats;
+  bool identical = true;  // every rep's output equalled the reference
 };
 
-struct Workload {
-  SyntheticPairSpec spec;
-
-  // Fresh context + pair, deterministic across calls (fixed seed).
-  std::pair<TpRelation, TpRelation> Fresh() const {
-    auto ctx = std::make_shared<TpContext>(/*hash_consing=*/true);
-    Rng rng(0x9A7A11E1);
-    return GenerateSyntheticPair(ctx, spec, &rng);
-  }
-};
-
-// Best-of-reps wall time (with the fastest run's phase breakdown), each rep
-// against a cold arena. Generation time is excluded from the measurement.
-Sample BestTimedCold(int reps, const Workload& wl,
-                     const ParallelSetOpAlgorithm& algo, SetOpKind op) {
-  Sample best;
-  for (int i = 0; i < reps; ++i) {
-    auto [r, s] = wl.Fresh();
-    PhaseTimings t;
-    double ms = TimeMs([&]() {
-      TpRelation out = algo.ComputeTimed(op, r, s, &t);
-      (void)out;
-    });
-    if (i == 0 || ms < best.wall_ms) best = Sample{ms, t};
-  }
-  return best;
+// Fresh synthetic pair, deterministic across calls (fixed seed).
+std::pair<TpRelation, TpRelation> FreshPair(const SyntheticPairSpec& spec) {
+  auto ctx = std::make_shared<TpContext>(/*hash_consing=*/true);
+  Rng rng(0x9A7A11E1);
+  return GenerateSyntheticPair(ctx, spec, &rng);
 }
-
-// Cold-arena best-of-reps for sequential LAWA.
-double BestSequentialCold(int reps, const Workload& wl, SetOpKind op) {
-  double best = 0.0;
-  for (int i = 0; i < reps; ++i) {
-    auto [r, s] = wl.Fresh();
-    double ms = TimeMs([&]() {
-      TpRelation out = LawaSetOp(op, r, s);
-      (void)out;
-    });
-    if (i == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-void AppendPhaseJson(std::string* out, std::size_t threads, const Sample& s) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "\"t%zu\":{\"wall_ms\":%.3f,\"sort_ms\":%.3f,\"split_ms\":%.3f,"
-                "\"advance_ms\":%.3f,\"apply_ms\":%.3f}",
-                threads, s.wall_ms, s.phases.sort_ms, s.phases.split_ms,
-                s.phases.advance_ms, s.phases.apply_ms);
-  *out += buf;
-}
-
-// ---- Skewed scenarios (morsel scheduler) ----------------------------------
-
-constexpr std::size_t kSkewThreads = 8;
-constexpr std::size_t kSkewPartitionsPerThread = 4;
 
 // Fresh skewed pair, deterministic across calls.
 std::pair<TpRelation, TpRelation> FreshSkewPair(const SkewedPairSpec& spec) {
@@ -138,86 +87,85 @@ std::pair<TpRelation, TpRelation> FreshSkewPair(const SkewedPairSpec& spec) {
   return GenerateSkewedPair(ctx, spec, &rng);
 }
 
-struct SkewSample {
-  Sample run;
-  LawaStats stats;
-};
-
-// Best-of-reps real execution, cold arenas.
-SkewSample BestSkewCold(int reps, const SkewedPairSpec& spec, SetOpKind op) {
-  SkewSample best;
+// Cold-arena best-of-reps for sequential LAWA; *reference receives the
+// output (on its own context, which it keeps alive).
+template <typename Fresh>
+double BestSequentialCold(int reps, const Fresh& fresh, SetOpKind op,
+                          TpRelation* reference) {
+  double best = 0.0;
   for (int i = 0; i < reps; ++i) {
-    auto [r, s] = FreshSkewPair(spec);
-    ParallelSetOpAlgorithm algo(kSkewThreads, SortMode::kComparison,
-                                kSkewPartitionsPerThread, ApplyMode::kStaged);
-    PhaseTimings t;
-    LawaStats stats;
-    double ms = TimeMs([&]() {
-      TpRelation out = algo.ComputeTimed(op, r, s, &t, &stats);
-      (void)out;
-    });
-    if (i == 0 || ms < best.run.wall_ms) best = SkewSample{{ms, t}, stats};
+    auto [r, s] = fresh();
+    double ms = TimeMs([&]() { *reference = LawaSetOp(op, r, s); });
+    if (i == 0 || ms < best) best = ms;
   }
   return best;
 }
 
-// Per-morsel staged sweep and serial splice times, measured in isolation
-// (one morsel at a time, which single-core hosts make exact). Mutates the
-// pair's context — callers pass a fresh pair.
-struct UnitTimes {
-  std::vector<double> sweep_ms;  // per morsel, plan order
-  double apply_ms = 0.0;         // total serial splice + remap time
-};
+// Best-of-reps LAWA-P wall time (with the fastest run's phase breakdown and
+// stats), each rep against a cold arena; generation time is excluded. Every
+// rep's output is checked against `reference`.
+template <typename Fresh>
+Sample BestTimedCold(int reps, const Fresh& fresh, std::size_t threads,
+                     SetOpKind op, const TpRelation& reference) {
+  ParallelSetOpAlgorithm algo(threads);
+  Sample best;
+  bool identical = true;
+  for (int i = 0; i < reps; ++i) {
+    auto [r, s] = fresh();
+    Sample run;
+    TpRelation out;
+    run.wall_ms = TimeMs(
+        [&]() { out = algo.ComputeTimed(op, r, s, &run.phases, &run.stats); });
+    identical = identical && out.tuples() == reference.tuples();
+    if (i == 0 || run.wall_ms < best.wall_ms) best = run;
+  }
+  best.identical = identical;
+  return best;
+}
 
-UnitTimes MeasureStagedUnits(SetOpKind op, const TpRelation& r,
-                             const TpRelation& s,
-                             const std::vector<FactPartition>& units) {
-  const TpTuple* rdata = r.tuples().data();
-  const TpTuple* sdata = s.tuples().data();
-  LineageId frozen = 2;
-  for (const TpTuple& t : r.tuples()) {
-    if (t.lineage != kNullLineage && t.lineage >= frozen) frozen = t.lineage + 1;
-  }
-  for (const TpTuple& t : s.tuples()) {
-    if (t.lineage != kNullLineage && t.lineage >= frozen) frozen = t.lineage + 1;
-  }
-  LineageManager& mgr = r.context()->lineage();
-  UnitTimes out;
-  out.sweep_ms.reserve(units.size());
-  std::vector<LineageId> remap;
-  for (const FactPartition& part : units) {
-    StagingArena arena(frozen, mgr.hash_consing());
-    std::vector<TpTuple> tuples;
-    out.sweep_ms.push_back(TimeMs([&]() {
-      LineageAwareWindowAdvancer adv(
-          rdata + part.r_begin, part.r_end - part.r_begin,
-          sdata + part.s_begin, part.s_end - part.s_begin);
-      ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
-        LineageId lin = kNullLineage;
-        switch (op) {
-          case SetOpKind::kIntersect:
-            lin = arena.ConcatAnd(w.lr, w.ls);
-            break;
-          case SetOpKind::kUnion:
-            lin = arena.ConcatOr(w.lr, w.ls);
-            break;
-          case SetOpKind::kExcept:
-            lin = arena.ConcatAndNot(w.lr, w.ls);
-            break;
-        }
-        tuples.push_back({w.fact, w.t, lin});
-      });
-    }));
-    out.apply_ms += TimeMs([&]() {
-      mgr.SpliceStaged(arena, &remap);
-      for (TpTuple& t : tuples) {
-        if (t.lineage != kNullLineage && t.lineage >= frozen) {
-          t.lineage = remap[t.lineage - frozen];
-        }
-      }
-    });
+// "t1":{...},"t2":{...},"t4":{...} for one operation's samples.
+std::string ThreadsJson(const Sample (&at)[std::size(kThreadCounts)]) {
+  std::string out;
+  for (std::size_t i = 0; i < std::size(kThreadCounts); ++i) {
+    const Sample& s = at[i];
+    char buf[320];
+    std::snprintf(buf, sizeof(buf),
+                  "%s\"t%zu\":{\"wall_ms\":%.3f,\"sort_ms\":%.3f,"
+                  "\"split_ms\":%.3f,\"advance_ms\":%.3f,\"apply_ms\":%.3f,"
+                  "\"identical\":%s}",
+                  i > 0 ? "," : "", kThreadCounts[i], s.wall_ms,
+                  s.phases.sort_ms, s.phases.split_ms, s.phases.advance_ms,
+                  s.phases.apply_ms, s.identical ? "true" : "false");
+    out += buf;
   }
   return out;
+}
+
+// Measures LAWA and LAWA-P at every thread count for one operation over
+// `fresh` pairs, printing CSV rows tagged `tag`. Returns false on a
+// divergence from sequential LAWA.
+template <typename Fresh>
+bool MeasureOp(const char* experiment, const std::string& tag, int reps,
+               const Fresh& fresh, SetOpKind op, std::size_t n,
+               double* seq_ms, Sample (&at)[std::size(kThreadCounts)]) {
+  TpRelation reference;
+  *seq_ms = BestSequentialCold(reps, fresh, op, &reference);
+  PrintRow(experiment, tag.c_str(), "LAWA", n, *seq_ms);
+  bool identical = true;
+  for (std::size_t i = 0; i < std::size(kThreadCounts); ++i) {
+    const std::size_t threads = kThreadCounts[i];
+    at[i] = BestTimedCold(reps, fresh, threads, op, reference);
+    PrintRow(experiment, tag.c_str(), "LAWA-P/" + std::to_string(threads), n,
+             at[i].wall_ms);
+    if (!at[i].identical) {
+      std::fprintf(stderr,
+                   "bench_parallel: %s at t%zu diverged from sequential "
+                   "LAWA\n",
+                   tag.c_str(), threads);
+      identical = false;
+    }
+  }
+  return identical;
 }
 
 // ---- Kernel A/B (scalar vs columnar advance) ------------------------------
@@ -233,18 +181,6 @@ struct KernelWindow {
            ls == o.ls;
   }
 };
-
-// Greedy list scheduling of the units in plan order onto `workers`
-// idealized workers (each unit lands on the least-loaded one) — what the
-// stealing deques approximate; a single heavy unit dominates the result
-// exactly as it pins a worker in practice.
-double Makespan(const std::vector<double>& durations, std::size_t workers) {
-  std::vector<double> load(workers, 0.0);
-  for (double d : durations) {
-    *std::min_element(load.begin(), load.end()) += d;
-  }
-  return *std::max_element(load.begin(), load.end());
-}
 
 // ---- Serving-overhead harness (--serve) -----------------------------------
 
@@ -331,22 +267,21 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::printf("# parallel scaling: LAWA-P threads=1/2/4/8 (bit-identical and "
-              "staged apply) vs LAWA, 1M tuples/relation (scale=%.3g), 1K "
-              "facts, hash-consing on\n", scale);
+  std::printf("# parallel scaling: LAWA-P threads=1/2/4 vs LAWA, 1M "
+              "tuples/relation (scale=%.3g), 1K facts, hash-consing on, "
+              "outputs checked against LAWA\n", scale);
   PrintHeader("parallel");
 
   const std::size_t n = Scaled(1000000, scale);
-  Workload wl;
-  wl.spec = TableIIIPreset(0.6);
-  wl.spec.num_tuples = n;
-  wl.spec.num_facts = std::max<std::size_t>(1, n / 1000);
-
-  const std::size_t thread_counts[] = {1, 2, 4, 8};
+  SyntheticPairSpec spec = TableIIIPreset(0.6);
+  spec.num_tuples = n;
+  spec.num_facts = std::max<std::size_t>(1, n / 1000);
+  auto fresh = [&spec]() { return FreshPair(spec); };
   const int reps = 3;
+  bool identical = true;
 
   std::string json = "{\n  \"experiment\": \"parallel\",\n";
-  json += ProvenanceJson(/*threads=*/8);
+  json += ProvenanceJson(/*threads=*/kThreadCounts[std::size(kThreadCounts) - 1]);
   {
     char head[256];
     std::snprintf(head, sizeof(head),
@@ -354,85 +289,51 @@ int main(int argc, char** argv) {
                   "  \"num_facts\": %zu,\n  \"reps\": %d,\n"
                   "  \"hash_consing\": true,\n  \"cold_arena\": true,\n"
                   "  \"operations\": [\n",
-                  scale, n, wl.spec.num_facts, reps);
+                  scale, n, spec.num_facts, reps);
     json += head;
   }
 
   bool first_op = true;
   for (SetOpKind op : kAllSetOps) {
     const char* op_name = SetOpName(op);
-
-    double seq_ms = BestSequentialCold(reps, wl, op);
-    PrintRow("parallel", op_name, "LAWA", n, seq_ms);
-
-    Sample bit_at[9], staged_at[9];
-    for (std::size_t threads : thread_counts) {
-      ParallelSetOpAlgorithm bit(threads, SortMode::kComparison, 4,
-                                 ApplyMode::kBitIdentical);
-      bit_at[threads] = BestTimedCold(reps, wl, bit, op);
-      PrintRow("parallel", op_name, "LAWA-P/" + std::to_string(threads), n,
-               bit_at[threads].wall_ms);
-
-      ParallelSetOpAlgorithm staged(threads, SortMode::kComparison, 4,
-                                    ApplyMode::kStaged);
-      staged_at[threads] = BestTimedCold(reps, wl, staged, op);
-      PrintRow("parallel", op_name, "LAWA-P-staged/" + std::to_string(threads),
-               n, staged_at[threads].wall_ms);
-    }
-
+    double seq_ms = 0.0;
+    Sample at[std::size(kThreadCounts)];
+    identical &= MeasureOp("parallel", op_name, reps, fresh, op, n, &seq_ms, at);
+    const Sample& t1 = at[0];
+    const Sample& t4 = at[std::size(kThreadCounts) - 1];
+    const double speedup = t4.wall_ms > 0 ? t1.wall_ms / t4.wall_ms : 0.0;
     const double apply_speedup =
-        staged_at[8].phases.apply_ms > 0
-            ? bit_at[8].phases.apply_ms / staged_at[8].phases.apply_ms
-            : 0.0;
+        t4.phases.apply_ms > 0 ? at[1].phases.apply_ms / t4.phases.apply_ms
+                               : 0.0;
     std::printf(
         "# json {\"experiment\":\"parallel\",\"operation\":\"%s\",\"n\":%zu,"
-        "\"lawa_ms\":%.3f,\"t8_bit_ms\":%.3f,\"t8_staged_ms\":%.3f,"
-        "\"apply_ms_bit_t8\":%.3f,\"apply_ms_staged_t8\":%.3f,"
-        "\"apply_speedup_staged_t8\":%.3f,"
-        "\"speedup_8_over_1_bit\":%.3f,\"speedup_8_over_1_staged\":%.3f}\n",
-        op_name, n, seq_ms, bit_at[8].wall_ms, staged_at[8].wall_ms,
-        bit_at[8].phases.apply_ms, staged_at[8].phases.apply_ms, apply_speedup,
-        bit_at[8].wall_ms > 0 ? bit_at[1].wall_ms / bit_at[8].wall_ms : 0.0,
-        staged_at[8].wall_ms > 0 ? staged_at[1].wall_ms / staged_at[8].wall_ms
-                                 : 0.0);
+        "\"lawa_ms\":%.3f,\"t1_ms\":%.3f,\"t4_ms\":%.3f,"
+        "\"apply_ms_t2\":%.3f,\"apply_ms_t4\":%.3f,"
+        "\"speedup_4_over_1\":%.3f,\"identical\":%s}\n",
+        op_name, n, seq_ms, t1.wall_ms, t4.wall_ms, at[1].phases.apply_ms,
+        t4.phases.apply_ms, speedup,
+        at[0].identical && at[1].identical && t4.identical ? "true" : "false");
 
     if (!first_op) json += ",\n";
     first_op = false;
-    char ophead[128];
-    std::snprintf(ophead, sizeof(ophead),
-                  "    {\"operation\": \"%s\", \"lawa_ms\": %.3f,\n", op_name,
-                  seq_ms);
-    json += ophead;
-    json += "     \"bit_identical\": {";
-    for (std::size_t i = 0; i < 4; ++i) {
-      if (i > 0) json += ",";
-      AppendPhaseJson(&json, thread_counts[i], bit_at[thread_counts[i]]);
-    }
-    json += "},\n     \"staged\": {";
-    for (std::size_t i = 0; i < 4; ++i) {
-      if (i > 0) json += ",";
-      AppendPhaseJson(&json, thread_counts[i], staged_at[thread_counts[i]]);
-    }
-    json += "},\n";
-    char optail[256];
-    std::snprintf(optail, sizeof(optail),
-                  "     \"apply_speedup_staged_t8\": %.3f,\n"
-                  "     \"speedup_8_over_1_bit\": %.3f,\n"
-                  "     \"speedup_8_over_1_staged\": %.3f}",
-                  apply_speedup,
-                  bit_at[8].wall_ms > 0 ? bit_at[1].wall_ms / bit_at[8].wall_ms
-                                        : 0.0,
-                  staged_at[8].wall_ms > 0
-                      ? staged_at[1].wall_ms / staged_at[8].wall_ms
-                      : 0.0);
-    json += optail;
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"operation\": \"%s\", \"lawa_ms\": %.3f,\n"
+                  "     \"lawa_p\": {",
+                  op_name, seq_ms);
+    json += buf;
+    json += ThreadsJson(at);
+    std::snprintf(buf, sizeof(buf),
+                  "},\n     \"speedup_4_over_1\": %.3f, "
+                  "\"apply_speedup_4_over_2\": %.3f}",
+                  speedup, apply_speedup);
+    json += buf;
   }
   json += "\n  ],\n";
 
   // ---- Skewed scenarios: morsel scheduler ---------------------------------
-  std::printf("# skew: zipf(s=1.2) and one-hot(90%%) facts, staged apply, "
-              "threads=%zu; real walls + modeled 8-worker makespan\n",
-              kSkewThreads);
+  std::printf("# skew: zipf(s=1.2) and one-hot(90%%) facts, LAWA-P "
+              "threads=1/2/4 vs LAWA, outputs checked against LAWA\n");
   PrintHeader("parallel-skew");
 
   struct SkewScenario {
@@ -452,70 +353,37 @@ int main(int argc, char** argv) {
   const int skew_reps = 2;
   bool first_skew = true;
   for (const SkewScenario& sc : scenarios) {
+    auto fresh_skew = [&sc]() { return FreshSkewPair(sc.spec); };
     for (SetOpKind op : kAllSetOps) {
       const char* op_name = SetOpName(op);
       const std::string tag = std::string(sc.name) + "/" + op_name;
-
       double seq_ms = 0.0;
-      for (int i = 0; i < skew_reps; ++i) {
-        auto [r, s] = FreshSkewPair(sc.spec);
-        double ms = TimeMs([&]() {
-          TpRelation out = LawaSetOp(op, r, s);
-          (void)out;
-        });
-        if (i == 0 || ms < seq_ms) seq_ms = ms;
-      }
-      PrintRow("parallel-skew", tag.c_str(), "LAWA", n, seq_ms);
-
-      SkewSample mo = BestSkewCold(skew_reps, sc.spec, op);
-      PrintRow("parallel-skew", tag.c_str(), "morsel/8", n, mo.run.wall_ms);
-
-      // Modeled 8-worker makespan from per-morsel measurements: splices
-      // overlap the sweeps, so the phase pair costs max(makespan, apply).
-      std::size_t units = 0;
-      double sweep8 = 0.0, apply = 0.0;
-      {
-        auto [r, s] = FreshSkewPair(sc.spec);
-        const std::vector<FactPartition> parts = PartitionByFactRange(
-            r.tuples().data(), r.tuples().size(), s.tuples().data(),
-            s.tuples().size(), kSkewThreads * kSkewPartitionsPerThread);
-        MorselPlan plan = BuildMorsels(
-            r.tuples().data(), s.tuples().data(), parts,
-            MorselAutoBudget(r.tuples().size() + s.tuples().size(),
-                             kSkewThreads, kSkewPartitionsPerThread));
-        units = plan.morsels.size();
-        UnitTimes ut = MeasureStagedUnits(op, r, s, plan.morsels);
-        sweep8 = Makespan(ut.sweep_ms, kSkewThreads);
-        apply = ut.apply_ms;
-      }
-      const double total = std::max(sweep8, apply);
-      PrintRow("parallel-skew", tag.c_str(), "modeled-morsel/8", n, total);
+      Sample at[std::size(kThreadCounts)];
+      identical &= MeasureOp("parallel-skew", tag, skew_reps, fresh_skew, op, n,
+                             &seq_ms, at);
+      const Sample& t4 = at[std::size(kThreadCounts) - 1];
       std::printf(
           "# json {\"experiment\":\"parallel-skew\",\"scenario\":\"%s\","
-          "\"operation\":\"%s\",\"modeled8_total_ms\":%.3f,"
+          "\"operation\":\"%s\",\"t1_ms\":%.3f,\"t4_ms\":%.3f,"
           "\"morsels\":%zu,\"stolen\":%zu,\"facts_split\":%zu}\n",
-          sc.name, op_name, total, mo.stats.morsels_run,
-          mo.stats.morsels_stolen, mo.stats.facts_split);
+          sc.name, op_name, at[0].wall_ms, t4.wall_ms, t4.stats.morsels_run,
+          t4.stats.morsels_stolen, t4.stats.facts_split);
 
       if (!first_skew) json += ",\n";
       first_skew = false;
-      char buf[1024];
+      char buf[512];
       std::snprintf(
           buf, sizeof(buf),
           "    {\"scenario\": \"%s\", \"operation\": \"%s\", \"n\": %zu,\n"
-          "     \"lawa_ms\": %.3f,\n     \"real\": {\"morsel\": {",
+          "     \"lawa_ms\": %.3f,\n     \"lawa_p\": {",
           sc.name, op_name, n, seq_ms);
       json += buf;
-      AppendPhaseJson(&json, kSkewThreads, mo.run);
-      json += "}},\n";
-      std::snprintf(
-          buf, sizeof(buf),
-          "     \"morsels_run\": %zu, \"morsels_stolen\": %zu, "
-          "\"facts_split\": %zu,\n"
-          "     \"modeled8\": {\"units\": %zu, \"sweep_ms\": %.3f, "
-          "\"apply_ms\": %.3f, \"total_ms\": %.3f}}",
-          mo.stats.morsels_run, mo.stats.morsels_stolen, mo.stats.facts_split,
-          units, sweep8, apply, total);
+      json += ThreadsJson(at);
+      std::snprintf(buf, sizeof(buf),
+                    "},\n     \"morsels_run_t4\": %zu, \"morsels_stolen_t4\": "
+                    "%zu, \"facts_split_t4\": %zu}",
+                    t4.stats.morsels_run, t4.stats.morsels_stolen,
+                    t4.stats.facts_split);
       json += buf;
     }
   }
@@ -538,7 +406,7 @@ int main(int argc, char** argv) {
 
     // Pure sweep over one shared sorted pair (no arena mutation, so reps
     // can reuse it); both kernels must emit the identical window stream.
-    auto [r, s] = wl.Fresh();
+    auto [r, s] = fresh();
     std::vector<KernelWindow> scalar_win, columnar_win;
     double sweep_scalar = 0.0, sweep_columnar = 0.0;
     for (int i = 0; i < ab_reps; ++i) {
@@ -605,7 +473,7 @@ int main(int argc, char** argv) {
 
   // ---- Radix sort on unsorted input (hoisted counts + skipped passes) ----
   {
-    auto [r, s] = wl.Fresh();
+    auto [r, s] = fresh();
     std::vector<TpTuple> shuffled = r.tuples();
     std::mt19937 shuffle_rng(0xC0FFEE);
     std::shuffle(shuffled.begin(), shuffled.end(), shuffle_rng);
@@ -669,6 +537,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bench_parallel: FAILED — columnar kernel diverged from "
                  "scalar (see above)\n");
+    return 1;
+  }
+  if (!identical) {
+    std::fprintf(stderr,
+                 "bench_parallel: FAILED — LAWA-P diverged from sequential "
+                 "LAWA (see above)\n");
     return 1;
   }
   return 0;

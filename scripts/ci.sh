@@ -5,9 +5,9 @@
 # scale so the bench binary and its BENCH_parallel.json emitter cannot
 # bitrot. A second build under
 # ThreadSanitizer reruns the concurrency-labelled test subset (morsel
-# scheduler, staged/overlapped apply, incremental staged delta apply,
-# storage epoch fence), and a third under AddressSanitizer + UBSan reruns
-# the whole suite.
+# scheduler, parallel lineage intern, incremental staged delta apply,
+# storage epoch fence, catalog lookups), and a third under AddressSanitizer
+# + UBSan reruns the whole suite.
 #
 # Env knobs: TPSET_TSAN_ONLY=1 / TPSET_ASAN_ONLY=1 run just the TSan / ASan
 # stage (the dedicated CI jobs); TPSET_SKIP_TSAN=1 / TPSET_SKIP_ASAN=1 skip
@@ -22,8 +22,9 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 run_tsan() {
   # ThreadSanitizer over the concurrency subset: a data race in the
-  # work-stealing deques, the overlapped splices or the epoch fence fails
-  # CI here, not in production.
+  # work-stealing deques, the parallel lineage intern, the incremental
+  # engine's splices, the catalog or the epoch fence fails CI here, not in
+  # production.
   cmake -B "$TSAN_BUILD_DIR" -S . -DTPSET_TSAN=ON
   cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
   ctest --test-dir "$TSAN_BUILD_DIR" -L concurrency --output-on-failure -j "$JOBS"
@@ -73,6 +74,24 @@ grep -q '"host_cpus"' "$BUILD_DIR/BENCH_parallel.json"
 grep -q '"obs"' "$BUILD_DIR/BENCH_parallel.json"
 grep -q '"kernel_ab"' "$BUILD_DIR/BENCH_parallel.json"
 echo "bench_parallel smoke OK"
+
+# Bit-identity gate: every LAWA-P entry (uniform operations and skew
+# shapes, every thread count) records whether its output equalled
+# sequential LAWA's on a fresh context, tuple for tuple and lineage id for
+# id. bench_parallel already exits non-zero on a divergence; this asserts
+# that the emitted flags agree.
+python3 - "$BUILD_DIR/BENCH_parallel.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+entries = [(f"{e.get('scenario', 'uniform')}/{e['operation']}/{t}", v)
+           for e in doc["operations"] + doc["skew"]
+           for t, v in e["lawa_p"].items()]
+assert entries, "no LAWA-P entries"
+bad = [name for name, v in entries if v.get("identical") is not True]
+assert not bad, f"LAWA-P diverged from sequential LAWA on: {bad}"
+print(f"bit-identity gate OK ({len(entries)} entries identical)")
+EOF
 
 # Kernel A/B gate: the columnar sweep must emit the identical window stream
 # (bench_parallel already exits non-zero on divergence; "identical": true is

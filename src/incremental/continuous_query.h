@@ -41,7 +41,8 @@ struct ContinuousOptions {
   /// facts touched by a delta batch into fact ranges, applies them on a
   /// shared pool with per-range lineage staging, and splices the staged
   /// cells in fact order (deterministic; same tuples, probability-equal
-  /// lineage — the staged-apply contract, see DESIGN.md).
+  /// lineage, ids that may differ from t1's — see DESIGN.md, "Staged
+  /// apply").
   std::size_t num_threads = 1;
 
   /// Fact-range oversubscription per thread, so straggler facts even out.

@@ -30,8 +30,7 @@
 // LineageManager (sequential apply) or a per-partition StagingArena
 // (parallel apply — the continuous-query driver partitions the touched
 // facts by fact range, stages concatenations on pool threads, and splices
-// them with LineageManager::SpliceStaged, exactly the staged-apply
-// machinery of the parallel engine).
+// them with LineageManager::SpliceStaged; see lineage/staging.h).
 #ifndef TPSET_INCREMENTAL_INCREMENTAL_SET_OP_H_
 #define TPSET_INCREMENTAL_INCREMENTAL_SET_OP_H_
 
@@ -71,7 +70,7 @@ class IncrementalSetOp {
   /// each range stages its concatenations into a StagingArena on the pool,
   /// and the ranges are spliced into `mgr` in fact order — deterministic,
   /// same tuples with probability-equal lineage (ids may differ from the
-  /// sequential interning order; the ApplyMode::kStaged contract).
+  /// sequential interning order; lineage/staging.h).
   /// The caller must hold exclusive access to the context for the duration.
   DeltaMap Apply(const DeltaMap& left, const DeltaMap& right,
                  LineageManager& mgr, ThreadPool* pool = nullptr,

@@ -83,29 +83,32 @@ LineageId LineageManager::MakeVar(VarId v) {
 
 LineageId LineageManager::MakeNot(LineageId a) {
   assert(a != kNullLineage && "MakeNot over null lineage");
-  if (a == kFalseId) return kTrueId;
-  if (a == kTrueId) return kFalseId;
-  // ¬¬x = x keeps restriction results small.
-  if (nodes_[a].kind == LineageKind::kNot) return nodes_[a].left;
+  LineageId folded = kNullLineage;
+  if (FoldNot(a, &folded)) return folded;
   return Intern(LineageKind::kNot, a, kNullLineage);
 }
 
 LineageId LineageManager::MakeAnd(LineageId a, LineageId b) {
   assert(a != kNullLineage && b != kNullLineage && "MakeAnd over null lineage");
-  if (a == kFalseId || b == kFalseId) return kFalseId;
-  if (a == kTrueId) return b;
-  if (b == kTrueId) return a;
-  if (a == b) return a;
+  LineageId folded = kNullLineage;
+  if (FoldAnd(a, b, &folded)) return folded;
   return Intern(LineageKind::kAnd, a, b);
 }
 
 LineageId LineageManager::MakeOr(LineageId a, LineageId b) {
   assert(a != kNullLineage && b != kNullLineage && "MakeOr over null lineage");
-  if (a == kTrueId || b == kTrueId) return kTrueId;
-  if (a == kFalseId) return b;
-  if (b == kFalseId) return a;
-  if (a == b) return a;
+  LineageId folded = kNullLineage;
+  if (FoldOr(a, b, &folded)) return folded;
   return Intern(LineageKind::kOr, a, b);
+}
+
+void LineageManager::GrowNodesTo(std::size_t n) {
+  if (n > nodes_.capacity()) {
+    std::size_t cap = std::max<std::size_t>(nodes_.capacity(), 1);
+    while (cap < n) cap *= 2;
+    nodes_.reserve(cap);
+  }
+  nodes_.resize(n);
 }
 
 LineageId LineageManager::ConcatAndNot(LineageId l1, LineageId l2) {

@@ -16,11 +16,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/setop.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "lineage/cons_index.h"
@@ -28,6 +30,7 @@
 namespace tpset {
 
 class StagingArena;
+class ThreadPool;
 
 /// Node discriminator. kTrue/kFalse arise only from restriction (Shannon
 /// cofactors); the set-operation algebra itself never creates constants.
@@ -40,6 +43,14 @@ struct LineageNode {
   VarId var;
   LineageId left;
   LineageId right;
+};
+
+/// One window's input lineages for a Table I concatenation: λr from the
+/// left input, λs from the right; either may be kNullLineage where the
+/// operation allows it.
+struct LineagePair {
+  LineageId lr;
+  LineageId ls;
 };
 
 /// Probabilities and (optional) names of the Boolean random variables.
@@ -82,7 +93,7 @@ class VarTable {
 /// ...) so restriction produces simplified cofactors. With hash-consing
 /// enabled, construction deduplicates nodes, so equal formulas share one id.
 /// A ∧/∨/¬ node costs one hash and a short linear probe of 8-byte slots in
-/// a flat open-addressed index (lineage/cons_index.h); a variable leaf
+/// a sharded open-addressed index (lineage/cons_index.h); a variable leaf
 /// costs one read of a dense table indexed by VarId. Three kinds of node
 /// never enter the index: variable leaves, cells spliced from a staging
 /// arena, and every node of a manager without hash-consing. Disable it
@@ -129,6 +140,24 @@ class LineageManager {
   /// or(λ1, λ2) = the non-null side if one is null, else (λ1) ∨ (λ2).
   /// At least one input must be non-null (the ∪Tp filter guarantees this).
   LineageId ConcatOr(LineageId l1, LineageId l2);
+
+  /// The Table I concatenation `op` over a block of windows, on `pool`:
+  /// out[i] is the id ConcatLineage(op, *this, block[i].lr, block[i].ls)
+  /// would return if called for i = 0, 1, ... in order, and the node array,
+  /// the consing index's contents, index_bytes(), node_bytes() and the
+  /// intern counts end exactly as that loop leaves them. Every input id
+  /// must already be in the arena. A new node's id is size() at the call
+  /// plus the number of first occurrences at earlier (window, level)
+  /// positions — level 0 is the window's ∧/∨, or andNot's ¬; level 1 is
+  /// andNot's ∧ — which is the order the loop appends in. The work runs as
+  /// phases over up to pool->size() tasks (the calling thread runs one; it
+  /// must not be a pool task), the index's shards each owned by one task. The caller holds exclusive
+  /// access to this manager, as for any construction; only the calling
+  /// thread writes the intern counts. `out` has block.size() slots. A null
+  /// `pool` runs the same phases on the calling thread. Defined in
+  /// concat_block.cc.
+  void ConcatBlock(SetOpKind op, std::span<const LineagePair> block,
+                   ThreadPool* pool, std::span<LineageId> out);
 
   const LineageNode& node(LineageId id) const { return nodes_[id]; }
   LineageKind kind(LineageId id) const { return nodes_[id].kind; }
@@ -187,8 +216,9 @@ class LineageManager {
   /// the same key. Used by tests to compare outputs of different algorithms.
   std::string CanonicalKey(LineageId id) const;
 
-  /// Splices the cells of a staging arena (see lineage/staging.h) into this
-  /// arena: a pure remap-and-append (affine id shift, no hashing) — the
+  /// Splices the cells of a staging arena (see lineage/staging.h; the
+  /// incremental engine's parallel apply) into this arena: a pure
+  /// remap-and-append (affine id shift, no hashing) — the
   /// whole point of staging is that the serialized merge does O(cells)
   /// memcpy-like work, not per-node intern work. On return, (*remap)[i] is
   /// the final id of staged cell `staged.frozen_size() + i`. Spliced cells
@@ -206,7 +236,54 @@ class LineageManager {
   /// constant False, which is never a leaf.
   static constexpr LineageId kNoLeaf = kFalseId;
 
+  friend class BlockIntern;  // ConcatBlock's phases (concat_block.cc)
+
   LineageId Intern(LineageKind kind, LineageId left, LineageId right);
+
+  // The constant folds of MakeAnd / MakeOr / MakeNot, shared with
+  // ConcatBlock: true, with *out set, when the construction needs no node.
+  static bool FoldAnd(LineageId a, LineageId b, LineageId* out) {
+    if (a == kFalseId || b == kFalseId) {
+      *out = kFalseId;
+    } else if (a == kTrueId || a == b) {
+      *out = b;
+    } else if (b == kTrueId) {
+      *out = a;
+    } else {
+      return false;
+    }
+    return true;
+  }
+  static bool FoldOr(LineageId a, LineageId b, LineageId* out) {
+    if (a == kTrueId || b == kTrueId) {
+      *out = kTrueId;
+    } else if (a == kFalseId || a == b) {
+      *out = b;
+    } else if (b == kFalseId) {
+      *out = a;
+    } else {
+      return false;
+    }
+    return true;
+  }
+  /// ¬False = True, ¬True = False, ¬¬x = x (keeps restriction results
+  /// small).
+  bool FoldNot(LineageId a, LineageId* out) const {
+    if (a == kFalseId) {
+      *out = kTrueId;
+    } else if (a == kTrueId) {
+      *out = kFalseId;
+    } else if (nodes_[a].kind == LineageKind::kNot) {
+      *out = nodes_[a].left;
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  /// Resizes the node array to `n`, growing its capacity by the doublings
+  /// one push_back at a time would make, so node_bytes() matches.
+  void GrowNodesTo(std::size_t n);
 
   void AppendString(LineageId id, const VarTable& vars, bool ascii, int parent_prec,
                     std::string* out) const;

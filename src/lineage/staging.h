@@ -1,50 +1,44 @@
-// Per-partition staging of lineage concatenations against a frozen arena.
+// Per-range staging of lineage concatenations against a frozen arena, for
+// the incremental engine's parallel delta apply (one-shot execution interns
+// through LineageManager::ConcatBlock instead, with t1's ids).
 //
-// The parallel engine's apply phase used to be the sequential Amdahl term:
-// every output window's ConcatAnd/Or/AndNot interned into the one shared
-// LineageManager on the caller thread. A StagingArena lets each partition
-// sweep intern its concatenations *thread-locally*: cells carry
-// partition-local ids numbered upward from a frozen base-arena snapshot
-// size, and reference either frozen base nodes (id < frozen_size) or earlier
-// cells of the same staging arena (id >= frozen_size). A cheap sequential
-// merge (LineageManager::SpliceStaged) later walks partitions in fact order
-// and splices the staged cells into the shared arena with a deterministic
-// old-id→new-id remap — O(staged cells) of mostly-memcpy work instead of
-// O(output windows) of serialized consing-index interning.
+// A StagingArena lets each fact range intern its concatenations
+// *thread-locally*: cells carry range-local ids numbered upward from a
+// frozen base-arena snapshot size, and reference either frozen base nodes
+// (id < frozen_size) or earlier cells of the same staging arena
+// (id >= frozen_size). A cheap sequential merge
+// (LineageManager::SpliceStaged) later walks ranges in fact order and
+// splices the staged cells into the shared arena with a deterministic
+// old-id→new-id remap — O(staged cells) of mostly-memcpy work.
 //
-// Safety: staging runs on pool threads while *other* query subtrees may be
-// appending to the shared arena (their sequencer turn). A StagingArena
-// therefore never reads base-arena nodes — it only compares ids against the
-// frozen snapshot size and the constant ids. The same property is what
-// makes the morsel scheduler's *overlapped* splices sound: SpliceStaged for
-// morsel i may append to the shared arena while morsels > i are still
-// staging on pool threads — those arenas reference only ids below their
-// common frozen snapshot, never the nodes the splice is appending. The
-// splice-readiness handoff is the scheduler's completion plane
-// (MorselBatch::WaitMorsel): a morsel's cells become splice-ready exactly
-// when its done flag flips under the batch mutex, which also publishes the
-// cell vector to the splicing thread. Consequence: the ¬¬-fold of
-// LineageManager::MakeNot is applied only when the operand is a staged cell
-// (whose node the arena owns); a base-id operand whose node happens to be a
-// negation is wrapped as ¬¬x instead of folding to x. This never arises
-// from the set-operation algebra (derived lineages are ∧/∨-rooted) and is
-// semantically neutral — valuation and therefore tuple probabilities are
-// unchanged.
+// Safety: staging runs on pool threads while the splicing thread appends
+// to the shared arena, so a StagingArena never reads base-arena nodes — it
+// only compares ids against the frozen snapshot size and the constant ids.
+// That is what makes overlapped splices sound: SpliceStaged for range i
+// may append to the shared arena while ranges > i are still staging on
+// pool threads — those arenas reference only ids below their common frozen
+// snapshot, never the nodes the splice is appending. The splice-readiness
+// handoff is the scheduler's completion plane (MorselBatch::WaitMorsel): a
+// range's cells become splice-ready exactly when its done flag flips under
+// the batch mutex, which also publishes the cell vector to the splicing
+// thread. Consequence: the ¬¬-fold of LineageManager::MakeNot is applied
+// only when the operand is a staged cell (whose node the arena owns); a
+// base-id operand whose node happens to be a negation is wrapped as ¬¬x
+// instead of folding to x. This never arises from the set-operation
+// algebra (derived lineages are ∧/∨-rooted) and is semantically neutral —
+// valuation and therefore tuple probabilities are unchanged.
 //
 // Deduplication is local: with hash-consing, structurally equal cells share
 // one id *within* a staging arena, but the splice deliberately does not
-// hash cells into the shared consing index (that would reinstate the very
-// serialized per-node work staging removes). A cell structurally equal to a
-// node of another partition or to a pre-existing node becomes a duplicate
+// hash cells into the shared consing index. A cell structurally equal to a
+// node of another range or to a pre-existing node becomes a duplicate
 // arena node — semantically neutral, since valuation and CanonicalKey are
 // structural.
 //
-// Determinism: for a fixed partition layout the staged cells, and the
-// splice order, are a pure function of the inputs — staged mode is
-// deterministic across runs. Node *ids* may differ from the sequential
-// interning order (and from bit-identical mode), which is exactly the
-// contract of ApplyMode::kStaged: same tuples, same intervals,
-// probability-equal lineage.
+// Determinism: for a fixed range layout the staged cells, and the splice
+// order, are a pure function of the inputs, so staging is deterministic
+// across runs. Node *ids* may differ from the sequential interning order:
+// same tuples, same intervals, probability-equal lineage.
 #ifndef TPSET_LINEAGE_STAGING_H_
 #define TPSET_LINEAGE_STAGING_H_
 
@@ -119,8 +113,11 @@ class StagingArena {
   LineageId frozen_;
   bool hash_consing_;
   std::vector<LineageNode> cells_;
-  // Local consing index over cell ids; staging never creates kVar cells.
-  ConsIndex index_;
+  // Local consing table over cell ids; staging never creates kVar cells.
+  // One shard's table, not the sharded index: nothing splits a staging
+  // arena's interning across threads, and the incremental engine builds
+  // one arena per fact range per epoch, most of which intern a few cells.
+  ConsIndex::Shard index_;
 };
 
 }  // namespace tpset

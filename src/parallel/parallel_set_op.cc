@@ -4,12 +4,12 @@
 #include <cassert>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
-#include "lineage/staging.h"
 #include "parallel/partition.h"
 #include "parallel/scheduler.h"
 #include "relation/columnar.h"
@@ -26,28 +26,21 @@ double MsSince(Clock::time_point t0) {
 }
 
 // A window that passed the per-operation λ-filter but whose lineage
-// concatenation is deferred to the sequential apply phase.
+// concatenation is deferred to the apply phase.
 struct PendingWindow {
   FactId fact;
   Interval t;
-  LineageId lr;
-  LineageId ls;
+  LineagePair lineage;
 };
 
-// One morsel's phase-3 result under ApplyMode::kBitIdentical: its deferred
-// concatenations, in window order.
+// Pending windows per task below which copying them uses fewer tasks than
+// workers.
+constexpr std::size_t kMinCopyPerTask = 8192;
+
+// One morsel's phase-3 result: its deferred concatenations, in window
+// order.
 struct PartitionSweep {
   std::vector<PendingWindow> windows;
-  std::size_t windows_produced = 0;
-};
-
-// One morsel's result under ApplyMode::kStaged: output tuples whose lineage
-// ids may be morsel-local (>= arena.frozen_size()), resolved at splice
-// time. Default-constructible so a morsel batch can pre-size its result
-// slots; workers move the real sweep in.
-struct StagedSweep {
-  StagingArena arena{2, false};
-  std::vector<TpTuple> tuples;
   std::size_t windows_produced = 0;
 };
 
@@ -62,9 +55,8 @@ struct SweepInputs {
 };
 
 // Phase 3: one morsel swept on the operation's kernel, handing every window
-// that passes the per-operation λ-filter to `emit` — which defers it
-// (kBitIdentical) or interns it into a thread-local staging arena
-// (kStaged). Drain conditions and λ-filters are shared with LawaSetOp via
+// that passes the per-operation λ-filter to `emit`, which defers it. Drain
+// conditions and λ-filters are shared with LawaSetOp via
 // ForEachSurvivingWindow / ColumnarAdvancer::Sweep — bit-identity depends
 // on them agreeing, and the cross-check is the parallel_set_op_test
 // property suite. Reads shared data only; returns the candidate windows.
@@ -177,13 +169,11 @@ void ParallelSortTuples(std::vector<TpTuple>* tuples, SortMode mode,
 ParallelSetOpAlgorithm::ParallelSetOpAlgorithm(std::size_t num_threads,
                                                SortMode sort_mode,
                                                std::size_t partitions_per_thread,
-                                               ApplyMode apply_mode,
                                                std::size_t morsel_budget)
     : num_threads_(num_threads),
       sort_mode_(sort_mode),
       partitions_per_thread_(
           partitions_per_thread == 0 ? 1 : partitions_per_thread),
-      apply_mode_(apply_mode),
       morsel_budget_(morsel_budget) {}
 
 ParallelSetOpAlgorithm::~ParallelSetOpAlgorithm() = default;
@@ -290,10 +280,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   // Phase 2: cut at fact boundaries, oversubscribed for balance, then
   // refine into morsels — facts heavier than the morsel budget are split at
   // clean time boundaries (scheduler.h), so a one-hot-fact input no longer
-  // pins a single worker. Staged mode also fixes the frozen arena snapshot
-  // here: one linear scan for the largest input lineage id — every id the
-  // staged cells may reference — without touching the (possibly
-  // concurrently growing) arena itself.
+  // pins a single worker.
   const std::vector<FactPartition> parts = PartitionByFactRange(
       rdata, rn, sdata, sn, num_threads_ * partitions_per_thread_);
   const MorselPlan plan = BuildMorsels(
@@ -302,22 +289,6 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
           ? morsel_budget_
           : MorselAutoBudget(rn + sn, num_threads_, partitions_per_thread_));
   const std::size_t n_morsels = plan.morsels.size();
-  const bool staged = apply_mode_ == ApplyMode::kStaged;
-  LineageId frozen = 2;  // constants stay below the snapshot
-  if (staged) {
-    for (std::size_t i = 0; i < rn; ++i) {
-      if (rdata[i].lineage != kNullLineage && rdata[i].lineage >= frozen) {
-        frozen = rdata[i].lineage + 1;
-      }
-    }
-    for (std::size_t i = 0; i < sn; ++i) {
-      if (sdata[i].lineage != kNullLineage && sdata[i].lineage >= frozen) {
-        frozen = sdata[i].lineage + 1;
-      }
-    }
-    assert(frozen != kNullLineage && "lineage id space exhausted");
-  }
-  const bool hash_consing = r.context()->lineage().hash_consing();
   double split_ms = MsSince(t0);
   t0 = Clock::now();
 
@@ -326,7 +297,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   // per-operation projection of each input (not the relation's cache, for
   // the reason LawaSetOp gives); the builds count into advance_ms — they
   // are work the columnar kernel needs. The views outlive every morsel
-  // sweep (WaitMorsel below completes before they leave scope).
+  // sweep (WaitAll below completes before they leave scope).
   const SweepKernel resolved = ResolveSweepKernel(SweepKernel::kAuto, rn + sn);
   SweepInputs in{rdata, sdata, resolved == SweepKernel::kColumnar, {}, {}};
   ColumnarView rview, sview;
@@ -338,84 +309,71 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   }
 
   // Phase 3: sweep morsels on the work-stealing batch; each result is built
-  // locally and moved into its own slot, so the apply below can consume
-  // them strictly in morsel index order regardless of which worker ran
-  // what. In staged mode the sweeps also intern their concatenations
-  // thread-locally and build morsel-local output tuples.
-  std::vector<PartitionSweep> results;
-  std::vector<StagedSweep> staged_results;
-  std::function<void(std::size_t)> body;
-  if (staged) {
-    staged_results.resize(n_morsels);
-    body = [op, &in, frozen, hash_consing, &plan,
-            &staged_results](std::size_t i) {
-      StagedSweep sweep{StagingArena(frozen, hash_consing), {}, 0};
-      sweep.windows_produced =
-          SweepMorsel(op, in, plan.morsels[i], [&](const LineageAwareWindow& w) {
-            sweep.tuples.push_back(
-                {w.fact, w.t, ConcatLineage(op, sweep.arena, w.lr, w.ls)});
-          });
-      staged_results[i] = std::move(sweep);
-    };
-  } else {
-    results.resize(n_morsels);
-    body = [op, &in, &plan, &results](std::size_t i) {
-      PartitionSweep sweep;
-      sweep.windows_produced =
-          SweepMorsel(op, in, plan.morsels[i], [&](const LineageAwareWindow& w) {
-            sweep.windows.push_back({w.fact, w.t, w.lr, w.ls});
-          });
-      results[i] = std::move(sweep);
-    };
-  }
-  MorselBatch batch(p, n_morsels, std::move(body));
+  // locally and moved into its own slot, so the block below lists the
+  // windows in morsel index order regardless of which worker ran what.
+  std::vector<PartitionSweep> results(n_morsels);
+  MorselBatch batch(p, n_morsels, [op, &in, &plan, &results](std::size_t i) {
+    PartitionSweep sweep;
+    sweep.windows_produced =
+        SweepMorsel(op, in, plan.morsels[i], [&](const LineageAwareWindow& w) {
+          sweep.windows.push_back({w.fact, w.t, {w.lr, w.ls}});
+        });
+    results[i] = std::move(sweep);
+  });
+  batch.WaitAll();
 
-  // Phase 4: the sequential arena-mutating tail, gated when subtrees race.
-  // kBitIdentical replays every deferred concatenation; kStaged only
-  // splices pre-interned cells and bulk-appends tuples. The apply overlaps
-  // the sweeps: morsel i is applied as soon as morsels <= i finished, while
-  // later morsels are still advancing — apply order (and therefore the
-  // output) is that of a barrier-then-apply run.
-  LineageManager& mgr = r.context()->lineage();
+  // The block: every morsel's windows at its offset, gathered on the pool
+  // before the turn, since it reads no arena state.
+  std::vector<std::size_t> offset(n_morsels + 1, 0);
   std::size_t total_windows = 0;
-  std::vector<LineageId> remap;
-  auto apply_morsel = [&](std::size_t i) {
-    if (staged) {
-      const StagedSweep& sweep = staged_results[i];
-      total_windows += sweep.windows_produced;
-      mgr.SpliceStaged(sweep.arena, &remap);
-      std::vector<TpTuple>& out_tuples = out.mutable_tuples();
-      const std::size_t base = out_tuples.size();
-      out_tuples.insert(out_tuples.end(), sweep.tuples.begin(),
-                        sweep.tuples.end());
-      for (std::size_t j = base; j < out_tuples.size(); ++j) {
-        LineageId& lin = out_tuples[j].lineage;
-        if (lin >= frozen) lin = remap[lin - frozen];
-      }
-    } else {
-      const PartitionSweep& sweep = results[i];
-      total_windows += sweep.windows_produced;
-      for (const PendingWindow& w : sweep.windows) {
-        out.AddDerived(w.fact, w.t, ConcatLineage(op, mgr, w.lr, w.ls));
-      }
-    }
-  };
-
-  turn.Wait();
-  double apply_ms = 0.0;
   for (std::size_t i = 0; i < n_morsels; ++i) {
-    batch.WaitMorsel(i);
-    Clock::time_point a0 = Clock::now();
-    apply_morsel(i);
-    apply_ms += MsSince(a0);
+    offset[i + 1] = offset[i] + results[i].windows.size();
+    total_windows += results[i].windows_produced;
   }
-  // Overlapped phases: report the splice work as apply and the rest of the
-  // combined span (sweeps + waits) as advance, so the sum still
-  // approximates the phase-3+4 wall time.
+  const std::size_t n_out = offset[n_morsels];
+  // Left uninitialized: the gather and ConcatBlock write every slot, on the
+  // pool, so their pages are first touched in parallel too.
+  std::unique_ptr<LineagePair[]> block(new LineagePair[n_out]);
+  std::unique_ptr<LineageId[]> ids(new LineageId[n_out]);
+  std::vector<TpTuple>& out_tuples = out.mutable_tuples();
+  out_tuples.resize(n_out);
+  // body(window, at) for every pending window, split evenly by offset.
+  const std::size_t copy_tasks =
+      std::clamp<std::size_t>(n_out / kMinCopyPerTask, 1, p->size());
+  auto for_windows = [&](auto&& body) {
+    RunTasks(p, copy_tasks, [&](std::size_t t) {
+      std::size_t at = n_out * t / copy_tasks;
+      const std::size_t hi = n_out * (t + 1) / copy_tasks;
+      std::size_t m = static_cast<std::size_t>(
+          std::upper_bound(offset.begin(), offset.end(), at) - offset.begin() -
+          1);
+      for (; at < hi; ++m) {
+        const std::vector<PendingWindow>& windows = results[m].windows;
+        for (const std::size_t end = std::min(hi, offset[m + 1]); at < end;
+             ++at) {
+          body(windows[at - offset[m]], at);
+        }
+      }
+    });
+  };
+  for_windows([&](const PendingWindow& w, std::size_t at) {
+    block[at] = w.lineage;
+  });
+
+  // Phase 4: the arena-mutating intern, in the operation's turn; the output
+  // fill after it reads only the block's ids.
+  turn.Wait();
+  Clock::time_point a0 = Clock::now();
+  r.context()->lineage().ConcatBlock(op, {block.get(), n_out}, p,
+                                     {ids.get(), n_out});
+  turn.Release();
+  for_windows([&](const PendingWindow& w, std::size_t at) {
+    out_tuples[at] = {w.fact, w.t, ids[at]};
+  });
+  const double apply_ms = MsSince(a0);
   const double advance_ms = MsSince(t0) - apply_ms;
   // Windows come out in fact order with increasing starts per fact.
   out.MarkSortedUnchecked();
-  turn.Release();
 
   LawaStats local_stats;
   local_stats.windows_produced = total_windows;

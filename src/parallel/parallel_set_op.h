@@ -11,36 +11,20 @@
 //                the morsel budget, time-splitting facts heavier than the
 //                budget at clean time boundaries (see parallel/scheduler.h);
 //   3. advance — morsels are swept by the sequential advancer on a
-//                MorselBatch (per-worker deques + work stealing); what
-//                happens to the surviving windows depends on the apply mode
-//                (below);
-//   4. apply   — the sequential, arena-mutating tail, gated by the
-//                ApplySequencer when query subtrees race. The apply overlaps
-//                phase 3: morsel i is applied as soon as morsels <= i
-//                finished sweeping, while later morsels are still advancing
-//                — apply *order* (the determinism invariant) is preserved,
-//                barrier completion is not required.
+//                MorselBatch (per-worker deques + work stealing); each emits
+//                its surviving windows as *pending* (fact, interval, λr, λs),
+//                deferring the lineage concatenation;
+//   4. apply   — once every morsel has swept, the pending windows form one
+//                block in morsel order, and in the operation's sequencer
+//                turn LineageManager::ConcatBlock interns the whole block on
+//                the pool. It returns the ids the sequential Concat calls
+//                would return in that order, and leaves the arena as they
+//                would, so every output tuple (fact, interval, lineage id)
+//                matches sequential LawaSetOp bit for bit. The output tuples
+//                are then filled at their window offsets on the pool, after
+//                the turn ends.
 //
-// Two apply modes trade strictness of the equivalence guarantee for the
-// size of the sequential term:
-//
-//  * ApplyMode::kBitIdentical (default): phase 3 emits *pending* windows
-//    (fact, interval, λr, λs) and phase 4 runs the same Concat calls in the
-//    same order as sequential LawaSetOp — the arena evolves identically and
-//    every output tuple (fact, interval, lineage id) matches the sequential
-//    run bit for bit.
-//  * ApplyMode::kStaged: each partition sweep interns its concatenations
-//    into a thread-local StagingArena during phase 3 and builds its output
-//    tuples with partition-local ids; phase 4 shrinks to
-//    LineageManager::SpliceStaged per partition (deterministic id remap +
-//    append) plus a bulk tuple splice. Output is deterministic and equals
-//    the sequential run tuple for tuple in (fact, interval) with
-//    probability-equal lineage — node *ids* may differ (see
-//    lineage/staging.h). The sequencer critical section shrinks from
-//    O(output · intern cost) to O(staged cells), so concurrent subtrees
-//    overlap far more.
-//
-// See DESIGN.md ("Partitioned parallel execution", "Staged apply") for the
+// See DESIGN.md ("Partitioned parallel execution", "Determinism") for the
 // independence and determinism arguments.
 #ifndef TPSET_PARALLEL_PARALLEL_SET_OP_H_
 #define TPSET_PARALLEL_PARALLEL_SET_OP_H_
@@ -60,19 +44,10 @@
 
 namespace tpset {
 
-/// How the arena-mutating apply phase of a parallel set operation runs.
-enum class ApplyMode {
-  kBitIdentical = 0,  ///< serialized Concat replay; bit-equal to sequential
-  kStaged = 1,        ///< per-partition staging arenas + sequential splice
-};
-
 /// Wall-clock breakdown of one parallel set operation, phase by phase.
-/// `advance_ms` includes staged-mode lineage staging (it runs inside the
-/// partition sweeps); `apply_ms` is the sequential arena-mutating tail —
-/// the sequencer critical section under concurrent subtree evaluation.
-/// Apply overlaps the sweeps: `apply_ms` is the time actually spent
-/// splicing/replaying and `advance_ms` the rest of the overlapped span (so
-/// the sum still approximates the combined wall time of phases 3+4).
+/// `advance_ms` covers the morsel sweeps and the block's gather (waits for
+/// the sequencer turn included); `apply_ms` is the bulk intern in the turn
+/// plus the output fill after it.
 ///
 /// Since the observability layer (src/obs/), this struct is a *thin
 /// adapter*: the engine records phases as child spans ("sort", "split",
@@ -96,8 +71,7 @@ struct PhaseTimings {
 class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
  public:
   /// `num_threads` <= 1 degrades to plain sequential LawaSetOp (no pool is
-  /// created; `apply_mode` is then irrelevant — the sequential algorithm is
-  /// bit-identical by definition). `partitions_per_thread` oversubscribes
+  /// created). `partitions_per_thread` oversubscribes
   /// the split so stragglers even out; the pool itself is created lazily on
   /// first use. `morsel_budget` is the combined (r + s) tuple budget per
   /// morsel of the work-stealing refinement (scheduler.h); 0 picks
@@ -108,7 +82,6 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   explicit ParallelSetOpAlgorithm(std::size_t num_threads,
                                   SortMode sort_mode = SortMode::kComparison,
                                   std::size_t partitions_per_thread = 4,
-                                  ApplyMode apply_mode = ApplyMode::kBitIdentical,
                                   std::size_t morsel_budget = 0);
   ~ParallelSetOpAlgorithm() override;
 
@@ -147,7 +120,6 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
                               obs::Span* span = nullptr) const;
 
   std::size_t num_threads() const { return num_threads_; }
-  ApplyMode apply_mode() const { return apply_mode_; }
 
  private:
   ThreadPool* pool() const;
@@ -155,7 +127,6 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   std::size_t num_threads_;
   SortMode sort_mode_;
   std::size_t partitions_per_thread_;
-  ApplyMode apply_mode_;
   std::size_t morsel_budget_;
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;

@@ -1,10 +1,9 @@
 // Morsel-driven work-stealing scheduler for partition sweeps.
 //
-// The fact-range partitioner hands the pool one task per partition. Two
-// ceilings follow from that model (ROADMAP "NEXT"): a single heavy fact pins
-// one worker while the rest idle (the partitioner never cuts inside a fact),
-// and the sequential splice starts only after *every* sweep finishes. This
-// file removes both, HyPer-style, without giving up determinism:
+// The fact-range partitioner hands the pool one task per partition, so a
+// single heavy fact pins one worker while the rest idle (the partitioner
+// never cuts inside a fact). This file removes that ceiling, HyPer-style,
+// without giving up determinism:
 //
 //  * morsels — the partition plan is refined into morsels of roughly a
 //    budget of combined tuples. Cuts happen first at fact boundaries
@@ -28,10 +27,11 @@
 //    morsel plus one per steal attempt, noise next to a sweep.
 //
 //  * in-order completion waits — WaitMorsel(i) blocks until morsel i has
-//    run, while later morsels keep executing. The caller drains the batch
-//    in index order and splices each morsel's staged result as soon as it —
-//    and everything before it — is done: splice *order* stays deterministic
-//    (the invariant), splice *time* overlaps the remaining sweeps.
+//    run, while later morsels keep executing, so a caller can consume
+//    results in index order as they land (the incremental engine splices
+//    each fact range's staged result this way while later ranges still
+//    stage); WaitAll blocks for the whole batch (the one-shot engine's
+//    apply interns the whole block at once, on every worker).
 //
 // Determinism: each morsel's result lands in its own slot and the caller
 // consumes slots in index order, so outputs are independent of which worker
@@ -57,8 +57,7 @@ namespace tpset {
 
 /// The engine's automatic morsel budget for a `total`-tuple operation:
 /// ~8 morsels per partition slot, floored so per-morsel overhead (one
-/// advancer, one staging arena) stays invisible. Shared with bench_parallel
-/// so modeled plans match what the engine executes.
+/// advancer, one result vector) stays invisible.
 inline std::size_t MorselAutoBudget(std::size_t total, std::size_t workers,
                                     std::size_t partitions_per_thread) {
   const std::size_t slots = workers * partitions_per_thread * 8;
@@ -96,7 +95,7 @@ MorselPlan BuildMorsels(const TpTuple* r, const TpTuple* s,
 
 /// One batch of morsels executing on a pool with per-worker deques and work
 /// stealing. Construction schedules everything; the caller then waits —
-/// typically WaitMorsel(0..n-1) in order, splicing as it goes.
+/// WaitAll, or WaitMorsel(0..n-1) in order to consume results as they land.
 ///
 /// `body(i)` runs morsel i exactly once on some pool thread; it must write
 /// its result into a caller-owned slot for index i and must not touch other

@@ -12,6 +12,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -61,6 +62,33 @@ class ThreadPool {
   bool saturated_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Runs body(t) for every t in [0, tasks): task 0 on the calling thread,
+/// the rest on `pool` (which may be null when tasks is 1). Returns once all
+/// have finished, rethrowing the first exception. The caller waits, so it
+/// must not itself be a pool task.
+template <typename Body>
+void RunTasks(ThreadPool* pool, std::size_t tasks, const Body& body) {
+  std::vector<std::future<void>> rest;
+  rest.reserve(tasks - 1);
+  for (std::size_t t = 1; t < tasks; ++t) {
+    rest.push_back(pool->Submit([&body, t]() { body(t); }));
+  }
+  std::exception_ptr error;
+  try {
+    body(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (std::future<void>& f : rest) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+}
 
 }  // namespace tpset
 

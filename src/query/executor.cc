@@ -118,20 +118,20 @@ Status QueryExecutor::Register(const TpRelation& rel) {
     return Status::InvalidArgument("relation '" + rel.name() +
                                    "' is already registered");
   }
+  std::unique_lock<std::shared_mutex> insert(catalog_mu_);
   catalog_.insert(std::move(node));
   return Status::OK();
 }
 
 Result<const TpRelation*> QueryExecutor::Find(const std::string& name) const {
-  auto it = catalog_.find(name);
-  if (it == catalog_.end()) {
-    return Status::NotFound("no relation named '" + name + "' is registered");
-  }
-  return &it->second.View();
+  Result<const StoredRelation*> stored = FindStored(name);
+  if (!stored.ok()) return stored.status();
+  return &(*stored)->View();
 }
 
 Result<const StoredRelation*> QueryExecutor::FindStored(
     const std::string& name) const {
+  std::shared_lock<std::shared_mutex> lookup(catalog_mu_);
   auto it = catalog_.find(name);
   if (it == catalog_.end()) {
     return Status::NotFound("no relation named '" + name + "' is registered");
@@ -141,11 +141,9 @@ Result<const StoredRelation*> QueryExecutor::FindStored(
 
 Result<StorageSnapshot> QueryExecutor::SnapshotRelation(
     const std::string& name) const {
-  auto it = catalog_.find(name);
-  if (it == catalog_.end()) {
-    return Status::NotFound("no relation named '" + name + "' is registered");
-  }
-  return it->second.Snapshot();
+  Result<const StoredRelation*> stored = FindStored(name);
+  if (!stored.ok()) return stored.status();
+  return (*stored)->Snapshot();
 }
 
 Result<EpochId> QueryExecutor::Append(const std::string& relation,
@@ -284,6 +282,7 @@ Result<ContinuousQuery*> QueryExecutor::RegisterContinuous(
       ctx_, options, pool);
   if (!cq.ok()) return cq.status();
   ContinuousQuery* ptr = cq->get();
+  std::unique_lock<std::shared_mutex> insert(catalog_mu_);
   continuous_.emplace(name, std::move(*cq));
   return ptr;
 }
@@ -334,6 +333,7 @@ std::vector<ContinuousIntrospection> QueryExecutor::IntrospectContinuous()
 
 Result<ContinuousQuery*> QueryExecutor::FindContinuous(
     const std::string& name) const {
+  std::shared_lock<std::shared_mutex> lookup(catalog_mu_);
   auto it = continuous_.find(name);
   if (it == continuous_.end()) {
     return Status::NotFound("no continuous query named '" + name +
@@ -369,11 +369,9 @@ const ParallelSetOpAlgorithm* QueryExecutor::ParallelAlgoFor(
     const ExecOptions& options) const {
   std::lock_guard<std::mutex> lock(parallel_mu_);
   std::unique_ptr<ParallelSetOpAlgorithm>& slot =
-      parallel_algos_[{options.num_threads, options.apply_mode}];
+      parallel_algos_[options.num_threads];
   if (slot == nullptr) {
-    slot = std::make_unique<ParallelSetOpAlgorithm>(
-        options.num_threads, SortMode::kComparison,
-        /*partitions_per_thread=*/4, options.apply_mode);
+    slot = std::make_unique<ParallelSetOpAlgorithm>(options.num_threads);
   }
   return slot.get();
 }

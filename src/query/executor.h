@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,24 +27,16 @@ namespace tpset {
 struct ExecOptions {
   /// 1 evaluates sequentially (the seed behavior). Above 1, leaf set
   /// operations run the partitioned parallel algorithm on this many pool
-  /// threads AND independent query subtrees are evaluated concurrently.
-  /// With apply_mode kBitIdentical, results are bit-identical to sequential
-  /// execution either way (see DESIGN.md, "Partitioned parallel execution").
+  /// threads — sweeps and lineage interning alike — AND independent query
+  /// subtrees are evaluated concurrently. Results (tuples and lineage ids)
+  /// are bit-identical to sequential execution either way (see DESIGN.md,
+  /// "Partitioned parallel execution" and "Determinism").
   ///
   /// Applies when the algorithm is defaulted or is plain "LAWA". An
   /// explicitly passed ParallelSetOpAlgorithm keeps its own thread count
-  /// and apply mode (the instance was configured deliberately); any other
-  /// explicit algorithm gets subtree concurrency only, serialized per node.
+  /// (the instance was configured deliberately); any other explicit
+  /// algorithm gets subtree concurrency only, serialized per node.
   std::size_t num_threads = 1;
-
-  /// How parallel set operations mutate the shared lineage arena (only
-  /// meaningful with num_threads > 1). kBitIdentical (default) keeps the
-  /// whole-query result bit-equal to sequential execution; kStaged interns
-  /// into per-partition staging arenas and splices under the sequencer — a
-  /// far smaller critical section, deterministic output, same tuples with
-  /// probability-equal lineage but possibly different node ids (see
-  /// DESIGN.md, "Staged apply").
-  ApplyMode apply_mode = ApplyMode::kBitIdentical;
 
   /// When non-null, the execution records its span tree here: root (whole
   /// query; admission timestamp on start_unix_us) → "parse"/"analyze" →
@@ -138,7 +131,8 @@ class QueryExecutor {
   Result<StorageSnapshot> SnapshotRelation(const std::string& name) const;
 
   /// Looks up a relation's storage engine (run counts, watermark, storage
-  /// stats) without folding anything.
+  /// stats) without folding anything. Safe from any thread, at any time,
+  /// Register included; the pointer stays valid for the executor's life.
   Result<const StoredRelation*> FindStored(const std::string& name) const;
 
   // ---- Incremental continuous queries (src/incremental/, src/storage/) --
@@ -183,7 +177,8 @@ class QueryExecutor {
       const std::string& name, const QueryNode& query,
       const ContinuousOptions& options = {});
 
-  /// Looks up a registered continuous query.
+  /// Looks up a registered continuous query. Safe beside
+  /// RegisterContinuous; the pointer stays valid for the executor's life.
   Result<ContinuousQuery*> FindContinuous(const std::string& name) const;
 
   /// All registered continuous queries, by name.
@@ -209,10 +204,10 @@ class QueryExecutor {
   const std::shared_ptr<TpContext>& context() const { return ctx_; }
 
  private:
-  /// The executor-owned parallel algorithm for a (thread count, apply mode)
-  /// combination: lazily built, cached for the executor's lifetime (a
-  /// handful of distinct configs in practice; each retains its pool threads
-  /// once first used, so repeated queries pay no thread startup).
+  /// The executor-owned parallel algorithm for a thread count: lazily
+  /// built, cached for the executor's lifetime (a handful of distinct
+  /// counts in practice; each retains its pool threads once first used, so
+  /// repeated queries pay no thread startup).
   const ParallelSetOpAlgorithm* ParallelAlgoFor(const ExecOptions& options) const;
 
   /// The widest idle continuous-query pool for parallel compaction (null
@@ -232,6 +227,13 @@ class QueryExecutor {
   static constexpr std::size_t kCompactDebtThreshold = 4;
 
   std::shared_ptr<TpContext> ctx_;
+  // Guards the two maps below against lookups racing an insert. Lookups
+  // (Find, FindStored, SnapshotRelation, FindContinuous) take it shared;
+  // Register and RegisterContinuous insert under it exclusively, inside the
+  // write fence (lock order: fence, then this). Fence holders read the maps
+  // without it, since every insert holds the fence too. Entries are never
+  // erased, so a pointer a lookup returns stays valid after the lock drops.
+  mutable std::shared_mutex catalog_mu_;
   // Node-based map: StoredRelation addresses stay stable across Register
   // and Append, which is what lets continuous-query leaves hold plain
   // pointers.
@@ -248,8 +250,7 @@ class QueryExecutor {
   // (Append applies them one at a time, so at most one pool is ever busy).
   std::map<std::size_t, std::unique_ptr<ThreadPool>> continuous_pools_;
   mutable std::mutex parallel_mu_;
-  mutable std::map<std::pair<std::size_t, ApplyMode>,
-                   std::unique_ptr<ParallelSetOpAlgorithm>>
+  mutable std::map<std::size_t, std::unique_ptr<ParallelSetOpAlgorithm>>
       parallel_algos_;
   // Background compaction: a lazily created single worker draining budgeted
   // CompactStep tasks; bg_scheduled_ deduplicates one in-flight step per

@@ -89,10 +89,7 @@ Result<std::string> ExplainQuery(const QueryExecutor& exec,
   std::ostringstream out;
   out << "query: " << QueryToString(query) << "\n";
   if (options.num_threads > 1) {
-    out << "parallel: threads=" << options.num_threads << " apply="
-        << (options.apply_mode == ApplyMode::kStaged ? "staged"
-                                                     : "bit-identical")
-        << "\n";
+    out << "parallel: threads=" << options.num_threads << "\n";
   }
   out << RenderExplainPlan(profile->root());
   const bool non_repeating = IsNonRepeating(query);

@@ -38,14 +38,14 @@ Result<std::string> ExplainQuery(const QueryExecutor& exec,
 
 /// Explain under explicit execution options: the execution Execute runs
 /// for them (at num_threads > 1, concurrent subtrees over the partitioned
-/// parallel algorithm with the requested apply mode). Every node line
-/// carries the per-phase wall-time breakdown:
+/// parallel algorithm). Every node line carries the per-phase wall-time
+/// breakdown:
 ///
 ///   except  [out=5, windows=8/9(bound), sort=0.01ms split=0.00ms
 ///            advance=0.05ms apply=0.02ms]
 ///
-/// `apply` is the sequential arena-mutating tail — the sequencer critical
-/// section under concurrent subtree evaluation; staged mode shrinks it.
+/// `apply` is the lineage intern in the operator's sequencer turn — run on
+/// the operator's pool — plus the output fill after it.
 Result<std::string> ExplainQuery(const QueryExecutor& exec,
                                  const QueryNode& query,
                                  const ExecOptions& options);

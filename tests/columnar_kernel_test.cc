@@ -315,7 +315,7 @@ TEST(ColumnarKernelTest, ParallelBitIdenticalByteEqual) {
             SCOPED_TRACE("threads=" + std::to_string(threads) +
                          " morsel_budget=" + std::to_string(budget));
             ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2,
-                                        ApplyMode::kBitIdentical, budget);
+                                        budget);
             std::shared_ptr<TpContext> ctx;
             auto [r, s] = FreshPair(shape, seed, &ctx);
             LawaStats stats;

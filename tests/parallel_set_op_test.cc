@@ -125,27 +125,36 @@ TEST(ParallelSetOpTest, CrossContextBitIdenticalWithoutSharedArena) {
   // Same deterministic inputs in two fresh contexts: sequential in one,
   // parallel in the other. Equal tuple triples prove the parallel run
   // interned lineages in exactly the sequential order — not merely deduped
-  // onto existing sequential nodes.
-  auto make_pair = [](std::shared_ptr<TpContext> ctx) {
-    Rng rng(321);
-    SyntheticPairSpec spec;
-    spec.num_tuples = 250;
-    spec.num_facts = 12;
-    return GenerateSyntheticPair(std::move(ctx), spec, &rng);
-  };
-  auto ctx_seq = std::make_shared<TpContext>();
-  auto ctx_par = std::make_shared<TpContext>();
-  auto [r1, s1] = make_pair(ctx_seq);
-  auto [r2, s2] = make_pair(ctx_par);
-  ParallelSetOpAlgorithm par(4);
-  for (SetOpKind op : kAllSetOps) {
-    TpRelation expected = LawaSetOp(op, r1, s1);
-    TpRelation actual = par.Compute(op, r2, s2);
-    ASSERT_EQ(expected.size(), actual.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i], actual[i]) << "tuple " << i;
+  // onto existing sequential nodes — with hash-consing on and off. The
+  // small pair's block runs on one intern task, the large one's on several.
+  for (bool consing : {true, false}) {
+    for (std::size_t tuples : {250, 6000}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "consing=" << consing << " tuples=" << tuples);
+      auto make_pair = [tuples](std::shared_ptr<TpContext> ctx) {
+        Rng rng(321);
+        SyntheticPairSpec spec;
+        spec.num_tuples = tuples;
+        spec.num_facts = 12;
+        return GenerateSyntheticPair(std::move(ctx), spec, &rng);
+      };
+      auto ctx_seq = std::make_shared<TpContext>(consing);
+      auto ctx_par = std::make_shared<TpContext>(consing);
+      auto [r1, s1] = make_pair(ctx_seq);
+      auto [r2, s2] = make_pair(ctx_par);
+      ParallelSetOpAlgorithm par(4);
+      for (SetOpKind op : kAllSetOps) {
+        TpRelation expected = LawaSetOp(op, r1, s1);
+        TpRelation actual = par.Compute(op, r2, s2);
+        ASSERT_EQ(expected.size(), actual.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(expected[i], actual[i]) << "tuple " << i;
+        }
+        EXPECT_EQ(ctx_seq->lineage().size(), ctx_par->lineage().size());
+        EXPECT_EQ(ctx_seq->lineage().index_bytes(),
+                  ctx_par->lineage().index_bytes());
+      }
     }
-    EXPECT_EQ(ctx_seq->lineage().size(), ctx_par->lineage().size());
   }
 }
 

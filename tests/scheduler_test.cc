@@ -305,7 +305,7 @@ TEST(BuildMorselsTest, WithinBudgetPartitionsPassThrough) {
 
 // A one-hot-fact workload through ParallelSetOpAlgorithm with a small
 // morsel budget: results stay bit-identical to sequential LAWA (the
-// kBitIdentical contract survives time splitting), and the stats show the
+// contract survives time splitting), and the stats show the
 // heavy fact actually was split.
 TEST(SchedulerEngineTest, OneHotFactBitIdenticalWithSplitting) {
   auto ctx = std::make_shared<TpContext>();
@@ -318,7 +318,7 @@ TEST(SchedulerEngineTest, OneHotFactBitIdenticalWithSplitting) {
   TpRelation seq = LawaSetOp(SetOpKind::kUnion, r, s);
 
   ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2,
-                              ApplyMode::kBitIdentical, /*morsel_budget=*/64);
+                              /*morsel_budget=*/64);
   LawaStats stats;
   TpRelation par = algo.ComputeTimed(SetOpKind::kUnion, r, s, nullptr, &stats);
 

@@ -1,7 +1,7 @@
 // Skew property belt for the morsel scheduler: randomized zipf, one-hot-fact
 // and all-one-fact workloads, asserting that morsel-scheduled execution is
-// (a) valuation-equivalent to sequential LAWA — exactly tuple-equal in
-// kBitIdentical mode, probability-equal lineage in kStaged mode — and
+// (a) bit-identical to sequential LAWA — tuples, lineage ids, arena size,
+// index bytes and intern counts — and
 // (b) run-to-run deterministic: the same configuration over a fresh but
 // identically seeded context reproduces the output bit for bit, across
 // thread counts 1/2/4/8 and morsel budgets including the pathological
@@ -114,28 +114,24 @@ void ExpectBitEqual(const TpRelation& a, const TpRelation& b,
   }
 }
 
-// Valuation equivalence across *different* (identically seeded) contexts:
-// same (fact, interval) multiset with canonically equal lineage, each
-// formula rendered by its own arena. Var ids coincide because the contexts
-// were built by the same deterministic generation.
-void ExpectValuationEqual(const TpRelation& expected, const TpRelation& actual,
-                          const std::string& what) {
-  ASSERT_EQ(expected.size(), actual.size()) << what;
-  using Key = std::tuple<FactId, TimePoint, TimePoint, std::string>;
-  std::vector<Key> ke, ka;
-  ke.reserve(expected.size());
-  ka.reserve(actual.size());
-  const LineageManager& me = expected.context()->lineage();
-  const LineageManager& ma = actual.context()->lineage();
-  for (const TpTuple& t : expected.tuples()) {
-    ke.emplace_back(t.fact, t.t.start, t.t.end, me.CanonicalKey(t.lineage));
-  }
-  for (const TpTuple& t : actual.tuples()) {
-    ka.emplace_back(t.fact, t.t.start, t.t.end, ma.CanonicalKey(t.lineage));
-  }
-  std::sort(ke.begin(), ke.end());
-  std::sort(ka.begin(), ka.end());
-  EXPECT_TRUE(ke == ka) << what;
+// The arena after an operation: its node count, index bytes, and the
+// intern counts the operation added.
+struct ArenaEnd {
+  std::size_t nodes;
+  std::size_t index_bytes;
+  std::uint64_t lookups;
+  std::uint64_t hits;
+  bool operator==(const ArenaEnd&) const = default;
+};
+
+// Runs `compute` over a context whose intern counts were just reset.
+template <typename Compute>
+ArenaEnd RunCounted(TpContext& ctx, Compute&& compute) {
+  ctx.lineage().TakeInternCounts();
+  compute();
+  const LineageManager::InternCounts c = ctx.lineage().TakeInternCounts();
+  return {ctx.lineage().size(), ctx.lineage().index_bytes(), c.lookups,
+          c.hits};
 }
 
 void RunShape(const SkewShape& shape, std::uint64_t seed) {
@@ -152,32 +148,32 @@ void RunShape(const SkewShape& shape, std::uint64_t seed) {
     std::shared_ptr<TpContext> seq_ctx;
     auto [seq_r, seq_s] = FreshPair(shape, seed, &seq_ctx);
     ASSERT_TRUE(ValidateSetOpInputs(seq_r, seq_s).ok());
-    TpRelation expected = LawaSetOp(op, seq_r, seq_s);
+    TpRelation expected;
+    const ArenaEnd want = RunCounted(
+        *seq_ctx, [&]() { expected = LawaSetOp(op, seq_r, seq_s); });
     for (std::size_t threads : thread_counts) {
       for (std::size_t budget : morsel_budgets) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " morsel_budget=" + std::to_string(budget));
-        for (ApplyMode mode : {ApplyMode::kBitIdentical, ApplyMode::kStaged}) {
-          SCOPED_TRACE(mode == ApplyMode::kStaged ? "staged" : "bit-identical");
-          ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2, mode,
-                                      budget);
-          // Two runs over fresh, identically seeded contexts: run-to-run
-          // determinism must hold bit for bit (tuples AND lineage ids).
-          std::shared_ptr<TpContext> ctx1, ctx2;
-          auto [r1, s1] = FreshPair(shape, seed, &ctx1);
-          auto [r2, s2] = FreshPair(shape, seed, &ctx2);
-          TpRelation out1 = algo.Compute(op, r1, s1);
-          TpRelation out2 = algo.Compute(op, r2, s2);
-          ExpectBitEqual(out1, out2, "rerun determinism");
-
-          // Valuation equivalence against the sequential oracle; exact
-          // equality in bit-identical mode (contexts evolve identically).
-          if (mode == ApplyMode::kBitIdentical) {
-            ExpectBitEqual(out1, expected, "bit-identity vs sequential");
-          } else {
-            ExpectValuationEqual(expected, out1, "staged vs sequential");
-          }
-        }
+        ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2, budget);
+        // Two runs over fresh, identically seeded contexts: run-to-run
+        // determinism must hold bit for bit (tuples AND lineage ids), and
+        // both must equal the sequential oracle, whose context evolved the
+        // same way — down to the arena's size and intern counts.
+        std::shared_ptr<TpContext> ctx1, ctx2;
+        auto [r1, s1] = FreshPair(shape, seed, &ctx1);
+        auto [r2, s2] = FreshPair(shape, seed, &ctx2);
+        TpRelation out1, out2;
+        const ArenaEnd got1 =
+            RunCounted(*ctx1, [&]() { out1 = algo.Compute(op, r1, s1); });
+        const ArenaEnd got2 =
+            RunCounted(*ctx2, [&]() { out2 = algo.Compute(op, r2, s2); });
+        ExpectBitEqual(out1, out2, "rerun determinism");
+        ExpectBitEqual(out1, expected, "bit-identity vs sequential");
+        EXPECT_TRUE(got1 == want && got2 == want)
+            << "arena end: nodes " << got1.nodes << " vs " << want.nodes
+            << ", lookups " << got1.lookups << " vs " << want.lookups
+            << ", hits " << got1.hits << " vs " << want.hits;
       }
     }
   }
@@ -206,7 +202,7 @@ TEST(SkewPropertyTest, AllOneFact) {
 TEST(SkewPropertyTest, SplitterEngagesOnHotFact) {
   std::shared_ptr<TpContext> ctx;
   auto [r, s] = FreshPair(Shapes(800)[1], 7, &ctx);
-  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2, ApplyMode::kStaged,
+  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2,
                               /*morsel_budget=*/32);
   LawaStats stats;
   TpRelation out = algo.ComputeTimed(SetOpKind::kIntersect, r, s, nullptr,

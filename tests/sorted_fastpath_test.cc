@@ -163,10 +163,6 @@ TEST(ZeroSortFastPathTest, SetOpOutputsCarryTheWitness) {
   TpRelation chained = LawaSetOp(SetOpKind::kExcept, db.c, u,
                                  SortMode::kComparison, &stats);
   EXPECT_EQ(stats.sort_skipped, 2u);
-
-  ParallelSetOpAlgorithm staged(4, SortMode::kComparison, 4, ApplyMode::kStaged);
-  TpRelation su = staged.Compute(SetOpKind::kUnion, db.a, db.b);
-  EXPECT_TRUE(su.known_sorted());
 }
 
 TEST(ZeroSortFastPathTest, RegisterArmsTheWitnessForCatalogRelations) {
