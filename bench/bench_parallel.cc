@@ -20,7 +20,8 @@
 // for.
 //
 // A third section A/Bs the advancers themselves (the scalar reference vs
-// the columnar SoA kernel, see DESIGN.md "Columnar sweep kernel"): pure t1
+// the fused kernel, both reading the sorted tuple arrays in place; see
+// DESIGN.md "Columnar sweep kernel"): pure t1
 // sweep walls (window enumeration only — the whole-op wall is dominated by
 // lineage concatenation, which no sweep kernel can move), with the window
 // streams cross-checked — any scalar/columnar divergence exits non-zero. A
@@ -420,12 +421,6 @@ int main(int argc, char** argv) {
       });
       if (i == 0 || ms < sweep_scalar) sweep_scalar = ms;
     }
-    // First columnar() call builds the SoA projection; reported separately
-    // because the relation caches it (one build amortizes over every sweep).
-    const double build_ms = TimeMs([&]() {
-      (void)r.columnar();
-      (void)s.columnar();
-    });
     for (int i = 0; i < ab_reps; ++i) {
       columnar_win.clear();
       double ms = TimeMs([&]() {
@@ -452,8 +447,8 @@ int main(int argc, char** argv) {
     std::printf(
         "# json {\"experiment\":\"kernel-ab\",\"operation\":\"%s\","
         "\"sweep_scalar_t1_ms\":%.3f,\"sweep_columnar_t1_ms\":%.3f,"
-        "\"sweep_speedup_t1\":%.3f,\"build_ms\":%.3f,\"identical\":%s}\n",
-        op_name, sweep_scalar, sweep_columnar, sweep_speedup, build_ms,
+        "\"sweep_speedup_t1\":%.3f,\"identical\":%s}\n",
+        op_name, sweep_scalar, sweep_columnar, sweep_speedup,
         stream_equal ? "true" : "false");
 
     if (!first_ab) json += ",\n";
@@ -463,10 +458,9 @@ int main(int argc, char** argv) {
         buf, sizeof(buf),
         "    {\"operation\": \"%s\", \"n\": %zu, \"windows\": %zu,\n"
         "     \"sweep_scalar_t1_ms\": %.3f, \"sweep_columnar_t1_ms\": %.3f,\n"
-        "     \"sweep_speedup_t1\": %.3f, \"build_ms\": %.3f,\n"
-        "     \"identical\": %s}",
+        "     \"sweep_speedup_t1\": %.3f, \"identical\": %s}",
         op_name, n, scalar_win.size(), sweep_scalar, sweep_columnar,
-        sweep_speedup, build_ms, stream_equal ? "true" : "false");
+        sweep_speedup, stream_equal ? "true" : "false");
     json += buf;
   }
   json += "\n  ],\n";

@@ -18,7 +18,7 @@
 //  * mixed — the snapshot-isolation claim: a reader thread scanning the
 //    relation while a writer appends and a compactor folds runs. Snapshot
 //    mode pins epoch generations (lock-free reads); locked mode emulates
-//    the pre-snapshot engine, where a View() fold required exclusive access
+//    the pre-snapshot engine, where a fold required exclusive access
 //    against writers. Reader p50/p99 full-scan latency and writer
 //    throughput; acceptance: snapshot reader p99 with active compaction at
 //    or below the locked baseline.
@@ -246,7 +246,7 @@ struct MixedPoint {
 // One mixed read/write run: a writer appending chain batches, a reader
 // repeatedly scanning the whole relation, and (snapshot mode) a compactor
 // folding runs underneath. `locked` emulates the pre-snapshot engine: one
-// exclusive lock serializes the reader's View() fold against every append —
+// exclusive lock serializes the reader's fold against every append —
 // the reader-blocks-writer regime this PR retires.
 MixedPoint MeasureMixed(std::size_t n, std::size_t batch_rows,
                         std::size_t epochs, bool locked) {
@@ -342,8 +342,8 @@ MixedPoint MeasureMixed(std::size_t n, std::size_t batch_rows,
       std::uint64_t local = 0;
       if (locked) {
         std::lock_guard<std::mutex> lock(view_mu);
-        const TpRelation& view = stored.View();
-        for (const TpTuple& t : view.tuples()) local += t.fact;
+        const std::shared_ptr<const TpRelation> view = stored.FoldedView();
+        for (const TpTuple& t : view->tuples()) local += t.fact;
       } else {
         // The engine's read path: pin a snapshot, fold off-lock if the tail
         // is dirty (the claimed fold publishes, so the next read is a flat

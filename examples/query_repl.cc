@@ -396,7 +396,7 @@ int main(int argc, char** argv) {
       if (!(args >> rel >> fact_text >> ts >> te >> p)) {
         std::cout << "usage: \\append <rel> <fact> <ts> <te> <p>\n";
       } else {
-        Result<const TpRelation*> target = exec.Find(rel);
+        Result<std::shared_ptr<const TpRelation>> target = exec.Find(rel);
         if (!target.ok()) {
           std::cout << target.status().ToString() << '\n';
         } else {
@@ -568,7 +568,7 @@ int main(int argc, char** argv) {
                   << (num_threads == 1 ? " (sequential)" : "") << '\n';
       }
     } else if (line.rfind("\\show ", 0) == 0) {
-      Result<const TpRelation*> rel = exec.Find(line.substr(6));
+      Result<std::shared_ptr<const TpRelation>> rel = exec.Find(line.substr(6));
       if (rel.ok()) {
         PrintRelation(std::cout, **rel);
       } else {

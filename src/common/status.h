@@ -6,8 +6,10 @@
 #define TPSET_COMMON_STATUS_H_
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace tpset {
@@ -80,6 +82,20 @@ class Result {
   Result(Status status) : status_(std::move(status)) {
     assert(!status_.ok() && "Result(Status) requires a non-OK status");
   }
+  /// Borrows from a refcounted result: a Result<const U*> built from a
+  /// Result<std::shared_ptr<const U>> co-owns the object, so the pointer
+  /// stays valid for as long as this Result (or a copy) lives. Callers
+  /// written against a raw-pointer accessor stay safe when the accessor
+  /// returns a refcounted object instead (QueryExecutor::Find).
+  template <typename U,
+            typename = std::enable_if_t<std::is_same_v<T, const U*>>>
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Result(Result<std::shared_ptr<const U>> shared) : status_(shared.status()) {
+    if (!ok()) return;
+    std::shared_ptr<const U> object = std::move(shared).value();
+    value_ = object.get();
+    owner_ = std::move(object);
+  }
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
@@ -105,6 +121,8 @@ class Result {
  private:
   Status status_;
   std::optional<T> value_;
+  /// Set only by the borrowing constructor: keeps value_'s pointee alive.
+  std::shared_ptr<const void> owner_;
 };
 
 /// Propagates a non-OK status to the caller.

@@ -99,6 +99,8 @@ LawaStats DiffStats(const LawaStats& after, const LawaStats& before) {
   d.runs_merged = after.runs_merged - before.runs_merged;
   d.tuples_retired = after.tuples_retired - before.tuples_retired;
   d.tail_hits = after.tail_hits - before.tail_hits;
+  d.sweeps_scalar = after.sweeps_scalar - before.sweeps_scalar;
+  d.sweeps_columnar = after.sweeps_columnar - before.sweeps_columnar;
   return d;
 }
 

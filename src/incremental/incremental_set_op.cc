@@ -9,7 +9,6 @@
 #include "lawa/columnar_advancer.h"
 #include "parallel/partition.h"
 #include "parallel/scheduler.h"
-#include "relation/columnar.h"
 
 namespace tpset {
 
@@ -101,27 +100,18 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
       res.delta.inserted.push_back({fact, w.t, lin});
     };
     // Kernel choice on the *unswept suffix* — the work a resume actually
-    // does — so O(delta) resumes stay O(delta): the columnar path projects
-    // only the suffix past the checkpoint cursors and shifts the cursors
-    // into / out of suffix space around the sweep.
+    // does. Either kernel restores the checkpoint on the full grown arrays
+    // and reads only the suffix past its cursors, so O(delta) resumes stay
+    // O(delta).
     const SweepKernel resolved = ResolveSweepKernel(
         SweepKernel::kAuto,
         (st.r.size() - st.ckpt.ri) + (st.s.size() - st.ckpt.si));
     if (resolved == SweepKernel::kColumnar) {
-      const std::size_t base_r = st.ckpt.ri;
-      const std::size_t base_s = st.ckpt.si;
-      ColumnarView rview, sview;
-      rview.Build(st.r.data() + base_r, st.r.size() - base_r);
-      sview.Build(st.s.data() + base_s, st.s.size() - base_s);
-      ColumnarAdvancer adv(rview.Columns(), sview.Columns());
-      AdvancerCheckpoint ck = st.ckpt;
-      ck.ri -= base_r;
-      ck.si -= base_s;
-      adv.Restore(ck);
+      ColumnarAdvancer adv({st.r.data(), st.r.size()},
+                           {st.s.data(), st.s.size()});
+      adv.Restore(st.ckpt);
       adv.Sweep(op_, emit);
       st.ckpt = adv.Checkpoint();
-      st.ckpt.ri += base_r;
-      st.ckpt.si += base_s;
       res.columnar = true;
     } else {
       LineageAwareWindowAdvancer adv(st.r.data(), st.r.size(), st.s.data(),
@@ -154,10 +144,7 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
   const SweepKernel resolved =
       ResolveSweepKernel(SweepKernel::kAuto, st.r.size() + st.s.size());
   if (resolved == SweepKernel::kColumnar) {
-    ColumnarView rview, sview;
-    rview.Build(st.r.data(), st.r.size());
-    sview.Build(st.s.data(), st.s.size());
-    ColumnarAdvancer adv(rview.Columns(), sview.Columns());
+    ColumnarAdvancer adv({st.r.data(), st.r.size()}, {st.s.data(), st.s.size()});
     adv.Sweep(op_, fresh_emit);
     res.windows_produced = adv.windows_produced();
     swept_ckpt = adv.Checkpoint();

@@ -1,17 +1,16 @@
-// Columnar (SoA) sweep kernel for LAWA — the drop-in fast path for
+// Fused sweep kernel for LAWA — the drop-in fast path for
 // LineageAwareWindowAdvancer + ForEachSurvivingWindow.
 //
-// The scalar advancer is an out-of-line call per window over 24-byte AoS
-// tuples: every boundary computation re-tests fact equality, re-loads
-// endpoint fields through the tuple records, and spills its status to
-// members between calls. This kernel sweeps the same input as contiguous
-// endpoint columns (relation/columnar.h) with the whole drain loop fused
-// into one function:
+// The scalar advancer is an out-of-line call per window: every boundary
+// computation re-tests fact equality, and its status is spilled to members
+// between calls. This kernel sweeps the same sorted 24-byte tuple arrays in
+// place (a TupleSpan over 24-byte {fact, lineage, start, end} records, see
+// relation/tuple.h) with the whole drain loop fused into one function:
 //
 //  * per fact group, the group bounds are computed once, so the inner loop
 //    does no fact comparisons at all — the boundary step is a branch-free
-//    4-way min over two column loads and two registers (compiled to cmov;
-//    see DESIGN.md "Columnar sweep kernel" for the -fopt-info-vec notes);
+//    4-way min over two tuple loads and two registers (compiled to cmov;
+//    see DESIGN.md "Columnar sweep kernel");
 //  * the advancer status (cursors, valid endpoints, frontier) lives in
 //    registers for the whole sweep and is written back to members only at
 //    the drain point, keeping Checkpoint() exact;
@@ -27,7 +26,7 @@
 // the scalar advancer's status at its drain point. tests/
 // columnar_kernel_test.cc pins both, window-by-window and field-by-field.
 // AdvancerCheckpoint round-trips between the kernels in either direction:
-// cursors are indices into the same sorted arrays the columns project.
+// cursors are indices into the same sorted arrays both kernels read.
 #ifndef TPSET_LAWA_COLUMNAR_ADVANCER_H_
 #define TPSET_LAWA_COLUMNAR_ADVANCER_H_
 
@@ -38,17 +37,17 @@
 #include "common/setop.h"
 #include "lawa/advancer.h"
 #include "lawa/window.h"
-#include "relation/columnar.h"
+#include "relation/tuple.h"
 
 namespace tpset {
 
 class ColumnarAdvancer {
  public:
-  /// Both spans must outlive the advancer and project duplicate-free
+  /// Both spans' arrays must outlive the advancer and hold duplicate-free
   /// (fact, start)-sorted tuples — the same contract as the scalar
-  /// advancer's span constructor. A morsel passes column sub-spans
-  /// (ColumnSpan::Slice of its fact partition).
-  ColumnarAdvancer(ColumnSpan r, ColumnSpan s) : r_(r), s_(s) {}
+  /// advancer's span constructor. A morsel passes sub-spans
+  /// (TupleSpan::Slice of its fact partition).
+  ColumnarAdvancer(TupleSpan r, TupleSpan s) : r_(r), s_(s) {}
 
   /// Runs the whole drain loop for `op` — the fused equivalent of
   /// ForEachSurvivingWindow(op, adv, emit) — invoking emit(w) for every
@@ -93,7 +92,7 @@ class ColumnarAdvancer {
   /// Restores a status saved from an advancer (either kernel) over a prefix
   /// of this advancer's inputs; see LineageAwareWindowAdvancer::Restore.
   void Restore(const AdvancerCheckpoint& ckpt) {
-    assert(ckpt.ri <= r_.n && ckpt.si <= s_.n &&
+    assert(ckpt.ri <= r_.size && ckpt.si <= s_.size &&
            "checkpoint cursors must lie within the (grown) inputs");
     ri_ = ckpt.ri;
     si_ = ckpt.si;
@@ -111,16 +110,10 @@ class ColumnarAdvancer {
   template <SetOpKind kOp, typename Emit>
   void SweepImpl(Emit& emit) {
     constexpr TimePoint kInf = std::numeric_limits<TimePoint>::max();
-    const TimePoint* const rs = r_.start;
-    const TimePoint* const re = r_.end;
-    const FactId* const rf = r_.fact;
-    const LineageId* const rl = r_.lineage;
-    const TimePoint* const ss = s_.start;
-    const TimePoint* const se = s_.end;
-    const FactId* const sf = s_.fact;
-    const LineageId* const sl = s_.lineage;
-    const std::size_t nr = r_.n;
-    const std::size_t ns = s_.n;
+    const TpTuple* const r = r_.data;
+    const TpTuple* const s = s_.data;
+    const std::size_t nr = r_.size;
+    const std::size_t ns = s_.size;
 
     // Status in registers for the whole sweep; written back at the drain
     // point. The valid-tuple fields are loaded lazily (r_loaded/s_loaded)
@@ -164,8 +157,8 @@ class ColumnarAdvancer {
       if (!rv && !sv) {
         const bool pr = ri < nr;
         const bool ps = si < ns;
-        const bool r_match = pr && have_fact && rf[ri] == f;
-        const bool s_match = ps && have_fact && sf[si] == f;
+        const bool r_match = pr && have_fact && r[ri].fact == f;
+        const bool s_match = ps && have_fact && s[si].fact == f;
         if (r_match == s_match) {
           // Neither (or both) pending tuple continues the current fact:
           // advance to the lexicographically smallest pending (fact, start).
@@ -173,11 +166,11 @@ class ColumnarAdvancer {
           // the smallest in-group start — computed by the inner loop, which
           // makes the both-match and the new-fact case one code path.
           if (!ps) {
-            f = rf[ri];
+            f = r[ri].fact;
           } else if (!pr) {
-            f = sf[si];
+            f = s[si].fact;
           } else {
-            f = rf[ri] < sf[si] ? rf[ri] : sf[si];
+            f = r[ri].fact < s[si].fact ? r[ri].fact : s[si].fact;
           }
           have_fact = true;
         }
@@ -189,9 +182,9 @@ class ColumnarAdvancer {
       // the cursors (inputs are fact-major sorted). After this, the inner
       // loop never compares facts again.
       std::size_t rg = ri;
-      while (rg < nr && rf[rg] == f) ++rg;
+      while (rg < nr && r[rg].fact == f) ++rg;
       std::size_t sg = si;
-      while (sg < ns && sf[sg] == f) ++sg;
+      while (sg < ns && s[sg].fact == f) ++sg;
 
       // ---- Fused sweep of one fact group. ----
       while (!drained()) {
@@ -209,7 +202,7 @@ class ColumnarAdvancer {
             // The carried-over tuple's closing window. No same-fact r tuple
             // may start before rv_end (intervals per fact are disjoint), so
             // the boundary is rv_end itself.
-            assert(!pr || rs[ri] >= rv_end);
+            assert(!pr || r[ri].t.start >= rv_end);
             assert(rv_end > prev_te && "windows advance strictly");
             if constexpr (kOp != SetOpKind::kIntersect) {
               w.fact = f;
@@ -226,20 +219,20 @@ class ColumnarAdvancer {
             if constexpr (kOp != SetOpKind::kIntersect) {
               for (std::size_t i = ri; i < rg; ++i) {
                 w.fact = f;
-                w.t = Interval(rs[i], re[i]);
-                w.lr = rl[i];
+                w.t = r[i].t;
+                w.lr = r[i].lineage;
                 w.ls = kNullLineage;
                 emit(w);
               }
             }
             windows += rg - ri;
-            prev_te = re[rg - 1];
+            prev_te = r[rg - 1].t.end;
             // Mirror the scalar kernel's status: the last loaded tuple
             // stays in r_valid_tuple_ (stale after expiry) for checkpoint
             // equality.
-            rv_start = rs[rg - 1];
-            rv_end = re[rg - 1];
-            rv_lin = rl[rg - 1];
+            rv_start = r[rg - 1].t.start;
+            rv_end = r[rg - 1].t.end;
+            rv_lin = r[rg - 1].lineage;
             rv_fact = f;
             r_loaded = true;
             ri = rg;
@@ -251,7 +244,7 @@ class ColumnarAdvancer {
           // λr = null and are filtered — counted, not emitted (reaching
           // here implies ri < nr for both, else drained).
           if (sv) {
-            assert(!ps || ss[si] >= sv_end);
+            assert(!ps || s[si].t.start >= sv_end);
             assert(sv_end > prev_te && "windows advance strictly");
             if constexpr (kOp == SetOpKind::kUnion) {
               w.fact = f;
@@ -268,17 +261,17 @@ class ColumnarAdvancer {
             if constexpr (kOp == SetOpKind::kUnion) {
               for (std::size_t i = si; i < sg; ++i) {
                 w.fact = f;
-                w.t = Interval(ss[i], se[i]);
+                w.t = s[i].t;
                 w.lr = kNullLineage;
-                w.ls = sl[i];
+                w.ls = s[i].lineage;
                 emit(w);
               }
             }
             windows += sg - si;
-            prev_te = se[sg - 1];
-            sv_start = ss[sg - 1];
-            sv_end = se[sg - 1];
-            sv_lin = sl[sg - 1];
+            prev_te = s[sg - 1].t.end;
+            sv_start = s[sg - 1].t.start;
+            sv_end = s[sg - 1].t.end;
+            sv_lin = s[sg - 1].lineage;
             sv_fact = f;
             s_loaded = true;
             si = sg;
@@ -293,26 +286,26 @@ class ColumnarAdvancer {
         if (rv || sv) {
           win_ts = prev_te;
         } else {
-          const TimePoint a = pr ? rs[ri] : kInf;
-          const TimePoint b = ps ? ss[si] : kInf;
+          const TimePoint a = pr ? r[ri].t.start : kInf;
+          const TimePoint b = ps ? s[si].t.start : kInf;
           win_ts = a < b ? a : b;
         }
         // Load tuples starting exactly at the left boundary (at most one
         // per side: duplicate-freeness). pr/ps already encode the fact
         // match.
-        if (pr && rs[ri] == win_ts) {
-          rv_start = rs[ri];
-          rv_end = re[ri];
-          rv_lin = rl[ri];
+        if (pr && r[ri].t.start == win_ts) {
+          rv_start = r[ri].t.start;
+          rv_end = r[ri].t.end;
+          rv_lin = r[ri].lineage;
           rv_fact = f;
           rv = true;
           r_loaded = true;
           ++ri;
         }
-        if (ps && ss[si] == win_ts) {
-          sv_start = ss[si];
-          sv_end = se[si];
-          sv_lin = sl[si];
+        if (ps && s[si].t.start == win_ts) {
+          sv_start = s[si].t.start;
+          sv_end = s[si].t.end;
+          sv_lin = s[si].lineage;
           sv_fact = f;
           sv = true;
           s_loaded = true;
@@ -321,8 +314,8 @@ class ColumnarAdvancer {
         // Right boundary: branch-free 4-way min over the next in-group
         // starts and the valid ends (∞-padded ternaries → cmov, no
         // data-dependent branches).
-        const TimePoint c0 = ri < rg ? rs[ri] : kInf;
-        const TimePoint c1 = si < sg ? ss[si] : kInf;
+        const TimePoint c0 = ri < rg ? r[ri].t.start : kInf;
+        const TimePoint c1 = si < sg ? s[si].t.start : kInf;
         const TimePoint c2 = rv ? rv_end : kInf;
         const TimePoint c3 = sv ? sv_end : kInf;
         const TimePoint m0 = c0 < c1 ? c0 : c1;
@@ -381,8 +374,8 @@ class ColumnarAdvancer {
     windows_produced_ = windows;
   }
 
-  ColumnSpan r_;
-  ColumnSpan s_;
+  TupleSpan r_;
+  TupleSpan s_;
   // Status members mirror LineageAwareWindowAdvancer field-for-field so
   // checkpoints are interchangeable between the kernels.
   std::size_t ri_ = 0;

@@ -7,7 +7,6 @@
 #include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
 #include "obs/metrics.h"
-#include "relation/columnar.h"
 #include "relation/validate.h"
 
 namespace tpset {
@@ -130,7 +129,7 @@ void NoteSweepKernels(SweepKernel resolved, std::size_t count,
   static obs::Counter& columnar_sweeps =
       obs::MetricsRegistry::Global().GetCounter(
           "tpset_lawa_sweep_kernel_columnar_total",
-          "LAWA sweeps run by the columnar (SoA) kernel");
+          "LAWA sweeps run by the fused columnar kernel");
   if (resolved == SweepKernel::kColumnar) {
     columnar_sweeps.Increment(count);
     if (stats != nullptr) stats->sweeps_columnar += count;
@@ -179,13 +178,7 @@ TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
       ResolveSweepKernel(SweepKernel::kAuto, rv->size() + sv->size());
   std::size_t windows = 0;
   if (resolved == SweepKernel::kColumnar) {
-    // A projection for the duration of the sweep, not the relation's cache:
-    // the executor sweeps catalog generations in place, and a cached view
-    // would stay resident as long as the generation does.
-    ColumnarView rcols, scols;
-    rcols.Build(rv->data(), rv->size());
-    scols.Build(sv->data(), sv->size());
-    ColumnarAdvancer adv(rcols.Columns(), scols.Columns());
+    ColumnarAdvancer adv({rv->data(), rv->size()}, {sv->data(), sv->size()});
     adv.Sweep(op, concat_emit);
     windows = adv.windows_produced();
   } else {

@@ -19,11 +19,12 @@ enum class SortMode { kComparison = 0, kCounting = 1 };
 
 /// Which sweep kernel runs the LAWA advance loop. kScalar is the reference
 /// tuple-at-a-time advancer (lawa/advancer.h, the paper's Alg. 1);
-/// kColumnar is the fused SoA kernel (lawa/columnar_advancer.h) — identical
-/// window stream. Every engine resolves kAuto per sweep: columnar at
-/// kColumnarAutoThreshold combined input tuples and above, scalar below it
-/// (tiny sweeps — the incremental engine's per-fact resumes — don't
-/// amortize a column build).
+/// kColumnar is the fused kernel (lawa/columnar_advancer.h), which reads the
+/// same sorted tuple arrays in place — identical window stream. Every engine
+/// resolves kAuto per sweep: columnar at kColumnarAutoThreshold combined
+/// input tuples and above, scalar below it. The threshold is unchanged from
+/// when the fused kernel built a column projection per sweep, and was not
+/// re-measured after that build went away.
 enum class SweepKernel { kAuto = 0, kScalar = 1, kColumnar = 2 };
 
 /// kAuto cutover point, in combined input tuples (nr + ns).
@@ -52,8 +53,7 @@ struct LawaStats {
 
   // Morsel-scheduler counters (src/parallel/scheduler.h; cumulative for
   // continuous-query operators). Sequential runs leave them zero.
-  /// Morsels executed by the work-stealing batch (= plan size; the legacy
-  /// static mode counts its partitions here).
+  /// Morsels executed by the work-stealing batch (= plan size).
   std::size_t morsels_run = 0;
   /// Morsels a worker took from another worker's deque. The one
   /// scheduling-dependent counter — everything else is deterministic.

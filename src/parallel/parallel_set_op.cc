@@ -12,7 +12,6 @@
 #include "lawa/columnar_advancer.h"
 #include "parallel/partition.h"
 #include "parallel/scheduler.h"
-#include "relation/columnar.h"
 #include "relation/validate.h"
 
 namespace tpset {
@@ -44,33 +43,24 @@ struct PartitionSweep {
   std::size_t windows_produced = 0;
 };
 
-// The operation's sorted inputs, shared read-only by every morsel sweep:
-// tuple arrays for the scalar kernel, column spans of one SoA view for the
-// columnar kernel.
-struct SweepInputs {
-  const TpTuple* r;
-  const TpTuple* s;
-  bool columnar;
-  ColumnSpan rcols, scols;
-};
-
-// Phase 3: one morsel swept on the operation's kernel, handing every window
-// that passes the per-operation λ-filter to `emit`, which defers it. Drain
+// Phase 3: one morsel — the sub-spans of the sorted inputs its fact range
+// covers — swept on the operation's kernel, handing every window that
+// passes the per-operation λ-filter to `emit`, which defers it. Drain
 // conditions and λ-filters are shared with LawaSetOp via
 // ForEachSurvivingWindow / ColumnarAdvancer::Sweep — bit-identity depends
 // on them agreeing, and the cross-check is the parallel_set_op_test
 // property suite. Reads shared data only; returns the candidate windows.
 template <typename Emit>
-std::size_t SweepMorsel(SetOpKind op, const SweepInputs& in,
+std::size_t SweepMorsel(SetOpKind op, bool columnar, TupleSpan r, TupleSpan s,
                         const FactPartition& part, Emit&& emit) {
-  if (in.columnar) {
-    ColumnarAdvancer adv(in.rcols.Slice(part.r_begin, part.r_end),
-                         in.scols.Slice(part.s_begin, part.s_end));
+  r = r.Slice(part.r_begin, part.r_end);
+  s = s.Slice(part.s_begin, part.s_end);
+  if (columnar) {
+    ColumnarAdvancer adv(r, s);
     adv.Sweep(op, emit);
     return adv.windows_produced();
   }
-  LineageAwareWindowAdvancer adv(in.r + part.r_begin, part.r_end - part.r_begin,
-                                 in.s + part.s_begin, part.s_end - part.s_begin);
+  LineageAwareWindowAdvancer adv(r.data, r.size, s.data, s.size);
   ForEachSurvivingWindow(op, adv, emit);
   return adv.windows_produced();
 }
@@ -293,29 +283,23 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   t0 = Clock::now();
 
   // Sweep-kernel resolution (once per operation, on the combined input
-  // size). Under kColumnar, morsels sweep column sub-spans of one
-  // per-operation projection of each input (not the relation's cache, for
-  // the reason LawaSetOp gives); the builds count into advance_ms — they
-  // are work the columnar kernel needs. The views outlive every morsel
-  // sweep (WaitAll below completes before they leave scope).
+  // size). Either kernel sweeps each morsel's slice of the sorted arrays in
+  // place, so no morsel waits on a per-operation build.
   const SweepKernel resolved = ResolveSweepKernel(SweepKernel::kAuto, rn + sn);
-  SweepInputs in{rdata, sdata, resolved == SweepKernel::kColumnar, {}, {}};
-  ColumnarView rview, sview;
-  if (in.columnar) {
-    rview.Build(rdata, rn);
-    sview.Build(sdata, sn);
-    in.rcols = rview.Columns();
-    in.scols = sview.Columns();
-  }
+  const bool columnar = resolved == SweepKernel::kColumnar;
+  const TupleSpan rspan{rdata, rn};
+  const TupleSpan sspan{sdata, sn};
 
   // Phase 3: sweep morsels on the work-stealing batch; each result is built
   // locally and moved into its own slot, so the block below lists the
   // windows in morsel index order regardless of which worker ran what.
   std::vector<PartitionSweep> results(n_morsels);
-  MorselBatch batch(p, n_morsels, [op, &in, &plan, &results](std::size_t i) {
+  MorselBatch batch(p, n_morsels, [op, columnar, rspan, sspan, &plan,
+                                   &results](std::size_t i) {
     PartitionSweep sweep;
-    sweep.windows_produced =
-        SweepMorsel(op, in, plan.morsels[i], [&](const LineageAwareWindow& w) {
+    sweep.windows_produced = SweepMorsel(
+        op, columnar, rspan, sspan, plan.morsels[i],
+        [&](const LineageAwareWindow& w) {
           sweep.windows.push_back({w.fact, w.t, {w.lr, w.ls}});
         });
     results[i] = std::move(sweep);

@@ -78,7 +78,8 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   /// MorselAutoBudget, and 1 is legal (every tuple its own morsel — tests
   /// use small budgets to force time splits at test scale). Phase 3 sweeps
   /// on the kernel ResolveSweepKernel picks for the combined input size;
-  /// under kColumnar, morsels sweep column sub-spans of one shared SoA view.
+  /// either kernel sweeps each morsel's slice of the sorted tuple arrays in
+  /// place.
   explicit ParallelSetOpAlgorithm(std::size_t num_threads,
                                   SortMode sort_mode = SortMode::kComparison,
                                   std::size_t partitions_per_thread = 4,

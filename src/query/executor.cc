@@ -103,12 +103,10 @@ Status QueryExecutor::Register(const TpRelation& rel) {
   // becomes the base level of the relation's run-indexed storage.
   TpRelation copy = rel;
   copy.MarkSortedUnchecked();
-  // The catalog entry is built into a detached map node *before* taking the
-  // write fence: copying/moving a TpRelation snapshots its ColumnarCache
-  // under that cache's mutex, and nothing may hold the fence across a cache
-  // lock (introspection handlers take the fence concurrently; fence ->
-  // cache here plus cache -> fence anywhere else would deadlock). Splicing
-  // the node under the fence acquires no lock but the fence itself.
+  // The catalog entry — the moved relation plus the StoredRelation's O(n)
+  // fact-tail scan — is built into a detached map node *before* taking the
+  // write fence, so the fence (which appends and introspection wait on) is
+  // held only for the map splice.
   std::map<std::string, StoredRelation> staging;
   staging.emplace(std::piecewise_construct, std::forward_as_tuple(rel.name()),
                   std::forward_as_tuple(std::move(copy)));
@@ -123,10 +121,11 @@ Status QueryExecutor::Register(const TpRelation& rel) {
   return Status::OK();
 }
 
-Result<const TpRelation*> QueryExecutor::Find(const std::string& name) const {
+Result<std::shared_ptr<const TpRelation>> QueryExecutor::Find(
+    const std::string& name) const {
   Result<const StoredRelation*> stored = FindStored(name);
   if (!stored.ok()) return stored.status();
-  return &(*stored)->View();
+  return (*stored)->FoldedView();
 }
 
 Result<const StoredRelation*> QueryExecutor::FindStored(

@@ -117,13 +117,13 @@ class QueryExecutor {
                              const SetOpAlgorithm* algorithm = nullptr) const;
 
   /// Looks up a registered relation as its one logical sorted view
-  /// (StoredRelation::View — pending append runs are folded off-lock and
-  /// published as a new generation, so the returned relation is
+  /// (StoredRelation::FoldedView — pending append runs are folded off-lock
+  /// and published as a new generation, so the returned relation is
   /// (fact, start)-sorted and witness-armed regardless of the physical run
-  /// count). The reference contract is single-threaded (REPL, tests);
-  /// concurrent readers — including Execute's own leaves — go through
-  /// StoredRelation::FoldedView / SnapshotRelation instead.
-  Result<const TpRelation*> Find(const std::string& name) const;
+  /// count). Safe from any thread; the relation is refcounted, so it stays
+  /// valid and unchanged for as long as the caller holds it, whatever
+  /// appends, folds or compactions publish meanwhile.
+  Result<std::shared_ptr<const TpRelation>> Find(const std::string& name) const;
 
   /// O(1) epoch-pinned read view of a registered relation: the generation
   /// current at the call, refcounted. Safe from any thread, at any time —

@@ -52,7 +52,6 @@ void TpRelation::MergeSortedAppend(std::vector<TpTuple> batch) {
   assert(sorted_ && "MergeSortedAppend requires the sortedness witness");
   assert(std::is_sorted(batch.begin(), batch.end(), FactTimeOrder()));
   if (batch.empty()) return;
-  columnar_.Invalidate();
   const std::size_t old_size = tuples_.size();
   tuples_.insert(tuples_.end(), batch.begin(), batch.end());
   std::inplace_merge(tuples_.begin(), tuples_.begin() + old_size,
@@ -61,7 +60,6 @@ void TpRelation::MergeSortedAppend(std::vector<TpTuple> batch) {
 }
 
 void TpRelation::SortFactTime() {
-  columnar_.Invalidate();
   std::sort(tuples_.begin(), tuples_.end(), FactTimeOrder());
   sorted_ = true;
 }

@@ -12,7 +12,6 @@
 #include "common/types.h"
 #include "common/value.h"
 #include "lineage/lineage.h"
-#include "relation/columnar.h"
 #include "relation/tuple.h"
 
 namespace tpset {
@@ -74,7 +73,6 @@ class TpRelation {
   /// the witness goes stale and the zero-sort fast path reads unsorted data.
   std::vector<TpTuple>& mutable_tuples() {
     sorted_ = false;
-    columnar_.Invalidate();
     return tuples_;
   }
   const TpTuple& operator[](std::size_t i) const { return tuples_[i]; }
@@ -126,16 +124,11 @@ class TpRelation {
   /// in fact order with increasing starts); the caller vouches for order.
   void MarkSortedUnchecked() { sorted_ = true; }
 
-  /// The cached SoA projection of the tuple array, built lazily on first
-  /// use and invalidated by every mutation alongside the sortedness state.
-  /// Caller contract: only meaningful for sorted relations — callers hold
-  /// the `known_sorted` witness (or have just sorted) before asking for
-  /// columns, exactly as they do before sweeping the AoS tuples. Safe for
-  /// concurrent readers of a non-mutated relation: the first caller builds
-  /// under a lock, later callers share the immutable view.
-  ColumnSpan columnar() const {
-    return columnar_.GetOrBuild(tuples_.data(), tuples_.size());
-  }
+  /// The tuple array as the fused sweep kernel's input span: O(1), a
+  /// borrow of tuples() valid until the next mutation. Only meaningful for
+  /// sorted relations — callers hold the `known_sorted` witness (or have
+  /// just sorted) before sweeping, as they do for tuples().
+  TupleSpan columnar() const { return {tuples_.data(), tuples_.size()}; }
 
   /// Probability of tuple i under the chosen method. Monte-Carlo uses
   /// `samples` draws from `rng` (required for kMonteCarlo only).
@@ -158,7 +151,6 @@ class TpRelation {
   /// (fact, start, end) order keeps the flag; one out-of-order append clears
   /// it until the next SortFactTime / IsSortedFactTime.
   void NoteAppended() {
-    columnar_.Invalidate();  // one relaxed load while no view is cached
     if (sorted_ && tuples_.size() > 1 &&
         FactTimeOrder()(tuples_.back(), tuples_[tuples_.size() - 2])) {
       sorted_ = false;
@@ -173,10 +165,6 @@ class TpRelation {
   /// vacuously sorted. Written only by non-const methods, so concurrent
   /// readers of a non-mutated relation are race-free.
   bool sorted_ = true;
-  /// Lazily-built SoA projection of tuples_; dropped on every mutation
-  /// (the Add*/Merge/Sort methods and mutable_tuples), in lockstep with
-  /// the sortedness bookkeeping above.
-  mutable ColumnarCache columnar_;
 };
 
 /// Order-insensitive equivalence of two relations sharing one context:

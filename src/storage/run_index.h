@@ -38,16 +38,6 @@ namespace tpset {
 /// "No retention": every tuple end is above this watermark.
 inline constexpr TimePoint kNoWatermark = std::numeric_limits<TimePoint>::min();
 
-/// A borrowed view of a (fact, start, end)-sorted tuple array.
-struct TupleSpan {
-  const TpTuple* data = nullptr;
-  std::size_t size = 0;
-
-  bool empty() const { return size == 0; }
-  const TpTuple* begin() const { return data; }
-  const TpTuple* end() const { return data + size; }
-};
-
 /// Cumulative counters of one relation's storage engine. Surfaced per leaf
 /// by ExplainContinuous and mirrored into LawaStats' storage fields.
 struct StorageStats {

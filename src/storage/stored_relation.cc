@@ -455,13 +455,6 @@ std::shared_ptr<const TpRelation> StoredRelation::FoldedView() const {
   return folded;
 }
 
-const TpRelation& StoredRelation::View() const {
-  std::shared_ptr<const TpRelation> folded = FoldedView();
-  std::lock_guard<std::mutex> lock(mu_);
-  view_pin_ = std::move(folded);
-  return *view_pin_;
-}
-
 std::size_t StoredRelation::run_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return gen_->tail.run_count();

@@ -20,7 +20,7 @@
 //    the call, refcounted. Readers iterate its spans with no lock held while
 //    appends land and compaction rewrites levels underneath; the snapshot's
 //    content never changes.
-//  * FoldedView / View — the one logical sorted relation. When tail runs
+//  * FoldedView — the one logical sorted relation, refcounted. When tail runs
 //    are pending, the fold claims them like a compaction pass (rolls
 //    frozen, compact_mu_ try-locked) and merges *off-lock* on a snapshot,
 //    so the fold publishes as a new generation even while appends land —
@@ -225,12 +225,6 @@ class StoredRelation {
   /// its snapshot either way. This is what query execution leaves read.
   std::shared_ptr<const TpRelation> FoldedView() const;
 
-  /// Legacy reference-returning fold, kept for single-threaded callers
-  /// (REPL, tests): FoldedView() with the result pinned inside this
-  /// StoredRelation. The reference stays valid until the next View() call —
-  /// concurrent readers should hold FoldedView()/Snapshot() instead.
-  const TpRelation& View() const;
-
   /// Streams every tuple in (fact, start, end) order through the merge
   /// iterator on a snapshot. No lock is held across `fn`.
   template <typename Fn>
@@ -242,7 +236,7 @@ class StoredRelation {
   /// schema and name; witness armed) without mutating the storage layout.
   TpRelation Materialize() const { return Snapshot().Materialize(); }
 
-  /// Pending tail runs (0 right after a full compaction or View fold).
+  /// Pending tail runs (0 right after a full compaction or a fold).
   std::size_t run_count() const;
   /// Latest accepted append epoch (0 before any append).
   EpochId last_epoch() const;
@@ -268,8 +262,6 @@ class StoredRelation {
   /// The published generation; swapped under mu_, read via Snapshot().
   /// Mutable because FoldedView() (a const read) may publish the fold.
   mutable std::shared_ptr<const StorageGeneration> gen_;
-  /// Keeps the last View() result alive for the legacy reference contract.
-  mutable std::shared_ptr<const TpRelation> view_pin_;
   mutable StorageStats stats_;
   mutable std::uint64_t next_gen_id_ = 1;
   /// True while a compaction claim is outstanding: appends must not roll

@@ -1,5 +1,6 @@
-// Differential belt for the columnar SoA sweep kernel: ColumnarAdvancer
-// must be indistinguishable from LineageAwareWindowAdvancer — the paper's
+// Differential belt for the fused sweep kernel: ColumnarAdvancer, reading
+// the sorted tuple arrays in place, must be indistinguishable from
+// LineageAwareWindowAdvancer — the paper's
 // Alg. 1, kept as the reference — at every observable surface: the window
 // stream (fact, interval, λr, λs in emit order), the final advancer status
 // (AdvancerCheckpoint), and, on inputs large enough for the size rule to
@@ -8,7 +9,8 @@
 // (byte-equal to a scalar-advancer reference, lineage ids included).
 // Checkpoints are additionally round-tripped across kernels in both
 // directions: state saved by one kernel, restored into the other, must
-// continue the sweep identically.
+// continue the sweep identically — including the incremental engine's
+// resume, which restores a prefix checkpoint on the grown arrays.
 //
 // Shapes are the ones that stress distinct kernel paths: zipf and one-hot
 // fact skew (many short groups vs one huge group), all-one-fact (a single
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,7 +32,6 @@
 #include "lawa/columnar_advancer.h"
 #include "lawa/set_ops.h"
 #include "parallel/parallel_set_op.h"
-#include "relation/columnar.h"
 #include "relation/relation.h"
 #include "tests/test_util.h"
 
@@ -63,13 +65,15 @@ SweepResult ScalarSweep(SetOpKind op, const std::vector<TpTuple>& r,
   return out;
 }
 
+// The tuple vector as the fused kernel's in-place input span.
+TupleSpan Span(const std::vector<TpTuple>& tuples) {
+  return {tuples.data(), tuples.size()};
+}
+
 SweepResult ColumnarSweep(SetOpKind op, const std::vector<TpTuple>& r,
                           const std::vector<TpTuple>& s) {
-  ColumnarView rv, sv;
-  rv.Build(r.data(), r.size());
-  sv.Build(s.data(), s.size());
   SweepResult out;
-  ColumnarAdvancer adv(rv.Columns(), sv.Columns());
+  ColumnarAdvancer adv(Span(r), Span(s));
   adv.Sweep(op, [&](const LineageAwareWindow& w) {
     out.windows.push_back({w.fact, w.t.start, w.t.end, w.lr, w.ls});
   });
@@ -373,10 +377,7 @@ TEST(ColumnarKernelTest, CheckpointRoundTripsAcrossKernels) {
         }
         SweepResult cont_columnar;
         {
-          ColumnarView rv, sv;
-          rv.Build(rt.data(), rt.size());
-          sv.Build(st.data(), st.size());
-          ColumnarAdvancer adv(rv.Columns(), sv.Columns());
+          ColumnarAdvancer adv(Span(rt), Span(st));
           adv.Restore(scalar_prefix.ckpt);
           adv.Sweep(op, [&](const LineageAwareWindow& w) {
             cont_columnar.windows.push_back(
@@ -391,6 +392,96 @@ TEST(ColumnarKernelTest, CheckpointRoundTripsAcrossKernels) {
         ExpectCkptEqual(cont_scalar.ckpt, cont_columnar.ckpt,
                         "continuation checkpoint");
       }
+    }
+  }
+}
+
+// ---- The incremental resume: prefix checkpoint, grown arrays --------------
+
+// The shape of IncrementalSetOp's per-fact resume: each epoch appends the
+// fact's new tuples to its side vectors (which may reallocate) and restores
+// the checkpoint the previous epoch saved — cursors into the old prefix —
+// on the full grown arrays. Every epoch, the fused kernel's continuation
+// must equal the scalar advancer's, restored from the same checkpoint,
+// window for window and in its final status. Epochs are cut where no tuple
+// straddles, so every resume is admissible (the appended tuples start at or
+// after the frontier) and the concatenated stream must also equal one
+// from-scratch sweep.
+TEST(ColumnarKernelTest, ResumeOnGrownArraysMatchesScalar) {
+  for (std::uint64_t seed : testing::PropertySeeds({141, 142})) {
+    auto ctx = std::make_shared<TpContext>();
+    Rng rng(seed);
+    const TpRelation r = ChainRelation(ctx, "r", {300}, 6, 3, &rng);
+    const TpRelation s = ChainRelation(ctx, "s", {300}, 9, 2, &rng);
+    const std::vector<TpTuple>& rt = r.tuples();
+    const std::vector<TpTuple>& st = s.tuples();
+    auto straddled = [](const std::vector<TpTuple>& side, TimePoint t) {
+      return std::any_of(side.begin(), side.end(), [t](const TpTuple& x) {
+        return x.t.start < t && t < x.t.end;
+      });
+    };
+    // Epoch boundaries: r end points that no s tuple straddles, at least 40
+    // time points apart; the last epoch takes the rest.
+    std::vector<TimePoint> cuts;
+    for (const TpTuple& x : rt) {
+      if (!straddled(st, x.t.end) &&
+          (cuts.empty() || x.t.end >= cuts.back() + 40)) {
+        cuts.push_back(x.t.end);
+      }
+    }
+    cuts.push_back(std::numeric_limits<TimePoint>::max());
+    ASSERT_GE(cuts.size(), 5u) << "too few epoch boundaries";
+
+    for (SetOpKind op : kAllSetOps) {
+      SCOPED_TRACE(std::string(SetOpName(op)) + " seed=" +
+                   std::to_string(seed));
+      std::vector<TpTuple> rg, sg;  // the fact's side inputs, grown per epoch
+      AdvancerCheckpoint ckpt;
+      std::vector<Win> resumed;
+      std::size_t ri = 0, si = 0;
+      for (std::size_t e = 0; e < cuts.size(); ++e) {
+        SCOPED_TRACE("epoch " + std::to_string(e));
+        TimePoint first_new = std::numeric_limits<TimePoint>::max();
+        if (ri < rt.size()) first_new = std::min(first_new, rt[ri].t.start);
+        if (si < st.size()) first_new = std::min(first_new, st[si].t.start);
+        while (ri < rt.size() && rt[ri].t.start < cuts[e]) rg.push_back(rt[ri++]);
+        while (si < st.size() && st[si].t.start < cuts[e]) sg.push_back(st[si++]);
+        if (ckpt.windows_produced > 0) {
+          ASSERT_GE(first_new, ckpt.prev_win_te) << "resume not admissible";
+        }
+
+        SweepResult scalar;
+        {
+          LineageAwareWindowAdvancer adv(rg.data(), rg.size(), sg.data(),
+                                         sg.size());
+          adv.Restore(ckpt);
+          ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
+            scalar.windows.push_back({w.fact, w.t.start, w.t.end, w.lr, w.ls});
+          });
+          scalar.ckpt = adv.Checkpoint();
+        }
+        SweepResult columnar;
+        {
+          ColumnarAdvancer adv(Span(rg), Span(sg));
+          adv.Restore(ckpt);
+          adv.Sweep(op, [&](const LineageAwareWindow& w) {
+            columnar.windows.push_back(
+                {w.fact, w.t.start, w.t.end, w.lr, w.ls});
+          });
+          columnar.ckpt = adv.Checkpoint();
+        }
+        EXPECT_TRUE(scalar.windows == columnar.windows)
+            << "resumed streams differ: scalar " << scalar.windows.size()
+            << " vs columnar " << columnar.windows.size();
+        ExpectCkptEqual(scalar.ckpt, columnar.ckpt, "resumed checkpoint");
+        resumed.insert(resumed.end(), columnar.windows.begin(),
+                       columnar.windows.end());
+        ckpt = columnar.ckpt;
+      }
+      ASSERT_EQ(ri, rt.size());
+      ASSERT_EQ(si, st.size());
+      EXPECT_TRUE(resumed == ScalarSweep(op, rt, st).windows)
+          << "resumed epochs differ from one from-scratch sweep";
     }
   }
 }

@@ -95,7 +95,7 @@ TEST(AppendLogTest, MergeKeepsOrderWitnessAndOneShotExecution) {
   // merge; the witness and duplicate-freeness must survive.
   ASSERT_TRUE(exec.Append("c", OneRow("milk", 9, 12, 0.4, "c5")).ok());
   ASSERT_TRUE(exec.Append("c", OneRow("dates", 2, 5, 0.9, "c6")).ok());
-  const TpRelation* c = exec.Find("c").value();
+  const std::shared_ptr<const TpRelation> c = exec.Find("c").value();
   EXPECT_EQ(c->size(), 6u);
   EXPECT_TRUE(c->known_sorted());
   EXPECT_TRUE(c->IsSortedFactTime());
@@ -189,7 +189,7 @@ TEST(ContinuousQueryTest, UnreadAppendAdvancesLagWithoutDelivery) {
     EXPECT_EQ(infos[0].lag, e2);
   }
   EXPECT_EQ(e2, e1 + 1);
-  Result<const TpRelation*> c = exec.Find("c");
+  Result<std::shared_ptr<const TpRelation>> c = exec.Find("c");
   ASSERT_TRUE(c.ok());
   EXPECT_EQ((*c)->size(), 6u) << "the unread relation still took the rows";
 }
@@ -310,6 +310,56 @@ TEST(ContinuousQueryTest, IntersectEarlyStopThenLateAppendResumes) {
   Result<TpRelation> oneshot = exec.Execute("a & b");
   ASSERT_TRUE(oneshot.ok());
   EXPECT_TRUE(RelationsEquivalent(cq->Current(), *oneshot));
+}
+
+TEST(ContinuousQueryTest, BulkInOrderAppendsResumeOnTheFusedKernel) {
+  // A resume whose unswept suffix reaches kColumnarAutoThreshold tuples runs
+  // the fused kernel, which restores the fact's checkpoint — cursors into
+  // the old prefix — on the full grown side arrays. Two bulk epochs, one
+  // per side, must each resume on the fused kernel and leave every
+  // operator's Current() equal to a from-scratch Execute.
+  auto ctx = std::make_shared<TpContext>();
+  QueryExecutor exec(ctx);
+  TpRelation a = MakeRelation(ctx, "a", {{"milk", "a1", 0, 4, 0.5}});
+  TpRelation b = MakeRelation(ctx, "b", {{"milk", "b1", 2, 6, 0.6}});
+  a.SortFactTime();
+  b.SortFactTime();
+  ASSERT_TRUE(exec.Register(a).ok());
+  ASSERT_TRUE(exec.Register(b).ok());
+  const std::vector<std::string> queries = {"a | b", "a - b", "a & b"};
+  std::vector<ContinuousQuery*> cqs;
+  for (const std::string& q : queries) {
+    cqs.push_back(exec.RegisterContinuous(q, q).value());
+  }
+
+  // Each batch starts past every frontier, so both epochs resume.
+  auto chain = [](TimePoint start, std::size_t rows) {
+    DeltaBatch batch;
+    for (std::size_t k = 0; k < rows; ++k) {
+      const TimePoint ts = start + 3 * static_cast<TimePoint>(k);
+      batch.Add({Value(std::string("milk"))}, Interval(ts, ts + 2), 0.5);
+    }
+    return batch;
+  };
+  const std::size_t rows = kColumnarAutoThreshold + 6;
+  for (const auto& [relation, start] :
+       {std::make_pair("a", TimePoint{10}), std::make_pair("b", TimePoint{400})}) {
+    ASSERT_TRUE(exec.Append(relation, chain(start, rows)).ok());
+    for (std::size_t i = 0; i < cqs.size(); ++i) {
+      SCOPED_TRACE(queries[i] + " after appending to " + relation);
+      const obs::Span& epoch = cqs[i]->last_profile().root();
+      ASSERT_EQ(epoch.children.size(), 1u);
+      EXPECT_EQ(epoch.children[0]->stats.facts_resumed, 1u);
+      EXPECT_EQ(epoch.children[0]->stats.facts_reswept, 0u);
+      EXPECT_EQ(epoch.children[0]->stats.sweeps_columnar, 1u);
+    }
+  }
+  for (std::size_t i = 0; i < cqs.size(); ++i) {
+    SCOPED_TRACE(queries[i]);
+    Result<TpRelation> oneshot = exec.Execute(queries[i]);
+    ASSERT_TRUE(oneshot.ok());
+    EXPECT_TRUE(RelationsEquivalent(cqs[i]->Current(), *oneshot));
+  }
 }
 
 TEST(ContinuousQueryTest, SharedSubtreesCollapseIntoDag) {

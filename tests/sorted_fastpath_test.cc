@@ -176,7 +176,7 @@ TEST(ZeroSortFastPathTest, RegisterArmsTheWitnessForCatalogRelations) {
   ASSERT_TRUE(exec.Register(rel).ok());
   // ValidateSortedFactTime ran the O(n) check and memoized it; the catalog
   // copy carries the witness, so every query leaf skips its sort.
-  Result<const TpRelation*> found = exec.Find("r");
+  Result<std::shared_ptr<const TpRelation>> found = exec.Find("r");
   ASSERT_TRUE(found.ok());
   EXPECT_TRUE((*found)->known_sorted());
 }

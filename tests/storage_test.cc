@@ -74,7 +74,7 @@ TEST(RunMergeIteratorTest, EmptyAndSingletonRuns) {
 TEST(RunMergeIteratorTest, MergedViewPreservesSortednessWitness) {
   // The merge feeds a relation via mutable_tuples (clearing the witness);
   // MergeRuns output order lets MarkSortedUnchecked re-arm it — this is the
-  // View() fold path.
+  // FoldedView() fold path.
   const std::vector<TpTuple> a = {T(1, 0, 2), T(2, 0, 2)};
   const std::vector<TpTuple> b = {T(1, 2, 4), T(9, 0, 1)};
   TpRelation rel;
@@ -183,7 +183,8 @@ TEST(StoredRelationTest, ViewFoldsRunsIntoOneSortedWitnessedRelation) {
   EXPECT_TRUE(copy.known_sorted());
   EXPECT_GT(stored.run_count(), 0u);
 
-  const TpRelation& view = stored.View();
+  const std::shared_ptr<const TpRelation> folded = stored.FoldedView();
+  const TpRelation& view = *folded;
   EXPECT_EQ(view.size(), 6u);
   EXPECT_TRUE(view.known_sorted());
   EXPECT_TRUE(view.IsSortedFactTime());
@@ -216,10 +217,10 @@ TEST(StoredRelationTest, RetentionCompactionRetiresBelowWatermark) {
   EXPECT_EQ(stored.size(), 2u);
   EXPECT_EQ(stored.stats().tuples_retired, 3u);
   EXPECT_EQ(stored.run_count(), 0u);
-  const TpRelation& view = stored.View();
-  ASSERT_EQ(view.size(), 2u);
-  EXPECT_EQ(view[0], T(1, 3, 12));
-  EXPECT_EQ(view[1], T(1, 12, 14));
+  const std::shared_ptr<const TpRelation> view = stored.FoldedView();
+  ASSERT_EQ(view->size(), 2u);
+  EXPECT_EQ((*view)[0], T(1, 3, 12));
+  EXPECT_EQ((*view)[1], T(1, 12, 14));
 
   // Fact tails survive retention: time does not rewind for fact 2.
   EXPECT_EQ(stored.FactTail(2), (std::pair<bool, TimePoint>{true, 4}));
@@ -243,7 +244,7 @@ TEST(StoredRelationTest, SnapshotsAreEpochPinnedAndImmutable) {
   // Later appends, folds and a retention compaction publish successor
   // generations; the pinned snapshot must not move a tuple.
   ASSERT_TRUE(stored.AppendRun({T(2, 3, 9), T(6, 1, 2)}, 2).ok());
-  (void)stored.View();
+  (void)stored.FoldedView();
   ASSERT_TRUE(stored.SetWatermark(3).ok());
   stored.Compact();
   EXPECT_EQ(stored.size(), 3u);  // (2,[0,3)), (5,[0,2)), (6,[1,2)) retired
@@ -260,7 +261,7 @@ TEST(StoredRelationTest, SnapshotsAreEpochPinnedAndImmutable) {
   EXPECT_EQ(now.size(), 3u);
 }
 
-// Regression for the retired `base_unretained_` flag footgun: a View() fold
+// Regression for the retired `base_unretained_` flag footgun: a fold
 // moves run tuples into the base without retention; a following SetWatermark
 // + Compact must still retire them (the fold now publishes its generation
 // with base_watermark = kNoWatermark, so the skip-when-unchanged check can
@@ -273,8 +274,7 @@ TEST(StoredRelationTest, FoldThenSetWatermarkThenCompactStillRetires) {
   ASSERT_TRUE(stored.AppendRun({T(2, 0, 2)}, 1).ok());
 
   // Fold first (no watermark set yet): run_count drops to 0.
-  const TpRelation& view = stored.View();
-  EXPECT_EQ(view.size(), 2u);
+  EXPECT_EQ(stored.FoldedView()->size(), 2u);
   EXPECT_EQ(stored.run_count(), 0u);
 
   ASSERT_TRUE(stored.SetWatermark(5).ok());
@@ -353,9 +353,9 @@ TEST(StoredRelationTest, ParallelCompactionMatchesSequential) {
   ThreadPool pool(4);
   seq->Compact();
   par->Compact(&pool);
-  EXPECT_EQ(seq->View().tuples(), par->View().tuples());
+  EXPECT_EQ(seq->FoldedView()->tuples(), par->FoldedView()->tuples());
   EXPECT_EQ(seq->stats().tuples_retired, par->stats().tuples_retired);
-  EXPECT_TRUE(par->View().IsSortedFactTime());
+  EXPECT_TRUE(par->FoldedView()->IsSortedFactTime());
 }
 
 TEST(PartitionRunsByFactTest, CutsAllRunsAtCommonFactBoundaries) {
@@ -414,7 +414,7 @@ TEST(ExecutorStorageTest, FindFoldsRunsAndOneShotExecuteStaysCorrect) {
   ASSERT_TRUE(exec.Append("a", batch).ok());
   EXPECT_EQ(exec.FindStored("a").value()->run_count(), 1u);
 
-  const TpRelation* view = exec.Find("a").value();
+  const std::shared_ptr<const TpRelation> view = exec.Find("a").value();
   EXPECT_EQ(view->size(), 3u);
   EXPECT_TRUE(view->known_sorted());
   EXPECT_EQ(exec.FindStored("a").value()->run_count(), 0u);  // folded
@@ -424,6 +424,41 @@ TEST(ExecutorStorageTest, FindFoldsRunsAndOneShotExecuteStaysCorrect) {
   Result<TpRelation> out_union = exec.Execute("a | b");
   ASSERT_TRUE(out_union.ok());
   EXPECT_GT(out_union->size(), 0u);
+}
+
+// Find hands out the refcounted fold. A result held across an append and a
+// second Find — which folds the new run into a fresh base, so no published
+// generation references the first fold any more — still reads the content
+// it was taken at; the raw-pointer form co-owns the fold the same way. A
+// fold pinned only until the next Find would be freed here (ASan reports
+// the read).
+TEST(ExecutorStorageTest, FindResultOutlivesLaterAppendsAndFinds) {
+  auto ctx = std::make_shared<TpContext>();
+  QueryExecutor exec(ctx);
+  TpRelation a = MakeRelation(ctx, "a", {{"milk", "a1", 0, 4, 0.5}});
+  a.SortFactTime();
+  ASSERT_TRUE(exec.Register(a).ok());
+  DeltaBatch first;
+  first.Add({Value(std::string("milk"))}, Interval(4, 6), 0.5);
+  ASSERT_TRUE(exec.Append("a", first).ok());
+
+  Result<std::shared_ptr<const TpRelation>> held = exec.Find("a");
+  ASSERT_TRUE(held.ok());
+  Result<const TpRelation*> borrowed = exec.Find("a");
+  ASSERT_TRUE(borrowed.ok());
+  const std::vector<TpTuple> before = (*held)->tuples();
+  ASSERT_EQ(before.size(), 2u);
+
+  DeltaBatch second;
+  second.Add({Value(std::string("milk"))}, Interval(6, 9), 0.5);
+  ASSERT_TRUE(exec.Append("a", second).ok());
+  Result<std::shared_ptr<const TpRelation>> again = exec.Find("a");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->size(), 3u);
+  ASSERT_TRUE(exec.Compact("a").ok());
+
+  EXPECT_EQ((*held)->tuples(), before);
+  EXPECT_EQ((*borrowed)->tuples(), before);
 }
 
 TEST(ExecutorStorageTest, ExplainContinuousSurfacesStorageCounters) {
@@ -545,7 +580,8 @@ TEST(EpochFenceTest, ConcurrentAppendsGetDistinctGaplessEpochsInOrder) {
 
   // Every relation holds its writer's tuples; content is intact.
   for (int w = 0; w < kWriters; ++w) {
-    const TpRelation* rel = exec.Find("rel" + std::to_string(w)).value();
+    const std::shared_ptr<const TpRelation> rel =
+        exec.Find("rel" + std::to_string(w)).value();
     EXPECT_EQ(rel->size(), static_cast<std::size_t>(kEpochsPerWriter));
     EXPECT_TRUE(rel->IsSortedFactTime());
   }
