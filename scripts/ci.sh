@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, as CI runs it: configure with warnings-as-errors,
 # build everything (library, tests, benches, examples), run ctest, compile
-# the end-to-end benchmark project, then smoke-run bench_parallel at a tiny
+# the end-to-end benchmark project and run each of its workloads for one
+# second as a correctness smoke, then smoke-run bench_parallel at a tiny
 # scale so the bench binary and its BENCH_parallel.json emitter cannot
 # bitrot. A second build under
 # ThreadSanitizer reruns the concurrency-labelled test subset (morsel
@@ -61,6 +62,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 cmake -S e2ebench -B "$BUILD_DIR/e2ebench"
 cmake --build "$BUILD_DIR/e2ebench" -j "$JOBS"
 echo "e2ebench build OK"
+
+# End-to-end correctness smoke: one second of each workload. The binary
+# checks every output (against ReferenceSetOp, t4 against t1 and the
+# replay against Execute, lineage id for lineage id) and exits 1 on any
+# failed check.
+for workload in oneshot_uniform oneshot_skewed_t4 stream_mixed; do
+  "$BUILD_DIR/e2ebench/e2e_bench" --workload "$workload" --seed 1 \
+    --seconds 1 --trace 0 > "$BUILD_DIR/e2e_smoke_$workload.out"
+done
+echo "e2ebench correctness smoke OK"
 
 # Bench smoke: ~2K tuples/relation, JSON into the build dir (the committed
 # BENCH_parallel.json is produced by a full-scale manual run, not by CI).
@@ -200,6 +211,8 @@ curl -fsS "http://$SERVE_ADDR/metrics" \
   | grep '^tpset_lineage_nodes ' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics" \
   | grep '^tpset_lineage_node_bytes ' > /dev/null
+curl -fsS "http://$SERVE_ADDR/metrics" \
+  | grep '^tpset_lineage_concat_usec_count ' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics?format=json" \
   > "$BUILD_DIR/serve_metrics.jsonl"
 python3 scripts/validate_metrics.py "$BUILD_DIR/serve_metrics.jsonl" \

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 
 #include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "relation/validate.h"
 
 namespace tpset {
@@ -93,7 +96,129 @@ void RadixSortTuples(std::vector<TpTuple>* tuples) {
   for (int d = 0; d < fact_digits; ++d) pass(fact_key, d * kDigitBits);
 }
 
+// The end of the fact run that starts at `i` of a fact-sorted span:
+// galloping, so a run of k tuples costs O(log k) reads.
+std::size_t RunEnd(TupleSpan t, std::size_t i) {
+  const FactId f = t.data[i].fact;
+  std::size_t known = i;  // t.data[known].fact == f
+  std::size_t step = 1;
+  while (known + step < t.size && t.data[known + step].fact == f) {
+    known += step;
+    step *= 2;
+  }
+  const TpTuple* end = std::upper_bound(
+      t.data + known + 1, t.data + std::min(known + step, t.size), f,
+      [](FactId v, const TpTuple& x) { return v < x.fact; });
+  return static_cast<std::size_t>(end - t.data);
+}
+
+using Clock = std::chrono::steady_clock;
+
+// LawaSetOp's block body (see set_ops.h): Add takes each surviving window
+// from the sweep, and every `capacity` of them — and the rest at Finish —
+// are interned as one ConcatBlock and appended to the output. The three
+// steps are timed at the block boundaries, three clock reads a block.
+class BlockBody {
+ public:
+  /// `capacity` is kLawaBlockWindows, or less for an operation with fewer
+  /// windows than that.
+  BlockBody(SetOpKind op, LineageManager& mgr, std::vector<TpTuple>* out,
+            std::size_t capacity)
+      : op_(op),
+        mgr_(mgr),
+        out_(out),
+        capacity_(capacity),
+        tuples_(new TpTuple[capacity]),
+        pairs_(new LineagePair[capacity]),
+        ids_(new LineageId[capacity]),
+        mark_(Clock::now()) {}
+
+  void Add(const LineageAwareWindow& w) {
+    tuples_[n_] = {w.fact, w.t, kNullLineage};
+    pairs_[n_] = {w.lr, w.ls};
+    if (++n_ == capacity_) Flush();
+  }
+
+  // Drains the last block, records the intern wall and fills `span`.
+  void Finish(obs::Span* span) {
+    Flush();
+    NoteConcatUsec(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(intern_)
+            .count()));
+    if (span == nullptr) return;
+    span->AddChild("sweep")->wall_ms = Ms(sweep_);
+    span->AddChild("intern")->wall_ms = Ms(intern_);
+    span->AddChild("materialize")->wall_ms = Ms(materialize_);
+  }
+
+ private:
+  static double Ms(Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  }
+
+  void Flush() {
+    const Clock::time_point swept = Clock::now();
+    sweep_ += swept - mark_;
+    mgr_.ConcatBlock(op_, {pairs_.get(), n_}, /*pool=*/nullptr,
+                     {ids_.get(), n_});
+    const Clock::time_point interned = Clock::now();
+    intern_ += interned - swept;
+    for (std::size_t i = 0; i < n_; ++i) {
+      TpTuple t = tuples_[i];
+      t.lineage = ids_[i];
+      out_->push_back(t);
+    }
+    n_ = 0;
+    mark_ = Clock::now();
+    materialize_ += mark_ - interned;
+  }
+
+  const SetOpKind op_;
+  LineageManager& mgr_;
+  std::vector<TpTuple>* const out_;
+  const std::size_t capacity_;
+  std::unique_ptr<TpTuple[]> tuples_;
+  std::unique_ptr<LineagePair[]> pairs_;
+  std::unique_ptr<LineageId[]> ids_;
+  std::size_t n_ = 0;
+  Clock::time_point mark_;  // the end of the last step timed
+  Clock::duration sweep_{}, intern_{}, materialize_{};
+};
+
 }  // namespace
+
+std::size_t WindowBound(TupleSpan r, TupleSpan s, bool fact_sorted) {
+  std::size_t distinct = 0;
+  if (fact_sorted) {
+    std::size_t i = 0, j = 0;
+    while (i < r.size || j < s.size) {
+      const FactId f = j == s.size   ? r.data[i].fact
+                       : i == r.size ? s.data[j].fact
+                                     : std::min(r.data[i].fact, s.data[j].fact);
+      if (i < r.size && r.data[i].fact == f) i = RunEnd(r, i);
+      if (j < s.size && s.data[j].fact == f) j = RunEnd(s, j);
+      ++distinct;
+    }
+  } else {
+    // Consecutive equal facts collapse while collecting.
+    std::vector<FactId> facts;
+    for (TupleSpan span : {r, s}) {
+      for (const TpTuple& t : span) {
+        if (facts.empty() || facts.back() != t.fact) facts.push_back(t.fact);
+      }
+    }
+    std::sort(facts.begin(), facts.end());
+    distinct = static_cast<std::size_t>(
+        std::unique(facts.begin(), facts.end()) - facts.begin());
+  }
+  return 2 * r.size + 2 * s.size - distinct;
+}
+
+std::size_t WindowBound(const TpRelation& r, const TpRelation& s) {
+  return WindowBound({r.tuples().data(), r.size()},
+                     {s.tuples().data(), s.size()},
+                     r.known_sorted() && s.known_sorted());
+}
 
 void SortTuples(std::vector<TpTuple>* tuples, SortMode mode) {
   switch (mode) {
@@ -118,6 +243,15 @@ const char* SweepKernelName(SweepKernel kernel) {
   return "unknown";
 }
 
+void NoteConcatUsec(std::uint64_t usec) {
+  static obs::Histogram& concat = obs::MetricsRegistry::Global().GetHistogram(
+      "tpset_lineage_concat_usec",
+      "wall microseconds one set operation spent interning its windows' "
+      "lineage (sequential: its blocks summed; parallel: the apply turn's "
+      "bulk intern)");
+  concat.Observe(usec);
+}
+
 void NoteSweepKernels(SweepKernel resolved, std::size_t count,
                       LawaStats* stats) {
   if (count == 0) return;
@@ -140,7 +274,7 @@ void NoteSweepKernels(SweepKernel resolved, std::size_t count,
 }
 
 TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
-                     SortMode sort_mode, LawaStats* stats) {
+                     SortMode sort_mode, LawaStats* stats, obs::Span* span) {
   assert(ValidateSetOpInputs(r, s).ok());
   LineageManager& mgr = r.context()->lineage();
   TpRelation out(r.context(), r.schema(),
@@ -168,24 +302,33 @@ TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
     sv = &ss;
   }
 
-  // Steps 2-4: advance windows; filter on (λr, λs); concatenate lineages.
-  // The drain conditions and λ-filters live in ForEachSurvivingWindow /
+  // Steps 2-4, a block at a time: advance windows and filter on (λr, λs)
+  // into the block, concatenate its lineages, append its outputs. The drain
+  // conditions and λ-filters live in ForEachSurvivingWindow /
   // ColumnarAdvancer::Sweep, shared with the parallel sweep kernels.
-  auto concat_emit = [&](const LineageAwareWindow& w) {
-    out.AddDerived(w.fact, w.t, ConcatLineage(op, mgr, w.lr, w.ls));
-  };
+  const TupleSpan rspan{rv->data(), rv->size()};
+  const TupleSpan sspan{sv->data(), sv->size()};
+  const std::size_t bound = WindowBound(rspan, sspan, /*fact_sorted=*/true);
+  std::vector<TpTuple>& tuples = out.mutable_tuples();
+  tuples.reserve(bound);
+  BlockBody body(op, mgr, &tuples,
+                 std::clamp<std::size_t>(bound, 1, kLawaBlockWindows));
+  auto add = [&body](const LineageAwareWindow& w) { body.Add(w); };
   const SweepKernel resolved =
       ResolveSweepKernel(SweepKernel::kAuto, rv->size() + sv->size());
   std::size_t windows = 0;
   if (resolved == SweepKernel::kColumnar) {
-    ColumnarAdvancer adv({rv->data(), rv->size()}, {sv->data(), sv->size()});
-    adv.Sweep(op, concat_emit);
+    ColumnarAdvancer adv(rspan, sspan);
+    adv.Sweep(op, add);
     windows = adv.windows_produced();
   } else {
     LineageAwareWindowAdvancer adv(*rv, *sv);
-    ForEachSurvivingWindow(op, adv, concat_emit);
+    ForEachSurvivingWindow(op, adv, add);
     windows = adv.windows_produced();
   }
+  body.Finish(span);
+  // Windows come out in fact order with increasing starts per fact.
+  out.MarkSortedUnchecked();
   NoteSweepKernels(resolved, 1, stats);
   if (stats != nullptr) {
     stats->windows_produced = windows;

@@ -4,6 +4,8 @@
 #define TPSET_LAWA_SET_OPS_H_
 
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/setop.h"
 #include "common/status.h"
@@ -11,6 +13,10 @@
 #include "relation/relation.h"
 
 namespace tpset {
+
+namespace obs {
+struct Span;
+}
 
 /// How the inputs are brought into (fact, start) order before the sweep.
 /// §VI-B: comparison sorting gives O(n log n) overall; a counting-based
@@ -99,6 +105,29 @@ struct LawaStats {
 void NoteSweepKernels(SweepKernel resolved, std::size_t count,
                       LawaStats* stats);
 
+/// Records one operator's lineage-concatenation wall, in microseconds, into
+/// the process metrics (tpset_lineage_concat_usec): LawaSetOp's block
+/// interns summed, or the parallel apply turn's ConcatBlock.
+void NoteConcatUsec(std::uint64_t usec);
+
+/// Proposition 1's bound on the candidate windows LAWA produces for r op s:
+/// 2|r| + 2|s| - |distinct facts of r ∪ s|. EXPLAIN's `bound` attribute and
+/// LawaSetOp's output reserve. With `fact_sorted` — both spans in fact
+/// order, as every catalog relation, every LAWA output and LawaSetOp's
+/// sorted inputs are — it gallops over each fact's run, reading
+/// O(log run) tuples per fact; otherwise it sorts the distinct facts.
+std::size_t WindowBound(TupleSpan r, TupleSpan s, bool fact_sorted);
+
+/// WindowBound over two relations, in fact order when both carry the
+/// sortedness witness.
+std::size_t WindowBound(const TpRelation& r, const TpRelation& s);
+
+/// Surviving windows per block of LawaSetOp's sweep. A block holds each
+/// window's output tuple, its (λr, λs) pair and its interned id, 36 bytes
+/// a window, so 4096 windows take 144 KiB and stay in L2 from the sweep that
+/// fills them to the intern and materialisation that drain them.
+inline constexpr std::size_t kLawaBlockWindows = 4096;
+
 /// Concatenates one surviving window's lineage pair per the operation's
 /// Table I function. Sink is LineageManager or StagingArena — both expose
 /// the same null-aware Concat* interface.
@@ -120,6 +149,15 @@ LineageId ConcatLineage(SetOpKind op, Sink& sink, LineageId lr, LineageId ls) {
 /// for untrusted input). The result is duplicate-free, change-preserved and
 /// sorted by (fact, start).
 ///
+/// It runs a block at a time: the sweep fills up to kLawaBlockWindows
+/// surviving windows, LineageManager::ConcatBlock interns their lineage
+/// pairs on the calling thread, and the outputs are appended into a tuple
+/// array reserved once at WindowBound. Ids, nodes and intern counts are
+/// those of concatenating window by window. When `span` is non-null, the
+/// three steps' walls, each summed over the blocks, become its children
+/// "sweep", "intern" and "materialize". Every call records its intern wall
+/// through NoteConcatUsec.
+///
 /// Change preservation additionally assumes that no input relation carries
 /// two *adjacent* same-fact tuples with equivalent lineage — true for every
 /// base relation (distinct tuples are distinct variables) and for every
@@ -127,7 +165,7 @@ LineageId ConcatLineage(SetOpKind op, Sink& sink, LineageId lr, LineageId ls) {
 /// relations; normalize those with CoalesceEquivalent (algebra/) first.
 TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
                      SortMode sort_mode = SortMode::kComparison,
-                     LawaStats* stats = nullptr);
+                     LawaStats* stats = nullptr, obs::Span* span = nullptr);
 
 /// Validating wrapper around LawaSetOp.
 Result<TpRelation> LawaSetOpChecked(SetOpKind op, const TpRelation& r,

@@ -2,6 +2,11 @@
 // block of windows, interned on a thread pool with the ids, nodes, index
 // contents and intern counts of the sequential ConcatLineage loop.
 //
+// A block that gets one task (a null or one-worker pool, or fewer than
+// 2 * kMinWindowsPerTask windows) runs that loop itself: on one thread, the
+// phases below cost 19-28% more than the loop per 4096-window block
+// (DESIGN.md, "Sequential operator").
+//
 // A window makes at most two constructions, at positions 2w + level: its
 // ∧/∨ (or andNot's ¬) at level 0, and andNot's ∧ at level 1. The loop
 // appends a node exactly at the first occurrence of a key that the arena
@@ -49,10 +54,6 @@ namespace tpset {
 namespace {
 
 constexpr std::size_t kShards = ConsIndex::kShards;
-
-/// Windows per task below which a block uses fewer tasks than workers: a
-/// phase barrier costs about as much as interning a few hundred windows.
-constexpr std::size_t kMinWindowsPerTask = 512;
 
 /// How one (window, level) position resolves.
 enum Tag : std::uint8_t {
@@ -136,17 +137,14 @@ class BlockIntern {
  public:
   BlockIntern(LineageManager& mgr, SetOpKind op,
               std::span<const LineagePair> block, ThreadPool* pool,
-              std::span<LineageId> out)
+              std::size_t tasks, std::span<LineageId> out)
       : mgr_(mgr),
         op_(op),
         block_(block.data()),
         out_(out.data()),
         n_(block.size()),
         base_(static_cast<LineageId>(mgr.nodes_.size())),
-        tasks_(pool == nullptr
-                   ? 1
-                   : std::clamp<std::size_t>(n_ / kMinWindowsPerTask, 1,
-                                             pool->size())),
+        tasks_(tasks),
         chunk_((n_ + tasks_ - 1) / tasks_),
         pool_(pool),
         state_(new WindowState[n_]),
@@ -359,7 +357,7 @@ class BlockIntern {
     tallies_.resize(kShards);
 
     const LineageKind kind = KindAt(level);
-    const std::vector<LineageNode>& nodes = mgr_.nodes_;
+    const NodeArena& nodes = mgr_.nodes_;
     ForShards([&](std::size_t s) {
       if (begin[s] == begin[s + 1]) return;
       const std::size_t slots = FirstSeen::SlotsFor(begin[s + 1] - begin[s]);
@@ -432,7 +430,7 @@ class BlockIntern {
     });
     for (std::size_t c = 0; c < tasks_; ++c) chunk_new_[c + 1] += chunk_new_[c];
     const std::size_t added = chunk_new_[tasks_];
-    mgr_.GrowNodesTo(base_ + added);
+    mgr_.nodes_.GrowTo(base_ + added);
     if (mgr_.hash_consing_) new_hash_.reset(new std::uint32_t[added]);
 
     const int out_level = op_ == SetOpKind::kExcept ? 1 : 0;
@@ -506,8 +504,32 @@ void LineageManager::ConcatBlock(SetOpKind op,
                                  std::span<const LineagePair> block,
                                  ThreadPool* pool, std::span<LineageId> out) {
   assert(out.size() == block.size());
-  if (block.empty()) return;
-  BlockIntern(*this, op, block, pool, out).Run();
+  const std::size_t n = block.size();
+  const std::size_t tasks =
+      pool == nullptr
+          ? 1
+          : std::clamp<std::size_t>(n / kMinWindowsPerTask, 1, pool->size());
+  if (tasks > 1) {
+    BlockIntern(*this, op, block, pool, tasks, out).Run();
+    return;
+  }
+  switch (op) {
+    case SetOpKind::kUnion:
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = ConcatOr(block[i].lr, block[i].ls);
+      }
+      return;
+    case SetOpKind::kIntersect:
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = ConcatAnd(block[i].lr, block[i].ls);
+      }
+      return;
+    case SetOpKind::kExcept:
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = ConcatAndNot(block[i].lr, block[i].ls);
+      }
+      return;
+  }
 }
 
 }  // namespace tpset

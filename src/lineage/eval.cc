@@ -60,7 +60,7 @@ using RestrictCache = std::unordered_map<LineageId, LineageId>;
 
 LineageId Restrict(LineageManager& mgr, LineageId id, VarId v, bool value,
                    RestrictCache* cache) {
-  const LineageNode n = mgr.node(id);  // copy: MakeAnd below may reallocate
+  const LineageNode& n = mgr.node(id);
   switch (n.kind) {
     case LineageKind::kFalse:
     case LineageKind::kTrue:

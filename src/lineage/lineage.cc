@@ -102,15 +102,6 @@ LineageId LineageManager::MakeOr(LineageId a, LineageId b) {
   return Intern(LineageKind::kOr, a, b);
 }
 
-void LineageManager::GrowNodesTo(std::size_t n) {
-  if (n > nodes_.capacity()) {
-    std::size_t cap = std::max<std::size_t>(nodes_.capacity(), 1);
-    while (cap < n) cap *= 2;
-    nodes_.reserve(cap);
-  }
-  nodes_.resize(n);
-}
-
 LineageId LineageManager::ConcatAndNot(LineageId l1, LineageId l2) {
   assert(l1 != kNullLineage && "andNot requires non-null left lineage");
   if (l2 == kNullLineage) return l1;

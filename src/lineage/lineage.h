@@ -26,24 +26,12 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "lineage/cons_index.h"
+#include "lineage/node_arena.h"
 
 namespace tpset {
 
 class StagingArena;
 class ThreadPool;
-
-/// Node discriminator. kTrue/kFalse arise only from restriction (Shannon
-/// cofactors); the set-operation algebra itself never creates constants.
-enum class LineageKind : std::uint8_t { kFalse = 0, kTrue, kVar, kNot, kAnd, kOr };
-
-/// One formula node. For kVar, `var` holds the variable; for kNot only
-/// `left` is used; for kAnd/kOr both children are used.
-struct LineageNode {
-  LineageKind kind;
-  VarId var;
-  LineageId left;
-  LineageId right;
-};
 
 /// One window's input lineages for a Table I concatenation: λr from the
 /// left input, λs from the right; either may be kNullLineage where the
@@ -100,12 +88,21 @@ class VarTable {
 /// only where lineages are never compared (the paper-figure benches do):
 /// every construction then appends without a lookup, at the price of
 /// duplicate nodes and of the id-equality check.
+///
+/// Nodes live in a NodeArena (lineage/node_arena.h), an address range that
+/// never moves: a reference returned by node(id) stays valid for the
+/// manager's lifetime, however many nodes are added after it.
 class LineageManager {
  public:
   /// Ids of the Boolean constants; reserved by the constructor, stable for
   /// the lifetime of every arena (StagingArena relies on the values).
   static constexpr LineageId kFalseId = 0;
   static constexpr LineageId kTrueId = 1;
+
+  /// Windows per task below which ConcatBlock uses fewer tasks than
+  /// workers: a phase barrier costs about as much as interning a few
+  /// hundred windows. A block that gets one task runs the plain loop.
+  static constexpr std::size_t kMinWindowsPerTask = 512;
 
   explicit LineageManager(bool hash_consing = true);
   LineageManager(const LineageManager&) = delete;
@@ -150,15 +147,19 @@ class LineageManager {
   /// plus the number of first occurrences at earlier (window, level)
   /// positions — level 0 is the window's ∧/∨, or andNot's ¬; level 1 is
   /// andNot's ∧ — which is the order the loop appends in. The work runs as
-  /// phases over up to pool->size() tasks (the calling thread runs one; it
-  /// must not be a pool task), the index's shards each owned by one task. The caller holds exclusive
-  /// access to this manager, as for any construction; only the calling
-  /// thread writes the intern counts. `out` has block.size() slots. A null
-  /// `pool` runs the same phases on the calling thread. Defined in
-  /// concat_block.cc.
+  /// phases over up to pool->size() tasks, one per kMinWindowsPerTask
+  /// windows (the calling thread runs one; it must not be a pool task), the
+  /// index's shards each owned by one task. A block that gets one task — a
+  /// null or one-worker `pool`, or under 2 * kMinWindowsPerTask windows —
+  /// runs that loop itself on the calling thread. The caller holds
+  /// exclusive access to this manager, as for any construction; only the
+  /// calling thread writes the intern counts. `out` has block.size() slots.
+  /// Defined in concat_block.cc.
   void ConcatBlock(SetOpKind op, std::span<const LineagePair> block,
                    ThreadPool* pool, std::span<LineageId> out);
 
+  /// The node behind `id`. Nodes never move, so the reference stays valid
+  /// for the manager's lifetime.
   const LineageNode& node(LineageId id) const { return nodes_[id]; }
   LineageKind kind(LineageId id) const { return nodes_[id].kind; }
 
@@ -173,10 +174,9 @@ class LineageManager {
     return index_.bytes() + leaves_.capacity() * sizeof(LineageId);
   }
 
-  /// Bytes held by the node array.
-  std::size_t node_bytes() const {
-    return nodes_.capacity() * sizeof(LineageNode);
-  }
+  /// Bytes of the node array committed so far (its reserved addresses
+  /// cost no memory).
+  std::size_t node_bytes() const { return nodes_.committed_bytes(); }
 
   /// Intern-path counts (hash-consing only): a lookup is one MakeVar (a
   /// leaf-table read) or one ∧/∨/¬ construction that probes the consing
@@ -281,17 +281,13 @@ class LineageManager {
     return true;
   }
 
-  /// Resizes the node array to `n`, growing its capacity by the doublings
-  /// one push_back at a time would make, so node_bytes() matches.
-  void GrowNodesTo(std::size_t n);
-
   void AppendString(LineageId id, const VarTable& vars, bool ascii, int parent_prec,
                     std::string* out) const;
   void FlattenCanonical(LineageId id, LineageKind op,
                         std::vector<std::string>* parts) const;
 
   bool hash_consing_;
-  std::vector<LineageNode> nodes_;
+  NodeArena nodes_;
   /// Hash-consing only: leaves_[v] is the id of variable v's leaf, or
   /// kNoLeaf. VarIds are dense (one per base tuple), so the table needs no
   /// hash and costs 4 bytes per variable.

@@ -10,6 +10,7 @@
 
 #include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
+#include "obs/metrics.h"
 #include "parallel/partition.h"
 #include "parallel/scheduler.h"
 #include "relation/validate.h"
@@ -204,16 +205,17 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   obs::SpanTimer span_timer(span);
   if (num_threads_ <= 1) {
     // Degenerate pool: the sequential algorithm *is* the partition sweep.
-    // LawaSetOp mutates the arena throughout, so the whole call is the turn.
+    // LawaSetOp interns every block as it fills, so the whole call is the
+    // turn; its wall is reported as "advance", with the blocks' summed
+    // sweep, intern and materialize walls as that span's children.
     TurnGuard turn(seq, ticket);
     turn.Wait();
     Clock::time_point t0 = Clock::now();
     LawaStats local_stats;
-    TpRelation out = LawaSetOp(op, r, s, sort_mode_, &local_stats);
+    obs::Span* advance = span == nullptr ? nullptr : span->AddChild("advance");
+    TpRelation out = LawaSetOp(op, r, s, sort_mode_, &local_stats, advance);
     if (span != nullptr) {
-      // The sequential algorithm interleaves all phases; report its whole
-      // wall time as the sweep.
-      span->AddChild("advance")->wall_ms = MsSince(t0);
+      advance->wall_ms = MsSince(t0);
       span->AttachStats(local_stats);
       span->SetAttr("out", out.size());
     }
@@ -350,6 +352,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   Clock::time_point a0 = Clock::now();
   r.context()->lineage().ConcatBlock(op, {block.get(), n_out}, p,
                                      {ids.get(), n_out});
+  NoteConcatUsec(obs::ElapsedUsec(a0));
   turn.Release();
   for_windows([&](const PendingWindow& w, std::size_t at) {
     out_tuples[at] = {w.fact, w.t, ids[at]};

@@ -112,9 +112,10 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   ///
   /// `span`: when non-null, the operation records its phase walls as child
   /// spans ("sort", "split", "advance", "apply"; the degenerate sequential
-  /// path records only "advance" — the whole interleaved wall) and attaches
-  /// the LawaStats to `span` itself. The span's own wall/cpu cover the full
-  /// call including sequencer waits.
+  /// path records only "advance" — LawaSetOp's whole wall — with children
+  /// "sweep", "intern" and "materialize", each summed over its blocks) and
+  /// attaches the LawaStats to `span` itself. The span's own wall/cpu cover
+  /// the full call including sequencer waits.
   TpRelation ComputeSequenced(SetOpKind op, const TpRelation& r,
                               const TpRelation& s, ApplySequencer* seq,
                               std::size_t ticket, LawaStats* stats = nullptr,

@@ -65,7 +65,8 @@ void PublishLineage(LineageManager& lineage) {
       "bytes of the lineage arena's hash-consing slot table and leaf table");
   static obs::Gauge& node_bytes = obs::MetricsRegistry::Global().GetGauge(
       "tpset_lineage_node_bytes",
-      "bytes of the lineage arena's node array (its capacity)");
+      "bytes of the lineage arena's node array committed so far (its "
+      "reserved address range costs no memory)");
   static obs::Counter& lookups = obs::MetricsRegistry::Global().GetCounter(
       "tpset_lineage_intern_lookups_total",
       "hash-consing lookups (one per MakeVar and per and/or/not node "
@@ -402,23 +403,6 @@ Status ResolveLeaves(const QueryExecutor& exec, const QueryNode& q,
   }
   TPSET_RETURN_NOT_OK(ResolveLeaves(exec, *q.left, leaves));
   return ResolveLeaves(exec, *q.right, leaves);
-}
-
-// Proposition 1's bound on the candidate windows LAWA produces for r op s:
-// 2|r| + 2|s| - |distinct facts of r ∪ s|. Consecutive equal facts collapse
-// while collecting, so (fact, start)-sorted inputs — every catalog relation
-// and LAWA output — sort only their distinct facts.
-std::size_t WindowBound(const TpRelation& r, const TpRelation& s) {
-  std::vector<FactId> facts;
-  for (const TpRelation* rel : {&r, &s}) {
-    for (const TpTuple& t : rel->tuples()) {
-      if (facts.empty() || facts.back() != t.fact) facts.push_back(t.fact);
-    }
-  }
-  std::sort(facts.begin(), facts.end());
-  const std::size_t distinct = static_cast<std::size_t>(
-      std::unique(facts.begin(), facts.end()) - facts.begin());
-  return 2 * r.size() + 2 * s.size() - distinct;
 }
 
 // A plan node's value: a borrowed leaf, or an operator's output — ready

@@ -26,11 +26,23 @@ void RenderNode(const obs::Span& span, int depth, std::string* out) {
     if (!child->Attr("kind").empty()) RenderNode(*child, depth + 1, out);
   }
   const PhaseTimings t = PhaseTimings::FromSpan(span);
-  char phases[224];
+  // A sequential node's advance splits into its blocks' summed steps.
+  std::string steps;
+  if (const obs::Span* advance = span.FindChild("advance")) {
+    for (const auto& step : advance->children) {
+      char part[64];
+      std::snprintf(part, sizeof(part), "%s%s=%.2fms",
+                    steps.empty() ? " (" : " ", step->name.c_str(),
+                    step->wall_ms);
+      steps += part;
+    }
+    if (!steps.empty()) steps += ")";
+  }
+  char phases[320];
   std::snprintf(phases, sizeof(phases),
-                ", sort=%.2fms split=%.2fms advance=%.2fms apply=%.2fms"
+                ", sort=%.2fms split=%.2fms advance=%.2fms%s apply=%.2fms"
                 ", morsels=%zu stolen=%zu facts_split=%zu",
-                t.sort_ms, t.split_ms, t.advance_ms, t.apply_ms,
+                t.sort_ms, t.split_ms, t.advance_ms, steps.c_str(), t.apply_ms,
                 span.stats.morsels_run, span.stats.morsels_stolen,
                 span.stats.facts_split);
   // Which sweep kernel ran this node, from the attached LawaStats (a

@@ -1,6 +1,8 @@
 // Property: LineageManager::ConcatBlock is the sequential ConcatLineage loop.
 // Two arenas are built identically; one runs a random block through the
-// loop, the other through ConcatBlock on a pool of 2, 4 or 8 workers. The
+// loop, the other through ConcatBlock on a pool of 2, 4 or 8 workers, or —
+// the one-task case, which runs the loop itself — with no pool, one worker,
+// or a block too small to split. The
 // ids, every node, the intern counts and the index's bytes must agree, with
 // hash-consing on and off, for each Table I operation, over two consecutive
 // blocks (the second one hits the first one's nodes).
@@ -256,24 +258,53 @@ TEST(ConcatBlockPropertyTest, MatchesTheSequentialLoop) {
   }
 }
 
-// The single-task path (a null pool, and blocks below a task's minimum).
-TEST(ConcatBlockPropertyTest, SmallBlocksAndNoPool) {
-  ThreadPool pool(4);
-  for (SetOpKind op : kAllSetOps) {
-    LineageManager loop, bulk;
-    const Inputs in = Populate(&loop, 5);
-    Populate(&bulk, 5);
-    Rng rng(11);
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      std::vector<LineagePair> block = MakeBlock(op, in, &rng);
-      block.resize(1 + rng.Below(300));
-      std::vector<LineageId> want(block.size()), got(block.size());
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        want[i] = ConcatLineage(op, loop, block[i].lr, block[i].ls);
+// The one-task case, which runs the loop itself: a null pool and a
+// one-worker pool at every block size, and four workers on blocks under
+// 2 * kMinWindowsPerTask windows.
+TEST(ConcatBlockPropertyTest, OneTaskBlocks) {
+  ThreadPool one(1), four(4);
+  constexpr std::size_t kOneTaskMax =
+      2 * LineageManager::kMinWindowsPerTask - 1;
+  for (std::uint64_t seed : testing::PropertySeeds({5, 6})) {
+    for (bool consing : {true, false}) {
+      for (SetOpKind op : kAllSetOps) {
+        LineageManager loop(consing), bulk(consing);
+        const Inputs in = Populate(&loop, seed);
+        Populate(&bulk, seed);
+        loop.TakeInternCounts();
+        bulk.TakeInternCounts();
+        Rng rng(seed * 31 + static_cast<std::uint64_t>(op));
+        struct Case {
+          ThreadPool* pool;
+          std::size_t max_windows;  // 0: MakeBlock's full size
+        };
+        for (const Case c : {Case{nullptr, 0}, Case{&one, 0},
+                             Case{nullptr, 300}, Case{&four, kOneTaskMax},
+                             Case{&four, 300}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed=" << seed << " consing=" << consing
+                       << " op=" << SetOpName(op) << " workers="
+                       << (c.pool == nullptr ? 0 : c.pool->size())
+                       << " max_windows=" << c.max_windows);
+          std::vector<LineagePair> block = MakeBlock(op, in, &rng);
+          if (c.max_windows == kOneTaskMax) {
+            block.resize(kOneTaskMax);
+          } else if (c.max_windows != 0) {
+            block.resize(1 + rng.Below(c.max_windows));
+          }
+          std::vector<LineageId> want(block.size()), got(block.size());
+          for (std::size_t i = 0; i < block.size(); ++i) {
+            want[i] = ConcatLineage(op, loop, block[i].lr, block[i].ls);
+          }
+          bulk.ConcatBlock(op, block, c.pool, got);
+          ASSERT_EQ(want, got);
+          ExpectSameArena(loop, bulk);
+          const LineageManager::InternCounts a = loop.TakeInternCounts();
+          const LineageManager::InternCounts b = bulk.TakeInternCounts();
+          EXPECT_EQ(a.lookups, b.lookups);
+          EXPECT_EQ(a.hits, b.hits);
+        }
       }
-      bulk.ConcatBlock(op, block, p, got);
-      ASSERT_EQ(want, got) << SetOpName(op);
-      ExpectSameArena(loop, bulk);
     }
   }
 }

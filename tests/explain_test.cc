@@ -92,8 +92,9 @@ TEST_F(ExplainTest, SequentialExplainCarriesPhaseSections) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const std::string& text = *plan;
   EXPECT_EQ(text.find("parallel:"), std::string::npos) << text;
-  for (const char* section : {"sort=", "split=", "advance=", "apply=",
-                              "morsels=", "windows=", "out="}) {
+  for (const char* section :
+       {"sort=", "split=", "advance=", "apply=", "morsels=", "windows=",
+        "out=", "sweep=", "intern=", "materialize="}) {
     EXPECT_NE(text.find(section), std::string::npos)
         << "missing " << section << " in:\n" << text;
   }
