@@ -3,17 +3,25 @@
 // Sweeps relation size (0.1x and 1x of 1M tuples/relation, scaled by
 // TPSET_BENCH_SCALE) and delta size (0.01% / 0.1% / 1% of the relation) for
 // the continuous query `r - s`. For each point it measures:
+//   * register/1, register/8 — the wall of RegisterContinuous, whose
+//     initial computation applies both relations as one delta;
 //   * inc/1, inc/8 — mean per-epoch latency of QueryExecutor::Append with
-//     the query maintained sequentially / with the 8-thread staged apply
-//     (epochs alternate r and s appends, so both the pure-resume and the
-//     retraction-heavy path are in the mean);
+//     the query maintained sequentially / with the 8-thread parallel delta
+//     apply (epochs alternate r and s appends, so both the pure-resume and
+//     the retraction-heavy path are in the mean);
 //   * full — one-shot Execute over the grown relations (best of 3), i.e.
 //     what serving the query without the subsystem would cost per batch.
 // The headline number is speedup = full / inc-1; the acceptance bar is
 // >= 5x for deltas <= 1% of a 1M-tuple relation.
 //
+// Bit-identity gate: the t1 and t8 runs of a point share their seed, so
+// after the epochs (before the full recompute interns anything) their
+// Current() tuples, lineage ids included, and their arena sizes must be
+// equal. Each point records "identical", and a divergence exits non-zero.
+//
 // Output: harness CSV rows, one "# json {...}" line per point, and a
 // machine-readable summary in BENCH_streaming.json (--json <path>).
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -47,16 +55,16 @@ void SeedRelation(QueryExecutor* exec, const std::shared_ptr<TpContext>& ctx,
 struct Point {
   std::size_t n;
   std::size_t delta_rows;
-  double inc1_ms;
-  double inc8_ms;
+  double register_ms;
+  double inc_ms;
   double full_ms;
-  double speedup;  // full / inc1
+  std::vector<TpTuple> current;  // the query's result after the epochs
+  std::size_t arena_nodes;       // lineage().size() after the epochs
 };
 
 // One sweep point: fresh context, seeded pair, continuous `r - s`,
 // `epochs` appends alternating sides.
-Point Measure(std::size_t n, double delta_frac, std::size_t num_threads,
-              double* out_full_ms) {
+Point Measure(std::size_t n, double delta_frac, std::size_t num_threads) {
   auto ctx = std::make_shared<TpContext>();
   QueryExecutor exec(ctx);
   Rng rng(0x57AE4417);
@@ -67,7 +75,11 @@ Point Measure(std::size_t n, double delta_frac, std::size_t num_threads,
 
   ContinuousOptions options;
   options.num_threads = num_threads;
+  const auto register_t0 = std::chrono::steady_clock::now();
   Result<ContinuousQuery*> cq = exec.RegisterContinuous("diff", "r - s", options);
+  const double register_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - register_t0)
+                                 .count();
   if (!cq.ok()) {
     std::fprintf(stderr, "%s\n", cq.status().ToString().c_str());
     std::exit(1);
@@ -91,6 +103,10 @@ Point Measure(std::size_t n, double delta_frac, std::size_t num_threads,
     });
   }
 
+  Point p{};
+  p.current = (*cq)->Current().tuples();
+  p.arena_nodes = ctx->lineage().size();
+
   // Full recompute over the grown relations (what each batch would cost
   // without incremental maintenance), best of 3.
   double full = 0.0;
@@ -101,12 +117,10 @@ Point Measure(std::size_t n, double delta_frac, std::size_t num_threads,
     });
     if (i == 0 || ms < full) full = ms;
   }
-  if (out_full_ms != nullptr) *out_full_ms = full;
-
-  Point p{};
   p.n = n;
   p.delta_rows = delta_rows;
-  p.inc1_ms = inc_total / epochs;
+  p.register_ms = register_ms;
+  p.inc_ms = inc_total / epochs;
   p.full_ms = full;
   return p;
 }
@@ -142,25 +156,40 @@ int main(int argc, char** argv) {
   }
 
   bool first = true;
+  bool all_identical = true;
   for (std::size_t n : sizes) {
     for (double frac : fracs) {
-      Point p1 = Measure(n, frac, /*num_threads=*/1, nullptr);
-      Point p8 = Measure(n, frac, /*num_threads=*/8, nullptr);
-      p1.inc8_ms = p8.inc1_ms;
-      p1.speedup = p1.inc1_ms > 0 ? p1.full_ms / p1.inc1_ms : 0.0;
+      const Point p1 = Measure(n, frac, /*num_threads=*/1);
+      const Point p8 = Measure(n, frac, /*num_threads=*/8);
+      const double speedup = p1.inc_ms > 0 ? p1.full_ms / p1.inc_ms : 0.0;
+      const bool identical =
+          p1.current == p8.current && p1.arena_nodes == p8.arena_nodes;
+      if (!identical) {
+        std::fprintf(stderr,
+                     "bench_streaming: n=%zu delta=%zu: t8 diverged from t1 "
+                     "(%zu vs %zu tuples, %zu vs %zu arena nodes)\n",
+                     n, p1.delta_rows, p8.current.size(), p1.current.size(),
+                     p8.arena_nodes, p1.arena_nodes);
+        all_identical = false;
+      }
 
       const std::string label = "delta=" + std::to_string(p1.delta_rows);
-      PrintRow("streaming", "except", "incremental/1 " + label, n, p1.inc1_ms);
-      PrintRow("streaming", "except", "incremental/8 " + label, n, p1.inc8_ms);
+      PrintRow("streaming", "except", "register/1 " + label, n, p1.register_ms);
+      PrintRow("streaming", "except", "register/8 " + label, n, p8.register_ms);
+      PrintRow("streaming", "except", "incremental/1 " + label, n, p1.inc_ms);
+      PrintRow("streaming", "except", "incremental/8 " + label, n, p8.inc_ms);
       PrintRow("streaming", "except", "full-recompute " + label, n, p1.full_ms);
 
-      char line[320];
+      char line[448];
       std::snprintf(line, sizeof(line),
                     "{\"n\": %zu, \"delta_rows\": %zu, \"delta_frac\": %.4g, "
+                    "\"register_ms_t1\": %.3f, \"register_ms_t8\": %.3f, "
                     "\"incremental_ms_t1\": %.3f, \"incremental_ms_t8\": %.3f, "
-                    "\"full_recompute_ms\": %.3f, \"speedup_t1\": %.2f}",
-                    p1.n, p1.delta_rows, frac, p1.inc1_ms, p1.inc8_ms,
-                    p1.full_ms, p1.speedup);
+                    "\"full_recompute_ms\": %.3f, \"speedup_t1\": %.2f, "
+                    "\"identical\": %s}",
+                    p1.n, p1.delta_rows, frac, p1.register_ms, p8.register_ms,
+                    p1.inc_ms, p8.inc_ms, p1.full_ms, speedup,
+                    identical ? "true" : "false");
       std::printf("# json %s\n", line);
       if (!first) json += ",\n";
       first = false;
@@ -175,6 +204,12 @@ int main(int argc, char** argv) {
     std::printf("# wrote %s\n", json_path);
   } else {
     std::fprintf(stderr, "bench_streaming: cannot write %s\n", json_path);
+    return 1;
+  }
+  if (!all_identical) {
+    std::fprintf(stderr,
+                 "bench_streaming: FAILED — a t8 continuous query diverged "
+                 "from t1 (see above)\n");
     return 1;
   }
   return 0;

@@ -6,7 +6,7 @@
 # scale so the bench binary and its BENCH_parallel.json emitter cannot
 # bitrot. A second build under
 # ThreadSanitizer reruns the concurrency-labelled test subset (morsel
-# scheduler, parallel lineage intern, incremental staged delta apply,
+# scheduler, parallel lineage intern, incremental parallel delta apply,
 # storage epoch fence, catalog lookups), and a third under AddressSanitizer
 # + UBSan reruns the whole suite.
 #
@@ -24,8 +24,8 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 run_tsan() {
   # ThreadSanitizer over the concurrency subset: a data race in the
   # work-stealing deques, the parallel lineage intern, the incremental
-  # engine's splices, the catalog or the epoch fence fails CI here, not in
-  # production.
+  # engine's overlapped sweeps and interns, the catalog or the epoch fence
+  # fails CI here, not in production.
   cmake -B "$TSAN_BUILD_DIR" -S . -DTPSET_TSAN=ON
   cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
   ctest --test-dir "$TSAN_BUILD_DIR" -L concurrency --output-on-failure -j "$JOBS"
@@ -143,6 +143,22 @@ TPSET_BENCH_SCALE=0.002 "$BUILD_DIR/bench/bench_streaming" \
 test -s "$BUILD_DIR/BENCH_streaming.json"
 grep -q '"points"' "$BUILD_DIR/BENCH_streaming.json"
 echo "bench_streaming smoke OK"
+
+# Streaming bit-identity gate: every point records whether the t8
+# continuous query's result (lineage ids included) and arena size equalled
+# the t1 run's on the same seed. bench_streaming already exits non-zero on
+# a divergence; this asserts that the emitted flags agree.
+python3 - "$BUILD_DIR/BENCH_streaming.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+points = doc["points"]
+assert points, "no streaming points"
+bad = [f"n={p['n']}/delta={p['delta_rows']}" for p in points
+       if p.get("identical") is not True]
+assert not bad, f"t8 continuous query diverged from t1 on: {bad}"
+print(f"streaming bit-identity gate OK ({len(points)} points identical)")
+EOF
 
 # Flight-record smoke: drive a continuous workload through the REPL (which
 # starts the obs::Recorder collector), hold the session open long enough for

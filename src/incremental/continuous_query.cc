@@ -119,9 +119,6 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Compile(
   cq->options_ = options;
   cq->pool_ = pool;
   if (cq->options_.num_threads == 0) cq->options_.num_threads = 1;
-  if (cq->options_.partitions_per_thread == 0) {
-    cq->options_.partitions_per_thread = 1;
-  }
   assert((cq->options_.num_threads <= 1 || pool != nullptr) &&
          "parallel continuous queries need the shared pool");
 
@@ -201,9 +198,6 @@ TupleDelta ContinuousQuery::Propagate(
     const std::map<std::string, const DeltaMap*>& leaf_deltas,
     obs::Span* span) {
   ThreadPool* pool = options_.num_threads > 1 ? pool_ : nullptr;
-  const std::size_t max_groups =
-      pool != nullptr ? options_.num_threads * options_.partitions_per_thread
-                      : 0;
 
   // Interior deltas are owned; leaf slots alias the caller's (shared) maps.
   static const DeltaMap kEmpty;
@@ -223,8 +217,7 @@ TupleDelta ContinuousQuery::Propagate(
           child == nullptr ? LawaStats{} : n.state->stats();
       {
         obs::SpanTimer timer(child);
-        owned[i] =
-            n.state->Apply(left, right, ctx_->lineage(), pool, max_groups);
+        owned[i] = n.state->Apply(left, right, ctx_->lineage(), pool);
       }
       if (child != nullptr) {
         child->AttachStats(DiffStats(n.state->stats(), before));
@@ -452,7 +445,8 @@ void ContinuousQuery::DescribeNode(int index, int depth, std::set<int>* visited,
     *out += ", tuples_retired=" + std::to_string(st.tuples_retired);
   }
   if (st.morsels_run > 0) {
-    // Parallel staged delta applies ran on the morsel scheduler.
+    // Parallel delta applies swept their fact ranges on the morsel
+    // scheduler.
     *out += ", morsels=" + std::to_string(st.morsels_run) +
             ", stolen=" + std::to_string(st.morsels_stolen);
   }

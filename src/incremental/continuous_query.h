@@ -12,7 +12,8 @@
 //
 // The accumulated result (Current(), or a subscriber folding the delta
 // stream) always equals a from-scratch Execute of the same query over the
-// appended-to relations — tuples, intervals, and probability-equal lineage.
+// appended-to relations: the same tuples and intervals and, under
+// hash-consing (the default), the same lineage ids, at every thread count.
 #ifndef TPSET_INCREMENTAL_CONTINUOUS_QUERY_H_
 #define TPSET_INCREMENTAL_CONTINUOUS_QUERY_H_
 
@@ -37,16 +38,11 @@ namespace tpset {
 
 /// Execution knobs of one continuous query.
 struct ContinuousOptions {
-  /// 1 applies deltas sequentially. Above 1, each operator partitions the
-  /// facts touched by a delta batch into fact ranges, applies them on a
-  /// shared pool with per-range lineage staging, and splices the staged
-  /// cells in fact order (deterministic; same tuples, probability-equal
-  /// lineage, ids that may differ from t1's — see DESIGN.md, "Staged
-  /// apply").
+  /// 1 applies deltas sequentially. Above 1, each operator sweeps the facts
+  /// touched by a delta batch on a shared pool, two fact ranges per thread,
+  /// and interns their lineage in fact order on the applying thread, so
+  /// results and arena equal t1's (DESIGN.md, "Parallel delta apply").
   std::size_t num_threads = 1;
-
-  /// Fact-range oversubscription per thread, so straggler facts even out.
-  std::size_t partitions_per_thread = 2;
 };
 
 /// A registered continuous query. Created by QueryExecutor::RegisterContinuous;
@@ -60,7 +56,7 @@ class ContinuousQuery {
   /// Compiles `query` over the catalog. `resolve` maps a relation name to
   /// the executor's stored catalog entry (whose address must stay stable,
   /// which the executor's node-based map guarantees). `pool` is the shared
-  /// worker pool for the parallel staged apply (required when
+  /// worker pool for the parallel delta apply (required when
   /// options.num_threads > 1, must outlive the query; the executor shares
   /// one pool per thread count across its continuous queries). Runs the
   /// initial full computation — every leaf's current content, read through

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -67,11 +68,9 @@ void ApplySideDelta(std::vector<TpTuple>* side, const FactDelta* d) {
 
 }  // namespace
 
-template <typename Sink>
 IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
-    FactId fact, const FactDelta* l, const FactDelta* r, Sink& sink) {
+    FactId fact, FactState& st, const FactDelta* l, const FactDelta* r) {
   FactApplyResult res;
-  FactState& st = facts_.at(fact);
 
   // Resume admissibility: pure appends, in time order on each side, landing
   // at or after the fact's sweep frontier. A fact with no emitted window yet
@@ -92,12 +91,11 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
     if (r != nullptr) {
       st.s.insert(st.s.end(), r->inserted.begin(), r->inserted.end());
     }
-    res.out_new_begin = st.out.size();
     const std::size_t windows_before = st.ckpt.windows_produced;
     auto emit = [&](const LineageAwareWindow& w) {
-      LineageId lin = ConcatLineage(op_, sink, w.lr, w.ls);
-      st.out.push_back({w.t, w.lr, w.ls, lin});
-      res.delta.inserted.push_back({fact, w.t, lin});
+      res.new_out.push_back(st.out.size());
+      st.out.push_back({w.t, w.lr, w.ls, kNullLineage});
+      res.delta.inserted.push_back({fact, w.t, kNullLineage});
     };
     // Kernel choice on the *unswept suffix* — the work a resume actually
     // does. Either kernel restores the checkpoint on the full grown arrays
@@ -129,7 +127,7 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
   // stream against the stored one. Both streams are strictly increasing in
   // start (windows of one fact never overlap), so a merge walk on the key
   // (start, end, λr, λs) yields the minimal retract/insert sets; matching
-  // windows keep their old lineage verbatim.
+  // windows keep their old lineage verbatim, new ones are recorded.
   ApplySideDelta(&st.r, l);
   ApplySideDelta(&st.s, r);
   struct FreshWindow {
@@ -177,33 +175,16 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
       res.delta.retracted.push_back({fact, st.out[i].t, st.out[i].lineage});
       ++i;
     } else {
-      LineageId lin = ConcatLineage(op_, sink, fresh[j].lr, fresh[j].ls);
-      next_out.push_back({fresh[j].t, fresh[j].lr, fresh[j].ls, lin});
-      res.delta.inserted.push_back({fact, fresh[j].t, lin});
+      res.new_out.push_back(next_out.size());
+      next_out.push_back({fresh[j].t, fresh[j].lr, fresh[j].ls, kNullLineage});
+      res.delta.inserted.push_back({fact, fresh[j].t, kNullLineage});
       ++j;
     }
   }
   st.out = std::move(next_out);
   st.ckpt = swept_ckpt;
-  res.out_new_begin = 0;
   res.resumed = false;
   return res;
-}
-
-void IncrementalSetOp::RemapFact(FactId fact, std::size_t out_new_begin,
-                                 LineageId frozen,
-                                 const std::vector<LineageId>& remap,
-                                 FactDelta* delta) {
-  FactState& st = facts_.at(fact);
-  for (std::size_t i = out_new_begin; i < st.out.size(); ++i) {
-    LineageId& lin = st.out[i].lineage;
-    if (lin != kNullLineage && lin >= frozen) lin = remap[lin - frozen];
-  }
-  for (TpTuple& t : delta->inserted) {
-    if (t.lineage != kNullLineage && t.lineage >= frozen) {
-      t.lineage = remap[t.lineage - frozen];
-    }
-  }
 }
 
 void IncrementalSetOp::Fold(const FactApplyResult& res) {
@@ -222,15 +203,15 @@ void IncrementalSetOp::Fold(const FactApplyResult& res) {
 }
 
 DeltaMap IncrementalSetOp::Apply(const DeltaMap& left, const DeltaMap& right,
-                                 LineageManager& mgr, ThreadPool* pool,
-                                 std::size_t max_groups) {
+                                 LineageManager& mgr, ThreadPool* pool) {
   DeltaMap out;
   if (left.empty() && right.empty()) return out;
   ++stats_.epochs_applied;
 
   // Touched facts in FactId order; create their states up front so the
-  // parallel path mutates only pre-existing map nodes.
+  // parallel sweeps mutate only pre-existing map nodes.
   std::vector<FactId> touched;
+  std::vector<FactState*> states;
   {
     auto li = left.begin();
     auto ri = right.begin();
@@ -245,7 +226,7 @@ DeltaMap IncrementalSetOp::Apply(const DeltaMap& left, const DeltaMap& right,
         ++ri;
       }
       touched.push_back(f);
-      facts_.try_emplace(f);
+      states.push_back(&facts_[f]);
     }
   }
   auto side_of = [](const DeltaMap& m, FactId f) -> const FactDelta* {
@@ -253,75 +234,72 @@ DeltaMap IncrementalSetOp::Apply(const DeltaMap& left, const DeltaMap& right,
     return it == m.end() ? nullptr : &it->second;
   };
 
-  const bool parallel = pool != nullptr && max_groups > 1 && touched.size() > 1;
-  if (!parallel) {
-    for (FactId f : touched) {
-      FactApplyResult res = ApplyFact(f, side_of(left, f), side_of(right, f), mgr);
-      Fold(res);
-      if (!res.delta.empty()) out.emplace(f, std::move(res.delta));
+  // Fact ranges: one for a sequential apply; on a pool, up to two per
+  // worker, balanced by per-fact sweep cost (the resweep worst case: stored
+  // inputs + delta).
+  std::vector<WeightRange> ranges{{0, touched.size()}};
+  if (pool != nullptr && pool->size() > 1 && touched.size() > 1) {
+    std::vector<std::size_t> weights;
+    weights.reserve(touched.size());
+    for (std::size_t i = 0; i < touched.size(); ++i) {
+      std::size_t w = states[i]->r.size() + states[i]->s.size() + 1;
+      if (const FactDelta* d = side_of(left, touched[i])) {
+        w += d->inserted.size() + d->retracted.size();
+      }
+      if (const FactDelta* d = side_of(right, touched[i])) {
+        w += d->inserted.size() + d->retracted.size();
+      }
+      weights.push_back(w);
     }
-    return out;
+    ranges = PartitionByWeight(weights, 2 * pool->size());
   }
-
-  // Parallel staged apply: fact ranges balanced by per-fact sweep cost (the
-  // resweep worst case: stored inputs + delta), one StagingArena per range,
-  // spliced in fact order. The ranges run as morsels on the work-stealing
-  // batch (a hot fact's range no longer pins one worker while the others
-  // idle — an idle worker steals the remaining ranges), and each range is
-  // spliced as soon as it and its predecessors finish, overlapping the
-  // remaining sweeps. Every lineage id a staged cell can reference was
-  // interned before this epoch's apply began, so the frozen snapshot is
-  // simply the arena size — and splicing range i while range i+1 is still
-  // staging is safe, because staging arenas never read the base arena.
-  std::vector<std::size_t> weights;
-  weights.reserve(touched.size());
-  for (FactId f : touched) {
-    const FactState& st = facts_.at(f);
-    std::size_t w = st.r.size() + st.s.size() + 1;
-    if (const FactDelta* d = side_of(left, f)) {
-      w += d->inserted.size() + d->retracted.size();
+  std::vector<FactApplyResult> results(touched.size());
+  auto sweep = [&](std::size_t ri) {
+    for (std::size_t i = ranges[ri].begin; i < ranges[ri].end; ++i) {
+      const FactId f = touched[i];
+      results[i] = ApplyFact(f, *states[i], side_of(left, f), side_of(right, f));
     }
-    if (const FactDelta* d = side_of(right, f)) {
-      w += d->inserted.size() + d->retracted.size();
-    }
-    weights.push_back(w);
-  }
-  const std::vector<WeightRange> groups = PartitionByWeight(weights, max_groups);
-  const LineageId frozen = static_cast<LineageId>(mgr.size());
-  const bool hash_consing = mgr.hash_consing();
-
-  struct GroupResult {
-    StagingArena arena{2, false};
-    std::vector<std::pair<FactId, FactApplyResult>> facts;
   };
-  std::vector<GroupResult> group_results(groups.size());
-  MorselBatch batch(
-      pool, groups.size(),
-      [this, &groups, &group_results, &touched, &left, &right, frozen,
-       hash_consing, &side_of](std::size_t gi) {
-        const WeightRange& g = groups[gi];
-        GroupResult gr{StagingArena(frozen, hash_consing), {}};
-        gr.facts.reserve(g.end - g.begin);
-        for (std::size_t i = g.begin; i < g.end; ++i) {
-          FactId f = touched[i];
-          gr.facts.emplace_back(
-              f, ApplyFact(f, side_of(left, f), side_of(right, f), gr.arena));
-        }
-        group_results[gi] = std::move(gr);
-      });
-  std::vector<LineageId> remap;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    batch.WaitMorsel(gi);
-    GroupResult& gr = group_results[gi];
-    mgr.SpliceStaged(gr.arena, &remap);
-    for (auto& [fact, res] : gr.facts) {
-      RemapFact(fact, res.out_new_begin, frozen, remap, &res.delta);
+
+  // Several ranges sweep as morsels on the work-stealing batch (an idle
+  // worker steals the ranges a hot fact's worker has not reached). This
+  // thread interns each range as soon as it is swept, overlapping the
+  // remaining sweeps: the sweeps never read the arena, and each range's
+  // windows belong to its own facts. Ranges and the windows within them go
+  // in fact order, the order a sequential apply interns in.
+  std::optional<MorselBatch> batch;
+  if (ranges.size() > 1) batch.emplace(pool, ranges.size(), sweep);
+  std::vector<LineagePair> block;
+  std::vector<LineageId> ids;
+  for (std::size_t ri = 0; ri < ranges.size(); ++ri) {
+    if (batch) {
+      batch->WaitMorsel(ri);
+    } else {
+      sweep(ri);
+    }
+    block.clear();
+    for (std::size_t i = ranges[ri].begin; i < ranges[ri].end; ++i) {
+      for (std::size_t o : results[i].new_out) {
+        block.push_back({states[i]->out[o].lr, states[i]->out[o].ls});
+      }
+    }
+    ids.resize(block.size());
+    mgr.ConcatBlock(op_, block, nullptr, ids);
+    const LineageId* id = ids.data();
+    for (std::size_t i = ranges[ri].begin; i < ranges[ri].end; ++i) {
+      FactApplyResult& res = results[i];
+      for (std::size_t k = 0; k < res.new_out.size(); ++k, ++id) {
+        states[i]->out[res.new_out[k]].lineage = *id;
+        res.delta.inserted[k].lineage = *id;
+      }
       Fold(res);
-      if (!res.delta.empty()) out.emplace(fact, std::move(res.delta));
+      if (!res.delta.empty()) out.emplace(touched[i], std::move(res.delta));
     }
   }
-  stats_.morsels_run += batch.morsels_run();
-  stats_.morsels_stolen += batch.morsels_stolen();
+  if (batch) {
+    stats_.morsels_run += batch->morsels_run();
+    stats_.morsels_stolen += batch->morsels_stolen();
+  }
   return out;
 }
 
@@ -377,11 +355,5 @@ void IncrementalSetOp::AppendAccumulated(TpRelation* out) const {
     }
   }
 }
-
-// The two sinks the continuous-query engine drives.
-template IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact<LineageManager>(
-    FactId, const FactDelta*, const FactDelta*, LineageManager&);
-template IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact<StagingArena>(
-    FactId, const FactDelta*, const FactDelta*, StagingArena&);
 
 }  // namespace tpset

@@ -26,11 +26,11 @@
 // inputs would produce — the equivalence the continuous-query property
 // tests pin down.
 //
-// Lineage concatenation goes through a pluggable sink: the shared
-// LineageManager (sequential apply) or a per-partition StagingArena
-// (parallel apply — the continuous-query driver partitions the touched
-// facts by fact range, stages concatenations on pool threads, and splices
-// them with LineageManager::SpliceStaged; see lineage/staging.h).
+// A per-fact apply only sweeps: it records each new window and leaves its
+// lineage unset. Apply then interns the recorded (λr, λs) pairs in fact
+// order with LineageManager::ConcatBlock on the calling thread, so the ids,
+// nodes and intern counts are those of concatenating window by window at
+// one thread, whatever the thread count.
 #ifndef TPSET_INCREMENTAL_INCREMENTAL_SET_OP_H_
 #define TPSET_INCREMENTAL_INCREMENTAL_SET_OP_H_
 
@@ -42,7 +42,6 @@
 #include "lawa/advancer.h"
 #include "lawa/set_ops.h"
 #include "lineage/lineage.h"
-#include "lineage/staging.h"
 #include "parallel/thread_pool.h"
 #include "relation/relation.h"
 
@@ -64,17 +63,15 @@ class IncrementalSetOp {
   SetOpKind op() const { return op_; }
 
   /// Applies one epoch's input deltas (left / right side of the operation)
-  /// and returns the output delta. With `pool` null or few touched facts the
-  /// apply is sequential and concatenates into `mgr` directly; otherwise the
-  /// touched facts are partitioned into at most `max_groups` fact ranges,
-  /// each range stages its concatenations into a StagingArena on the pool,
-  /// and the ranges are spliced into `mgr` in fact order — deterministic,
-  /// same tuples with probability-equal lineage (ids may differ from the
-  /// sequential interning order; lineage/staging.h).
-  /// The caller must hold exclusive access to the context for the duration.
+  /// and returns the output delta. The touched facts are cut into fact
+  /// ranges: one without a multi-worker `pool`, else up to two per worker,
+  /// balanced by sweep cost and swept on the pool. The calling thread
+  /// interns each range's new windows into `mgr` in fact order as soon as
+  /// the range is swept, so ids and arena contents equal a sequential
+  /// apply's. The caller must hold exclusive access to the context for the
+  /// duration.
   DeltaMap Apply(const DeltaMap& left, const DeltaMap& right,
-                 LineageManager& mgr, ThreadPool* pool = nullptr,
-                 std::size_t max_groups = 0);
+                 LineageManager& mgr, ThreadPool* pool = nullptr);
 
   /// Retention rebase. After the leaves' storage retired every tuple ending
   /// at or below `watermark` (StoredRelation::Compact), the persisted sweep
@@ -121,12 +118,12 @@ class IncrementalSetOp {
     AdvancerCheckpoint ckpt;     ///< sweep status after the last epoch
   };
 
-  /// Result of applying one fact's delta. `out_new_begin` is the first index
-  /// of FactState::out whose lineage id may still be partition-local (>= the
-  /// staging snapshot) and needs the post-splice remap.
+  /// Result of applying one fact's delta. Its new windows are in
+  /// FactState::out and delta.inserted with their lineage unset;
+  /// delta.inserted[k] is the window at out index new_out[k].
   struct FactApplyResult {
     FactDelta delta;
-    std::size_t out_new_begin = 0;
+    std::vector<std::size_t> new_out;
     bool resumed = false;
     /// Which kernel swept this fact (counted into stats by Fold, which runs
     /// on the caller thread — ApplyFact itself may run on a pool worker).
@@ -134,14 +131,9 @@ class IncrementalSetOp {
     std::size_t windows_produced = 0;
   };
 
-  template <typename Sink>
-  FactApplyResult ApplyFact(FactId fact, const FactDelta* l, const FactDelta* r,
-                            Sink& sink);
-
-  /// Rewrites staged lineage ids (>= frozen) through `remap` in the fact's
-  /// new out-suffix and in `delta`'s inserted tuples.
-  void RemapFact(FactId fact, std::size_t out_new_begin, LineageId frozen,
-                 const std::vector<LineageId>& remap, FactDelta* delta);
+  /// Sweeps one fact's delta into `st` without touching the lineage arena.
+  FactApplyResult ApplyFact(FactId fact, FactState& st, const FactDelta* l,
+                            const FactDelta* r);
 
   void Fold(const FactApplyResult& res);
 

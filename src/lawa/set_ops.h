@@ -129,17 +129,17 @@ std::size_t WindowBound(const TpRelation& r, const TpRelation& s);
 inline constexpr std::size_t kLawaBlockWindows = 4096;
 
 /// Concatenates one surviving window's lineage pair per the operation's
-/// Table I function. Sink is LineageManager or StagingArena — both expose
-/// the same null-aware Concat* interface.
-template <typename Sink>
-LineageId ConcatLineage(SetOpKind op, Sink& sink, LineageId lr, LineageId ls) {
+/// Table I function: the per-window loop that LineageManager::ConcatBlock
+/// reproduces for a whole block.
+inline LineageId ConcatLineage(SetOpKind op, LineageManager& mgr, LineageId lr,
+                               LineageId ls) {
   switch (op) {
     case SetOpKind::kIntersect:
-      return sink.ConcatAnd(lr, ls);
+      return mgr.ConcatAnd(lr, ls);
     case SetOpKind::kUnion:
-      return sink.ConcatOr(lr, ls);
+      return mgr.ConcatOr(lr, ls);
     case SetOpKind::kExcept:
-      return sink.ConcatAndNot(lr, ls);
+      return mgr.ConcatAndNot(lr, ls);
   }
   return kNullLineage;
 }
@@ -193,12 +193,13 @@ void SortTuples(std::vector<TpTuple>* tuples, SortMode mode);
 /// Drives one advancer sweep for `op`, invoking emit(w) for every window
 /// that survives the per-operation λ-filter (Algorithms 2-4). This is the
 /// single definition of the drain conditions and filters, shared by
-/// sequential LawaSetOp and both parallel sweep kernels — what the emit
-/// callback does with a surviving window (concatenate into the shared
-/// arena, defer, or stage thread-locally) is the only thing that differs
-/// between them. The loop conditions extend the paper's pseudocode to also
-/// drain still-valid tuples (see DESIGN.md, faithfulness note 3): windows
-/// keep coming while the operation can still produce output.
+/// sequential LawaSetOp, the parallel engine and the incremental engine —
+/// what the emit callback does with a surviving window (add it to a block,
+/// defer it to the apply turn, or record it for the epoch's intern) is the
+/// only thing that differs between them. The loop conditions extend the
+/// paper's pseudocode to also drain still-valid tuples (see DESIGN.md,
+/// faithfulness note 3): windows keep coming while the operation can still
+/// produce output.
 template <typename Emit>
 void ForEachSurvivingWindow(SetOpKind op, LineageAwareWindowAdvancer& adv,
                             Emit&& emit) {

@@ -1,15 +1,14 @@
-// Sharded open-addressed hash-consing index behind LineageManager and
-// StagingArena.
+// Sharded open-addressed hash-consing index behind LineageManager.
 //
 // The index is kShards independent tables; a key's shard is the top
 // kShardBits of its 32-bit hash. Each shard is a power-of-two table of
 // (32-bit hash, 32-bit id) slots, probed linearly from `hash & mask`. Id 0
-// marks an empty slot: it is the constant False, which is never interned
-// (nor is any staged cell, whose ids start at frozen_size >= 2). A probe
-// compares the stored hash first — the tag filter — and asks the owner to
-// compare nodes only when the tags match, so walking past an occupied slot
-// reads no node. Only ∧/∨/¬ nodes are keyed here: a variable leaf is found
-// by its VarId in LineageManager's leaf table, which needs no hash.
+// marks an empty slot: it is the constant False, which is never interned. A
+// probe compares the stored hash first — the tag filter — and asks the
+// owner to compare nodes only when the tags match, so walking past an
+// occupied slot reads no node. Only ∧/∨/¬ nodes are keyed here: a variable
+// leaf is found by its VarId in LineageManager's leaf table, which needs no
+// hash.
 //
 // A shard allocates its table on its first insert, at kMinSlots, and
 // doubles on its own once more than three quarters of its slots are taken,
@@ -17,9 +16,9 @@
 // empty index owns no memory. Growth re-inserts each occupied slot at
 // `stored hash & new mask`: the index keeps the whole hash, so it needs
 // neither a rehash nor the nodes, and never walks the arena. That is what
-// lets arena nodes that were never indexed (variable leaves, SpliceStaged
-// cells, every node with hash_consing off) sit beside indexed ones — growth
-// cannot pick them up.
+// lets arena nodes that were never indexed (variable leaves, every node
+// with hash_consing off) sit beside indexed ones — growth cannot pick them
+// up.
 //
 // A shard's slot count is a function of its key count alone, and a key's
 // shard of its hash alone, so any insertion order of one key set leaves the

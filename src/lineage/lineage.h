@@ -30,7 +30,6 @@
 
 namespace tpset {
 
-class StagingArena;
 class ThreadPool;
 
 /// One window's input lineages for a Table I concatenation: λr from the
@@ -82,12 +81,11 @@ class VarTable {
 /// enabled, construction deduplicates nodes, so equal formulas share one id.
 /// A ∧/∨/¬ node costs one hash and a short linear probe of 8-byte slots in
 /// a sharded open-addressed index (lineage/cons_index.h); a variable leaf
-/// costs one read of a dense table indexed by VarId. Three kinds of node
-/// never enter the index: variable leaves, cells spliced from a staging
-/// arena, and every node of a manager without hash-consing. Disable it
-/// only where lineages are never compared (the paper-figure benches do):
-/// every construction then appends without a lookup, at the price of
-/// duplicate nodes and of the id-equality check.
+/// costs one read of a dense table indexed by VarId. Two kinds of node
+/// never enter the index: variable leaves, and every node of a manager
+/// without hash-consing. Disable it only where lineages are never compared
+/// (the paper-figure benches do): every construction then appends without
+/// a lookup, at the price of duplicate nodes and of the id-equality check.
 ///
 /// Nodes live in a NodeArena (lineage/node_arena.h), an address range that
 /// never moves: a reference returned by node(id) stays valid for the
@@ -95,7 +93,8 @@ class VarTable {
 class LineageManager {
  public:
   /// Ids of the Boolean constants; reserved by the constructor, stable for
-  /// the lifetime of every arena (StagingArena relies on the values).
+  /// the lifetime of every arena (ConsIndex and the leaf table use id 0 as
+  /// their empty mark).
   static constexpr LineageId kFalseId = 0;
   static constexpr LineageId kTrueId = 1;
 
@@ -215,21 +214,6 @@ class LineageManager {
   /// and sorted, so formulas equal up to commutativity/associativity map to
   /// the same key. Used by tests to compare outputs of different algorithms.
   std::string CanonicalKey(LineageId id) const;
-
-  /// Splices the cells of a staging arena (see lineage/staging.h; the
-  /// incremental engine's parallel apply) into this arena: a pure
-  /// remap-and-append (affine id shift, no hashing) — the
-  /// whole point of staging is that the serialized merge does O(cells)
-  /// memcpy-like work, not per-node intern work. On return, (*remap)[i] is
-  /// the final id of staged cell `staged.frozen_size() + i`. Spliced cells
-  /// are NOT entered into the hash-consing index: a cell structurally equal
-  /// to an existing node becomes a duplicate arena node, which valuation
-  /// and CanonicalKey see through (deduplication remains local to each
-  /// staging arena). Since the index's growth never walks the arena, a
-  /// spliced cell stays unindexed for good: interning its structure later
-  /// appends a fresh node. The caller must hold exclusive access to this
-  /// manager (the sequencer turn). Defined in staging.cc.
-  void SpliceStaged(const StagingArena& staged, std::vector<LineageId>* remap);
 
  private:
   /// A leaf-table entry for a variable with no leaf yet. Id 0 is the

@@ -38,7 +38,7 @@ obs::Counter& FactsSplitCounter() {
 obs::Histogram& MorselLatencyHistogram() {
   static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
       "tpset_sched_morsel_latency_usec",
-      "wall microseconds per morsel body (sweep + staging)");
+      "wall microseconds per morsel body (sweep + window record)");
   return h;
 }
 

@@ -28,9 +28,9 @@
 //
 //  * in-order completion waits — WaitMorsel(i) blocks until morsel i has
 //    run, while later morsels keep executing, so a caller can consume
-//    results in index order as they land (the incremental engine splices
-//    each fact range's staged result this way while later ranges still
-//    stage); WaitAll blocks for the whole batch (the one-shot engine's
+//    results in index order as they land (the incremental engine interns
+//    each swept fact range's windows this way while later ranges still
+//    sweep); WaitAll blocks for the whole batch (the one-shot engine's
 //    apply interns the whole block at once, on every worker).
 //
 // Determinism: each morsel's result lands in its own slot and the caller

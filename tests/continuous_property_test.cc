@@ -1,10 +1,10 @@
 // Property tests of the incremental continuous-query subsystem: for random
 // append schedules, the accumulated state of every continuous query must
 // equal a from-scratch Execute of the same query over the appended-to
-// relations — same tuples, same intervals, probability-equal lineage
-// (RelationsEquivalent compares lineages by canonical key). Additionally,
-// the (inserted, retracted) delta stream must be coherent: a subscriber
-// folding it into a multiset reconstructs the accumulated result exactly.
+// relations — same tuples, same intervals and, since every node goes
+// through the one consing index, the same lineage ids. Additionally, the
+// (inserted, retracted) delta stream must be coherent: a subscriber folding
+// it into a multiset reconstructs the accumulated result exactly.
 //
 // Schedules exercised:
 //  * in-order     — appends land at/after every operator frontier (resume);
@@ -12,7 +12,8 @@
 //                   its appends reopen closed windows (resweep + retraction);
 //  * hot fact     — every append extends one fact's chain (deep resume);
 //  * mixed        — random relation, random fact, random gaps.
-// Each schedule runs sequentially and with the parallel staged apply.
+// Each schedule runs sequentially and with the parallel delta apply, and
+// both must match Execute lineage id for lineage id.
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -143,8 +144,11 @@ void RunSchedule(const ScheduleSpec& spec, std::size_t num_threads,
       for (std::size_t i = 0; i < queries.size(); ++i) {
         Result<TpRelation> oneshot = exec.Execute(queries[i].second);
         ASSERT_TRUE(oneshot.ok());
-        EXPECT_TRUE(RelationsEquivalent(cqs[i]->Current(), *oneshot))
+        const TpRelation current = cqs[i]->Current();
+        EXPECT_TRUE(RelationsEquivalent(current, *oneshot))
             << queries[i].second << " diverged at epoch " << e;
+        EXPECT_TRUE(current.tuples() == oneshot->tuples())
+            << queries[i].second << " lineage ids diverged at epoch " << e;
       }
     }
   }
@@ -157,6 +161,8 @@ void RunSchedule(const ScheduleSpec& spec, std::size_t num_threads,
     Result<TpRelation> oneshot = exec.Execute(queries[i].second);
     ASSERT_TRUE(oneshot.ok());
     EXPECT_TRUE(RelationsEquivalent(current, *oneshot)) << queries[i].second;
+    EXPECT_TRUE(current.tuples() == oneshot->tuples())
+        << queries[i].second << " lineage ids diverged";
   }
 }
 
@@ -166,7 +172,7 @@ TEST(ContinuousPropertyTest, MixedScheduleSequential) {
   }
 }
 
-TEST(ContinuousPropertyTest, MixedScheduleParallelStaged) {
+TEST(ContinuousPropertyTest, MixedScheduleParallel) {
   for (std::uint64_t seed : testing::PropertySeeds({1, 2, 3})) {
     RunSchedule(ScheduleSpec{}, 4, seed);
   }

@@ -1,6 +1,6 @@
 // Lineage algebra: hash-consing, Table I concatenation functions, printing,
 // canonical keys, variable analysis, the variable-leaf table, and the
-// consing index behind both LineageManager and StagingArena.
+// consing index behind LineageManager.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,7 +11,6 @@
 
 #include "lineage/cons_index.h"
 #include "lineage/lineage.h"
-#include "lineage/staging.h"
 
 namespace tpset {
 namespace {
@@ -243,65 +242,6 @@ TEST_F(LineageTest, IndexKeepsIdsAcrossManyDoublings) {
     EXPECT_EQ(mgr_.MakeVar(mgr_.node(v).var), v);
   }
   EXPECT_EQ(mgr_.size(), size);
-}
-
-// Spliced cells never enter the consing index (DESIGN.md, "Staged apply"),
-// and index growth never walks the arena, so a later intern of a spliced
-// cell's structure appends a fresh node — right after the splice and after
-// the index has since doubled.
-TEST_F(LineageTest, SplicedCellsStayOutOfTheIndex) {
-  LineageId va = mgr_.MakeVar(a1_);
-  LineageId vb = mgr_.MakeVar(b1_);
-  StagingArena staged(static_cast<LineageId>(mgr_.size()), true);
-  staged.ConcatAnd(va, vb);
-  staged.ConcatOr(va, vb);
-  std::vector<LineageId> remap;
-  mgr_.SpliceStaged(staged, &remap);
-  ASSERT_EQ(remap.size(), 2u);
-
-  const LineageId fresh_and = mgr_.MakeAnd(va, vb);
-  EXPECT_NE(fresh_and, remap[0]);
-  EXPECT_EQ(fresh_and, mgr_.size() - 1);
-  EXPECT_EQ(mgr_.MakeAnd(va, vb), fresh_and) << "the fresh node is indexed";
-
-  // Grow the index over formulas that never mention a1 or b1.
-  const std::size_t bytes = mgr_.index_bytes();
-  std::vector<LineageId> pool;
-  for (int i = 0; i < 8; ++i) pool.push_back(mgr_.MakeVar(vars_.Add(0.5)));
-  BuildDistinct(&mgr_, &pool, 5000);
-  ASSERT_GT(mgr_.index_bytes(), bytes);
-  const std::size_t size = mgr_.size();
-  const LineageId fresh_or = mgr_.MakeOr(va, vb);
-  EXPECT_NE(fresh_or, remap[1]);
-  EXPECT_EQ(fresh_or, size);
-}
-
-TEST(StagingArenaTest, DedupHoldsAcrossGrowthWithSequentialCellIds) {
-  constexpr LineageId kFrozen = 1000;
-  StagingArena arena(kFrozen, true);
-  auto concat = [&](LineageId l, LineageId r) {
-    return (l + r) % 2 == 0 ? arena.ConcatOr(l, r) : arena.ConcatAnd(l, r);
-  };
-  std::vector<LineageId> ids;
-  for (LineageId l = 2; l < 202; ++l) {
-    for (LineageId r = 500; r < 550; ++r) {
-      ids.push_back(concat(l, r));
-      EXPECT_EQ(ids.back(), kFrozen + ids.size() - 1) << "cells in order";
-    }
-  }
-  ASSERT_EQ(arena.size(), 10000u);
-  std::size_t i = 0;
-  for (LineageId l = 2; l < 202; ++l) {
-    for (LineageId r = 500; r < 550; ++r) ASSERT_EQ(concat(l, r), ids[i++]);
-  }
-  EXPECT_EQ(arena.size(), 10000u) << "re-interning added cells";
-  // Cells over cells dedup too.
-  const LineageId nested = arena.ConcatAndNot(ids[0], ids[1]);
-  EXPECT_EQ(arena.ConcatAndNot(ids[0], ids[1]), nested);
-
-  StagingArena plain(kFrozen, false);
-  EXPECT_EQ(plain.ConcatAnd(2, 3), kFrozen);
-  EXPECT_EQ(plain.ConcatAnd(2, 3), kFrozen + 1);
 }
 
 // Keys that collide on the whole 32-bit tag are still told apart: the tag

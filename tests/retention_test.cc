@@ -10,8 +10,10 @@
 // windows ending at or below w, clamping starts up to w — must yield the
 // same relation (same facts, clipped intervals, probability-equal lineage).
 // The subscriber delta stream, folded and clipped the same way, must agree
-// tuple-for-tuple (exact lineage ids). Checkpoints must stay *live* after a
-// rebase: later in-order appends keep resuming instead of resweeping.
+// tuple-for-tuple (exact lineage ids), and a parallel run's clipped state
+// and stream must equal a sequential run's. Checkpoints must stay *live*
+// after a rebase: later in-order appends keep resuming instead of
+// resweeping.
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -49,8 +51,11 @@ TpRelation ClipAbove(const TpRelation& rel, TimePoint w) {
 // assertion of the unretained tests: below the watermark, forgotten windows
 // are never retracted and a resweep may re-insert an identical window, so
 // only the clipped view is comparable.
+using TupleCounts =
+    std::map<std::tuple<FactId, TimePoint, TimePoint, LineageId>, int>;
+
 struct RetentionFold {
-  std::map<std::tuple<FactId, TimePoint, TimePoint, LineageId>, int> tuples;
+  TupleCounts tuples;
   EpochId last_epoch = 0;
 
   void Apply(const EpochDelta& d) {
@@ -67,25 +72,38 @@ struct RetentionFold {
     }
   }
 
-  void ExpectClippedMatch(const TpRelation& current, TimePoint w) {
-    std::map<std::tuple<FactId, TimePoint, TimePoint, LineageId>, int> want;
+  TupleCounts Clipped(TimePoint w) const {
+    TupleCounts clipped;
     for (const auto& [key, count] : tuples) {
       const auto& [fact, ts, te, lin] = key;
       if (te <= w) continue;
-      want[std::make_tuple(fact, std::max(ts, w), te, lin)] += count;
+      clipped[std::make_tuple(fact, std::max(ts, w), te, lin)] += count;
     }
-    std::map<std::tuple<FactId, TimePoint, TimePoint, LineageId>, int> got;
+    return clipped;
+  }
+
+  void ExpectClippedMatch(const TpRelation& current, TimePoint w) {
+    TupleCounts got;
     for (const TpTuple& t : current.tuples()) {
       if (t.t.end <= w) continue;
       ++got[std::make_tuple(t.fact, std::max(t.t.start, w), t.t.end, t.lineage)];
     }
-    EXPECT_EQ(got, want) << "clipped folded stream != clipped accumulated state";
+    EXPECT_EQ(got, Clipped(w))
+        << "clipped folded stream != clipped accumulated state";
   }
+};
+
+// What a schedule leaves per query, clipped above the query's effective
+// watermark: the accumulated state and the folded delta stream.
+struct ClippedRun {
+  std::vector<std::vector<TpTuple>> current;
+  std::vector<TupleCounts> folded;
 };
 
 // ---- Randomized schedules with periodic retention --------------------------
 
-void RunRetainedSchedule(std::size_t num_threads, std::uint64_t seed) {
+void RunRetainedSchedule(std::size_t num_threads, std::uint64_t seed,
+                         ClippedRun* out = nullptr) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " threads=" + std::to_string(num_threads));
   auto ctx = std::make_shared<TpContext>();
@@ -172,6 +190,14 @@ void RunRetainedSchedule(std::size_t num_threads, std::uint64_t seed) {
     retired_total += exec.FindStored(name).value()->stats().tuples_retired;
   }
   EXPECT_GT(retired_total, 0u) << "schedule never retired anything";
+
+  if (out == nullptr) return;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const TimePoint w = cqs[i]->effective_watermark();
+    const TimePoint w_eff = w == kNoWatermark ? 0 : w;
+    out->current.push_back(ClipAbove(cqs[i]->Current(), w_eff).tuples());
+    out->folded.push_back(folded[i].Clipped(w_eff));
+  }
 }
 
 TEST(RetentionPropertyTest, RandomScheduleSequential) {
@@ -180,9 +206,16 @@ TEST(RetentionPropertyTest, RandomScheduleSequential) {
   }
 }
 
-TEST(RetentionPropertyTest, RandomScheduleParallelStaged) {
+// The parallel run interns in the sequential run's order, so on fresh
+// executors the two leave the same lineage ids.
+TEST(RetentionPropertyTest, RandomScheduleParallelMatchesSequential) {
   for (std::uint64_t seed : testing::PropertySeeds({111, 112})) {
-    RunRetainedSchedule(4, seed);
+    ClippedRun parallel, sequential;
+    RunRetainedSchedule(4, seed, &parallel);
+    RunRetainedSchedule(1, seed, &sequential);
+    ASSERT_EQ(parallel.current.size(), 3u);
+    EXPECT_TRUE(parallel.current == sequential.current) << "seed=" << seed;
+    EXPECT_EQ(parallel.folded, sequential.folded) << "seed=" << seed;
   }
 }
 
