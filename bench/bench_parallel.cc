@@ -56,6 +56,7 @@
 #include "obs/export.h"
 #include "obs/http_endpoints.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/recorder.h"
 #include "parallel/parallel_set_op.h"
 
@@ -69,10 +70,18 @@ constexpr std::size_t kThreadCounts[] = {1, 2, 4};
 
 struct Sample {
   double wall_ms = 0.0;
-  PhaseTimings phases;
+  // The operator span's phase walls (its "sort", "split", "advance" and
+  // "apply" children).
+  double sort_ms = 0.0, split_ms = 0.0, advance_ms = 0.0, apply_ms = 0.0;
   LawaStats stats;
   bool identical = true;  // every rep's output equalled the reference
 };
+
+// One phase child's wall, or 0 when the operator did not record it.
+double PhaseMs(const obs::Span& span, const char* phase) {
+  const obs::Span* child = span.FindChild(phase);
+  return child == nullptr ? 0.0 : child->wall_ms;
+}
 
 // Fresh synthetic pair, deterministic across calls (fixed seed).
 std::pair<TpRelation, TpRelation> FreshPair(const SyntheticPairSpec& spec) {
@@ -115,8 +124,15 @@ Sample BestTimedCold(int reps, const Fresh& fresh, std::size_t threads,
     auto [r, s] = fresh();
     Sample run;
     TpRelation out;
-    run.wall_ms = TimeMs(
-        [&]() { out = algo.ComputeTimed(op, r, s, &run.phases, &run.stats); });
+    obs::Span span;
+    run.wall_ms = TimeMs([&]() {
+      out = algo.ComputeSequenced(op, r, s, /*seq=*/nullptr, /*ticket=*/0,
+                                  &run.stats, &span);
+    });
+    run.sort_ms = PhaseMs(span, "sort");
+    run.split_ms = PhaseMs(span, "split");
+    run.advance_ms = PhaseMs(span, "advance");
+    run.apply_ms = PhaseMs(span, "apply");
     identical = identical && out.tuples() == reference.tuples();
     if (i == 0 || run.wall_ms < best.wall_ms) best = run;
   }
@@ -135,8 +151,8 @@ std::string ThreadsJson(const Sample (&at)[std::size(kThreadCounts)]) {
                   "\"split_ms\":%.3f,\"advance_ms\":%.3f,\"apply_ms\":%.3f,"
                   "\"identical\":%s}",
                   i > 0 ? "," : "", kThreadCounts[i], s.wall_ms,
-                  s.phases.sort_ms, s.phases.split_ms, s.phases.advance_ms,
-                  s.phases.apply_ms, s.identical ? "true" : "false");
+                  s.sort_ms, s.split_ms, s.advance_ms, s.apply_ms,
+                  s.identical ? "true" : "false");
     out += buf;
   }
   return out;
@@ -304,15 +320,14 @@ int main(int argc, char** argv) {
     const Sample& t4 = at[std::size(kThreadCounts) - 1];
     const double speedup = t4.wall_ms > 0 ? t1.wall_ms / t4.wall_ms : 0.0;
     const double apply_speedup =
-        t4.phases.apply_ms > 0 ? at[1].phases.apply_ms / t4.phases.apply_ms
-                               : 0.0;
+        t4.apply_ms > 0 ? at[1].apply_ms / t4.apply_ms : 0.0;
     std::printf(
         "# json {\"experiment\":\"parallel\",\"operation\":\"%s\",\"n\":%zu,"
         "\"lawa_ms\":%.3f,\"t1_ms\":%.3f,\"t4_ms\":%.3f,"
         "\"apply_ms_t2\":%.3f,\"apply_ms_t4\":%.3f,"
         "\"speedup_4_over_1\":%.3f,\"identical\":%s}\n",
-        op_name, n, seq_ms, t1.wall_ms, t4.wall_ms, at[1].phases.apply_ms,
-        t4.phases.apply_ms, speedup,
+        op_name, n, seq_ms, t1.wall_ms, t4.wall_ms, at[1].apply_ms,
+        t4.apply_ms, speedup,
         at[0].identical && at[1].identical && t4.identical ? "true" : "false");
 
     if (!first_op) json += ",\n";

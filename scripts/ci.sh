@@ -180,8 +180,8 @@ python3 scripts/validate_flight_record.py "$BUILD_DIR/flight_record.json" \
 echo "flight record smoke OK"
 
 # Introspection-server smoke: start the REPL with --serve=0 (ephemeral port)
-# over a live parallel workload — 128-tuple CSV relations so the columnar
-# kernel and morsel scheduler register their metric families — then scrape
+# over a live parallel workload — 128-tuple CSV relations at two threads so
+# the morsel scheduler registers its metric family — then scrape
 # every contract from outside the process: /healthz, /metrics (Prometheus and
 # JSON, the latter against metrics_schema.json), /flight against the
 # flight-record schema, and /queries for continuous-query state. The wire

@@ -97,27 +97,13 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
       st.out.push_back({w.t, w.lr, w.ls, kNullLineage});
       res.delta.inserted.push_back({fact, w.t, kNullLineage});
     };
-    // Kernel choice on the *unswept suffix* — the work a resume actually
-    // does. Either kernel restores the checkpoint on the full grown arrays
-    // and reads only the suffix past its cursors, so O(delta) resumes stay
-    // O(delta).
-    const SweepKernel resolved = ResolveSweepKernel(
-        SweepKernel::kAuto,
-        (st.r.size() - st.ckpt.ri) + (st.s.size() - st.ckpt.si));
-    if (resolved == SweepKernel::kColumnar) {
-      ColumnarAdvancer adv({st.r.data(), st.r.size()},
-                           {st.s.data(), st.s.size()});
-      adv.Restore(st.ckpt);
-      adv.Sweep(op_, emit);
-      st.ckpt = adv.Checkpoint();
-      res.columnar = true;
-    } else {
-      LineageAwareWindowAdvancer adv(st.r.data(), st.r.size(), st.s.data(),
-                                     st.s.size());
-      adv.Restore(st.ckpt);
-      ForEachSurvivingWindow(op_, adv, emit);
-      st.ckpt = adv.Checkpoint();
-    }
+    // The kernel restores the checkpoint on the full grown arrays and reads
+    // only the suffix past its cursors, so O(delta) resumes stay O(delta).
+    ColumnarAdvancer adv({st.r.data(), st.r.size()},
+                         {st.s.data(), st.s.size()});
+    adv.Restore(st.ckpt);
+    adv.Sweep(op_, emit);
+    st.ckpt = adv.Checkpoint();
     res.windows_produced = st.ckpt.windows_produced - windows_before;
     res.resumed = true;
     return res;
@@ -138,22 +124,9 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
   auto fresh_emit = [&](const LineageAwareWindow& w) {
     fresh.push_back({w.t, w.lr, w.ls});
   };
-  AdvancerCheckpoint swept_ckpt;
-  const SweepKernel resolved =
-      ResolveSweepKernel(SweepKernel::kAuto, st.r.size() + st.s.size());
-  if (resolved == SweepKernel::kColumnar) {
-    ColumnarAdvancer adv({st.r.data(), st.r.size()}, {st.s.data(), st.s.size()});
-    adv.Sweep(op_, fresh_emit);
-    res.windows_produced = adv.windows_produced();
-    swept_ckpt = adv.Checkpoint();
-    res.columnar = true;
-  } else {
-    LineageAwareWindowAdvancer adv(st.r.data(), st.r.size(), st.s.data(),
-                                   st.s.size());
-    ForEachSurvivingWindow(op_, adv, fresh_emit);
-    res.windows_produced = adv.windows_produced();
-    swept_ckpt = adv.Checkpoint();
-  }
+  ColumnarAdvancer adv({st.r.data(), st.r.size()}, {st.s.data(), st.s.size()});
+  adv.Sweep(op_, fresh_emit);
+  res.windows_produced = adv.windows_produced();
 
   auto key_old = [](const OutTuple& o) {
     return std::make_tuple(o.t.start, o.t.end, o.lr, o.ls);
@@ -182,7 +155,7 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
     }
   }
   st.out = std::move(next_out);
-  st.ckpt = swept_ckpt;
+  st.ckpt = adv.Checkpoint();
   res.resumed = false;
   return res;
 }
@@ -194,9 +167,6 @@ void IncrementalSetOp::Fold(const FactApplyResult& res) {
   } else {
     ++stats_.facts_reswept;
   }
-  NoteSweepKernels(
-      res.columnar ? SweepKernel::kColumnar : SweepKernel::kScalar, 1,
-      &stats_);
   accumulated_ += res.delta.inserted.size();
   accumulated_ -= res.delta.retracted.size();
   stats_.output_tuples = accumulated_;

@@ -50,12 +50,10 @@ namespace tpset {
 /// Persistent sweep state of one TP set operation. See the file comment.
 class IncrementalSetOp {
  public:
-  /// Per-fact applies pick their sweep kernel with ResolveSweepKernel on
-  /// the tuples actually swept — the unswept suffix for resumes, the whole
-  /// fact for resweeps — so tiny per-fact deltas stay on the scalar kernel
-  /// and bulk catch-ups go columnar. Checkpoints round-trip between
-  /// kernels, so the choice can differ epoch to epoch (and from the kernel
-  /// that wrote the state).
+  /// Per-fact applies sweep with the fused kernel (ColumnarAdvancer), as
+  /// LawaSetOp does: a resume restores the fact's checkpoint on its grown
+  /// side arrays and sweeps only the appended suffix, a resweep sweeps the
+  /// whole fact.
   explicit IncrementalSetOp(SetOpKind op) : op_(op) {}
   IncrementalSetOp(const IncrementalSetOp&) = delete;
   IncrementalSetOp& operator=(const IncrementalSetOp&) = delete;
@@ -125,9 +123,6 @@ class IncrementalSetOp {
     FactDelta delta;
     std::vector<std::size_t> new_out;
     bool resumed = false;
-    /// Which kernel swept this fact (counted into stats by Fold, which runs
-    /// on the caller thread — ApplyFact itself may run on a pool worker).
-    bool columnar = false;
     std::size_t windows_produced = 0;
   };
 

@@ -1,5 +1,8 @@
-// Fused sweep kernel for LAWA — the drop-in fast path for
-// LineageAwareWindowAdvancer + ForEachSurvivingWindow.
+// Fused sweep kernel for LAWA: the one kernel every engine sweeps with —
+// LawaSetOp, the parallel morsel sweep, and the incremental engine's resume
+// and resweep. The scalar advancer (lawa/advancer.h) driven by
+// ForEachSurvivingWindow, the paper's Alg. 1 under its λ-filters, stays as
+// the reference it is held to.
 //
 // The scalar advancer is an out-of-line call per window: every boundary
 // computation re-tests fact equality, and its status is spilled to members
@@ -90,7 +93,7 @@ class ColumnarAdvancer {
   }
 
   /// Restores a status saved from an advancer (either kernel) over a prefix
-  /// of this advancer's inputs; see LineageAwareWindowAdvancer::Restore.
+  /// of this advancer's inputs; see the scalar advancer's Restore.
   void Restore(const AdvancerCheckpoint& ckpt) {
     assert(ckpt.ri <= r_.size && ckpt.si <= s_.size &&
            "checkpoint cursors must lie within the (grown) inputs");
@@ -376,7 +379,7 @@ class ColumnarAdvancer {
 
   TupleSpan r_;
   TupleSpan s_;
-  // Status members mirror LineageAwareWindowAdvancer field-for-field so
+  // Status members mirror the scalar advancer's field-for-field so
   // checkpoints are interchangeable between the kernels.
   std::size_t ri_ = 0;
   std::size_t si_ = 0;

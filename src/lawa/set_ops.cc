@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -96,22 +95,6 @@ void RadixSortTuples(std::vector<TpTuple>* tuples) {
   for (int d = 0; d < fact_digits; ++d) pass(fact_key, d * kDigitBits);
 }
 
-// The end of the fact run that starts at `i` of a fact-sorted span:
-// galloping, so a run of k tuples costs O(log k) reads.
-std::size_t RunEnd(TupleSpan t, std::size_t i) {
-  const FactId f = t.data[i].fact;
-  std::size_t known = i;  // t.data[known].fact == f
-  std::size_t step = 1;
-  while (known + step < t.size && t.data[known + step].fact == f) {
-    known += step;
-    step *= 2;
-  }
-  const TpTuple* end = std::upper_bound(
-      t.data + known + 1, t.data + std::min(known + step, t.size), f,
-      [](FactId v, const TpTuple& x) { return v < x.fact; });
-  return static_cast<std::size_t>(end - t.data);
-}
-
 using Clock = std::chrono::steady_clock;
 
 // LawaSetOp's block body (see set_ops.h): Add takes each surviving window
@@ -195,8 +178,8 @@ std::size_t WindowBound(TupleSpan r, TupleSpan s, bool fact_sorted) {
       const FactId f = j == s.size   ? r.data[i].fact
                        : i == r.size ? s.data[j].fact
                                      : std::min(r.data[i].fact, s.data[j].fact);
-      if (i < r.size && r.data[i].fact == f) i = RunEnd(r, i);
-      if (j < s.size && s.data[j].fact == f) j = RunEnd(s, j);
+      if (i < r.size && r.data[i].fact == f) i = FactRunEnd(r, i);
+      if (j < s.size && s.data[j].fact == f) j = FactRunEnd(s, j);
       ++distinct;
     }
   } else {
@@ -231,18 +214,6 @@ void SortTuples(std::vector<TpTuple>* tuples, SortMode mode) {
   }
 }
 
-const char* SweepKernelName(SweepKernel kernel) {
-  switch (kernel) {
-    case SweepKernel::kAuto:
-      return "auto";
-    case SweepKernel::kScalar:
-      return "scalar";
-    case SweepKernel::kColumnar:
-      return "columnar";
-  }
-  return "unknown";
-}
-
 void NoteConcatUsec(std::uint64_t usec) {
   static obs::Histogram& concat = obs::MetricsRegistry::Global().GetHistogram(
       "tpset_lineage_concat_usec",
@@ -250,27 +221,6 @@ void NoteConcatUsec(std::uint64_t usec) {
       "lineage (sequential: its blocks summed; parallel: the apply turn's "
       "bulk intern)");
   concat.Observe(usec);
-}
-
-void NoteSweepKernels(SweepKernel resolved, std::size_t count,
-                      LawaStats* stats) {
-  if (count == 0) return;
-  assert(resolved != SweepKernel::kAuto && "record the resolved kernel");
-  static obs::Counter& scalar_sweeps =
-      obs::MetricsRegistry::Global().GetCounter(
-          "tpset_lawa_sweep_kernel_scalar_total",
-          "LAWA sweeps run by the scalar (tuple-at-a-time) kernel");
-  static obs::Counter& columnar_sweeps =
-      obs::MetricsRegistry::Global().GetCounter(
-          "tpset_lawa_sweep_kernel_columnar_total",
-          "LAWA sweeps run by the fused columnar kernel");
-  if (resolved == SweepKernel::kColumnar) {
-    columnar_sweeps.Increment(count);
-    if (stats != nullptr) stats->sweeps_columnar += count;
-  } else {
-    scalar_sweeps.Increment(count);
-    if (stats != nullptr) stats->sweeps_scalar += count;
-  }
 }
 
 TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
@@ -304,8 +254,8 @@ TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
 
   // Steps 2-4, a block at a time: advance windows and filter on (λr, λs)
   // into the block, concatenate its lineages, append its outputs. The drain
-  // conditions and λ-filters live in ForEachSurvivingWindow /
-  // ColumnarAdvancer::Sweep, shared with the parallel sweep kernels.
+  // conditions and λ-filters live in ColumnarAdvancer::Sweep, the kernel
+  // every engine sweeps with.
   const TupleSpan rspan{rv->data(), rv->size()};
   const TupleSpan sspan{sv->data(), sv->size()};
   const std::size_t bound = WindowBound(rspan, sspan, /*fact_sorted=*/true);
@@ -313,25 +263,13 @@ TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
   tuples.reserve(bound);
   BlockBody body(op, mgr, &tuples,
                  std::clamp<std::size_t>(bound, 1, kLawaBlockWindows));
-  auto add = [&body](const LineageAwareWindow& w) { body.Add(w); };
-  const SweepKernel resolved =
-      ResolveSweepKernel(SweepKernel::kAuto, rv->size() + sv->size());
-  std::size_t windows = 0;
-  if (resolved == SweepKernel::kColumnar) {
-    ColumnarAdvancer adv(rspan, sspan);
-    adv.Sweep(op, add);
-    windows = adv.windows_produced();
-  } else {
-    LineageAwareWindowAdvancer adv(*rv, *sv);
-    ForEachSurvivingWindow(op, adv, add);
-    windows = adv.windows_produced();
-  }
+  ColumnarAdvancer adv(rspan, sspan);
+  adv.Sweep(op, [&body](const LineageAwareWindow& w) { body.Add(w); });
   body.Finish(span);
   // Windows come out in fact order with increasing starts per fact.
   out.MarkSortedUnchecked();
-  NoteSweepKernels(resolved, 1, stats);
   if (stats != nullptr) {
-    stats->windows_produced = windows;
+    stats->windows_produced = adv.windows_produced();
     stats->output_tuples = out.size();
     stats->sort_skipped = sort_skipped;
   }

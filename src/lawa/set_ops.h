@@ -23,29 +23,14 @@ struct Span;
 /// (radix) sort makes the whole operation linear when applicable.
 enum class SortMode { kComparison = 0, kCounting = 1 };
 
-/// Which sweep kernel runs the LAWA advance loop. kScalar is the reference
-/// tuple-at-a-time advancer (lawa/advancer.h, the paper's Alg. 1);
-/// kColumnar is the fused kernel (lawa/columnar_advancer.h), which reads the
-/// same sorted tuple arrays in place — identical window stream. Every engine
-/// resolves kAuto per sweep: columnar at kColumnarAutoThreshold combined
-/// input tuples and above, scalar below it. The threshold is unchanged from
-/// when the fused kernel built a column projection per sweep, and was not
-/// re-measured after that build went away.
-enum class SweepKernel { kAuto = 0, kScalar = 1, kColumnar = 2 };
+/// The kernel selector the end-to-end benchmark's replay names. Every engine
+/// sweeps with the fused kernel (lawa/columnar_advancer.h), so kAuto
+/// resolves to kColumnar at every size; nothing in the library calls this.
+enum class SweepKernel { kAuto, kColumnar };
 
-/// kAuto cutover point, in combined input tuples (nr + ns).
-inline constexpr std::size_t kColumnarAutoThreshold = 64;
-
-/// The concrete kernel kAuto resolves to for a sweep of `combined_tuples`.
-inline SweepKernel ResolveSweepKernel(SweepKernel kernel,
-                                      std::size_t combined_tuples) {
-  if (kernel != SweepKernel::kAuto) return kernel;
-  return combined_tuples >= kColumnarAutoThreshold ? SweepKernel::kColumnar
-                                                   : SweepKernel::kScalar;
+inline SweepKernel ResolveSweepKernel(SweepKernel, std::size_t) {
+  return SweepKernel::kColumnar;
 }
-
-/// "auto" / "scalar" / "columnar" — flag values and EXPLAIN/bench labels.
-const char* SweepKernelName(SweepKernel kernel);
 
 /// Per-run statistics for complexity checks and benchmarks.
 struct LawaStats {
@@ -91,19 +76,7 @@ struct LawaStats {
   std::size_t tuples_retired = 0;
   /// O(1) fact-tail lookups served by the storage tail map.
   std::size_t tail_hits = 0;
-
-  // Sweep-kernel counters (which kernel ran the advance loop). Sequential
-  // runs record 1 sweep; parallel runs one per morsel; incremental runs one
-  // per fact apply. EXPLAIN renders `kernel=` from these.
-  std::size_t sweeps_scalar = 0;
-  std::size_t sweeps_columnar = 0;
 };
-
-/// Records `count` sweeps run under `resolved` (a concrete kernel, not
-/// kAuto) into the process metrics (tpset_lawa_sweep_kernel_*_total) and,
-/// if `stats` is non-null, its sweeps_scalar / sweeps_columnar.
-void NoteSweepKernels(SweepKernel resolved, std::size_t count,
-                      LawaStats* stats);
 
 /// Records one operator's lineage-concatenation wall, in microseconds, into
 /// the process metrics (tpset_lineage_concat_usec): LawaSetOp's block
@@ -191,15 +164,15 @@ inline TpRelation LawaExcept(const TpRelation& r, const TpRelation& s) {
 void SortTuples(std::vector<TpTuple>* tuples, SortMode mode);
 
 /// Drives one advancer sweep for `op`, invoking emit(w) for every window
-/// that survives the per-operation λ-filter (Algorithms 2-4). This is the
-/// single definition of the drain conditions and filters, shared by
-/// sequential LawaSetOp, the parallel engine and the incremental engine —
-/// what the emit callback does with a surviving window (add it to a block,
-/// defer it to the apply turn, or record it for the epoch's intern) is the
-/// only thing that differs between them. The loop conditions extend the
-/// paper's pseudocode to also drain still-valid tuples (see DESIGN.md,
-/// faithfulness note 3): windows keep coming while the operation can still
-/// produce output.
+/// that survives the per-operation λ-filter (Algorithms 2-4): the paper's
+/// Alg. 1 under the paper's filters, kept as the reference. Every engine —
+/// LawaSetOp, the parallel morsel sweep and the incremental engine's resume
+/// and resweep — runs the fused kernel, ColumnarAdvancer::Sweep, which must
+/// emit the identical window stream; columnar_kernel_test,
+/// lawa_block_property_test and bench_parallel's kernel A/B hold it to this
+/// loop. The loop conditions extend the paper's pseudocode to also drain
+/// still-valid tuples (see DESIGN.md, faithfulness note 3): windows keep
+/// coming while the operation can still produce output.
 template <typename Emit>
 void ForEachSurvivingWindow(SetOpKind op, LineageAwareWindowAdvancer& adv,
                             Emit&& emit) {

@@ -11,11 +11,6 @@
 // subtree that task alone touches (the same ownership discipline as the
 // morsel result slots). Rendering/serialization must wait for the execution
 // to finish.
-//
-// PhaseTimings (parallel/parallel_set_op.h) is now a thin adapter over this
-// span tree: the engine records sort/split/advance/apply as child spans and
-// PhaseTimings::FromSpan extracts the same four walls for callers (benches)
-// that want plain numbers.
 #ifndef TPSET_OBS_PROFILE_H_
 #define TPSET_OBS_PROFILE_H_
 

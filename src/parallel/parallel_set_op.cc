@@ -8,10 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
 #include "obs/metrics.h"
-#include "parallel/partition.h"
 #include "parallel/scheduler.h"
 #include "relation/validate.h"
 
@@ -45,37 +43,22 @@ struct PartitionSweep {
 };
 
 // Phase 3: one morsel — the sub-spans of the sorted inputs its fact range
-// covers — swept on the operation's kernel, handing every window that
-// passes the per-operation λ-filter to `emit`, which defers it. Drain
-// conditions and λ-filters are shared with LawaSetOp via
-// ForEachSurvivingWindow / ColumnarAdvancer::Sweep — bit-identity depends
-// on them agreeing, and the cross-check is the parallel_set_op_test
-// property suite. Reads shared data only; returns the candidate windows.
+// covers — swept by the fused kernel, handing every window that passes the
+// per-operation λ-filter to `emit`, which defers it. LawaSetOp sweeps with
+// the same kernel, so bit-identity rests on the morsel cuts stitching back
+// into the sequential stream (scheduler.h); the cross-check is the
+// parallel_set_op_test property suite. Reads shared data only; returns the
+// candidate windows.
 template <typename Emit>
-std::size_t SweepMorsel(SetOpKind op, bool columnar, TupleSpan r, TupleSpan s,
+std::size_t SweepMorsel(SetOpKind op, TupleSpan r, TupleSpan s,
                         const FactPartition& part, Emit&& emit) {
-  r = r.Slice(part.r_begin, part.r_end);
-  s = s.Slice(part.s_begin, part.s_end);
-  if (columnar) {
-    ColumnarAdvancer adv(r, s);
-    adv.Sweep(op, emit);
-    return adv.windows_produced();
-  }
-  LineageAwareWindowAdvancer adv(r.data, r.size, s.data, s.size);
-  ForEachSurvivingWindow(op, adv, emit);
+  ColumnarAdvancer adv(r.Slice(part.r_begin, part.r_end),
+                       s.Slice(part.s_begin, part.s_end));
+  adv.Sweep(op, emit);
   return adv.windows_produced();
 }
 
 }  // namespace
-
-PhaseTimings PhaseTimings::FromSpan(const obs::Span& span) {
-  PhaseTimings t;
-  if (const obs::Span* c = span.FindChild("sort")) t.sort_ms = c->wall_ms;
-  if (const obs::Span* c = span.FindChild("split")) t.split_ms = c->wall_ms;
-  if (const obs::Span* c = span.FindChild("advance")) t.advance_ms = c->wall_ms;
-  if (const obs::Span* c = span.FindChild("apply")) t.apply_ms = c->wall_ms;
-  return t;
-}
 
 void ParallelSortBatch(std::vector<TpTuple>* const* arrays, std::size_t count,
                        SortMode mode, ThreadPool* pool) {
@@ -159,12 +142,9 @@ void ParallelSortTuples(std::vector<TpTuple>* tuples, SortMode mode,
 
 ParallelSetOpAlgorithm::ParallelSetOpAlgorithm(std::size_t num_threads,
                                                SortMode sort_mode,
-                                               std::size_t partitions_per_thread,
                                                std::size_t morsel_budget)
     : num_threads_(num_threads),
       sort_mode_(sort_mode),
-      partitions_per_thread_(
-          partitions_per_thread == 0 ? 1 : partitions_per_thread),
       morsel_budget_(morsel_budget) {}
 
 ParallelSetOpAlgorithm::~ParallelSetOpAlgorithm() = default;
@@ -181,20 +161,6 @@ TpRelation ParallelSetOpAlgorithm::Compute(SetOpKind op, const TpRelation& r,
   return ComputeSequenced(op, r, s, /*seq=*/nullptr, /*ticket=*/0);
 }
 
-TpRelation ParallelSetOpAlgorithm::ComputeTimed(SetOpKind op,
-                                                const TpRelation& r,
-                                                const TpRelation& s,
-                                                PhaseTimings* timings,
-                                                LawaStats* stats) const {
-  // Thin adapter: the span records the phases, FromSpan projects them back.
-  obs::Span span;
-  span.name = SetOpName(op);
-  TpRelation out =
-      ComputeSequenced(op, r, s, /*seq=*/nullptr, /*ticket=*/0, stats, &span);
-  if (timings != nullptr) *timings = PhaseTimings::FromSpan(span);
-  return out;
-}
-
 TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
                                                     const TpRelation& r,
                                                     const TpRelation& s,
@@ -204,7 +170,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
                                                     obs::Span* span) const {
   obs::SpanTimer span_timer(span);
   if (num_threads_ <= 1) {
-    // Degenerate pool: the sequential algorithm *is* the partition sweep.
+    // Degenerate pool: the sequential algorithm *is* the morsel sweep.
     // LawaSetOp interns every block as it fills, so the whole call is the
     // turn; its wall is reported as "advance", with the blocks' summed
     // sweep, intern and materialize walls as that span's children.
@@ -269,41 +235,32 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   double sort_ms = MsSince(t0);
   t0 = Clock::now();
 
-  // Phase 2: cut at fact boundaries, oversubscribed for balance, then
-  // refine into morsels — facts heavier than the morsel budget are split at
-  // clean time boundaries (scheduler.h), so a one-hot-fact input no longer
-  // pins a single worker.
-  const std::vector<FactPartition> parts = PartitionByFactRange(
-      rdata, rn, sdata, sn, num_threads_ * partitions_per_thread_);
+  // Phase 2: plan morsels straight from the sorted inputs — cut at fact
+  // boundaries, and facts heavier than the morsel budget at clean time
+  // boundaries (scheduler.h), so a one-hot-fact input does not pin a single
+  // worker.
+  const TupleSpan rspan{rdata, rn};
+  const TupleSpan sspan{sdata, sn};
   const MorselPlan plan = BuildMorsels(
-      rdata, sdata, parts,
-      morsel_budget_ != 0
-          ? morsel_budget_
-          : MorselAutoBudget(rn + sn, num_threads_, partitions_per_thread_));
+      rspan, sspan,
+      morsel_budget_ != 0 ? morsel_budget_
+                          : MorselAutoBudget(rn + sn, num_threads_));
   const std::size_t n_morsels = plan.morsels.size();
   double split_ms = MsSince(t0);
   t0 = Clock::now();
-
-  // Sweep-kernel resolution (once per operation, on the combined input
-  // size). Either kernel sweeps each morsel's slice of the sorted arrays in
-  // place, so no morsel waits on a per-operation build.
-  const SweepKernel resolved = ResolveSweepKernel(SweepKernel::kAuto, rn + sn);
-  const bool columnar = resolved == SweepKernel::kColumnar;
-  const TupleSpan rspan{rdata, rn};
-  const TupleSpan sspan{sdata, sn};
 
   // Phase 3: sweep morsels on the work-stealing batch; each result is built
   // locally and moved into its own slot, so the block below lists the
   // windows in morsel index order regardless of which worker ran what.
   std::vector<PartitionSweep> results(n_morsels);
-  MorselBatch batch(p, n_morsels, [op, columnar, rspan, sspan, &plan,
+  MorselBatch batch(p, n_morsels, [op, rspan, sspan, &plan,
                                    &results](std::size_t i) {
     PartitionSweep sweep;
-    sweep.windows_produced = SweepMorsel(
-        op, columnar, rspan, sspan, plan.morsels[i],
-        [&](const LineageAwareWindow& w) {
-          sweep.windows.push_back({w.fact, w.t, {w.lr, w.ls}});
-        });
+    sweep.windows_produced =
+        SweepMorsel(op, rspan, sspan, plan.morsels[i],
+                    [&](const LineageAwareWindow& w) {
+                      sweep.windows.push_back({w.fact, w.t, {w.lr, w.ls}});
+                    });
     results[i] = std::move(sweep);
   });
   batch.WaitAll();
@@ -369,7 +326,6 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   local_stats.morsels_run = batch.morsels_run();
   local_stats.morsels_stolen = batch.morsels_stolen();
   local_stats.facts_split = plan.facts_split;
-  NoteSweepKernels(resolved, n_morsels, &local_stats);
   if (stats != nullptr) *stats = local_stats;
   if (span != nullptr) {
     span->AddChild("sort")->wall_ms = sort_ms;
@@ -379,7 +335,6 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
     span->AttachStats(local_stats);
     span->SetAttr("out", out.size());
     span->SetAttr("morsels", batch.morsels_run());
-    span->SetAttr("kernel", std::string(SweepKernelName(resolved)));
   }
   return out;
 }

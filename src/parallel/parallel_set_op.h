@@ -1,16 +1,17 @@
-// Partitioned parallel LAWA: the paper's advancer run per fact-range
-// partition on a thread pool.
+// Partitioned parallel LAWA: the fused sweep kernel run per fact-range
+// morsel on a thread pool.
 //
 // Execution of one operation (Fig. 5 pipeline, parallelized):
 //   1. sort    — inputs are chunk-sorted and merged on the pool; an input
 //                carrying the sortedness witness (TpRelation::known_sorted —
 //                catalog relations, set-op outputs) is swept in place with
 //                no copy and no sort at all (the zero-sort fast path);
-//   2. split   — PartitionByFactRange cuts both inputs at fact boundaries,
-//                then BuildMorsels refines the plan into morsels of about
-//                the morsel budget, time-splitting facts heavier than the
-//                budget at clean time boundaries (see parallel/scheduler.h);
-//   3. advance — morsels are swept by the sequential advancer on a
+//   2. split   — BuildMorsels plans morsels of about the morsel budget
+//                straight from the two sorted inputs, cutting at fact
+//                boundaries and time-splitting facts heavier than the budget
+//                at clean time boundaries (see parallel/scheduler.h);
+//   3. advance — each morsel's slices of the sorted arrays are swept in
+//                place by the fused kernel (ColumnarAdvancer) on a
 //                MorselBatch (per-worker deques + work stealing); each emits
 //                its surviving windows as *pending* (fact, interval, λr, λs),
 //                deferring the lineage concatenation;
@@ -44,45 +45,18 @@
 
 namespace tpset {
 
-/// Wall-clock breakdown of one parallel set operation, phase by phase.
-/// `advance_ms` covers the morsel sweeps and the block's gather (waits for
-/// the sequencer turn included); `apply_ms` is the bulk intern in the turn
-/// plus the output fill after it.
-///
-/// Since the observability layer (src/obs/), this struct is a *thin
-/// adapter*: the engine records phases as child spans ("sort", "split",
-/// "advance", "apply") of an obs::Span, and FromSpan projects those four
-/// walls back out for callers (benches) that want plain numbers.
-struct PhaseTimings {
-  double sort_ms = 0.0;
-  double split_ms = 0.0;
-  double advance_ms = 0.0;
-  double apply_ms = 0.0;
-
-  double total_ms() const { return sort_ms + split_ms + advance_ms + apply_ms; }
-
-  /// Projects a node span recorded by ComputeSequenced back into the four
-  /// phase walls (a missing child reads as 0).
-  static PhaseTimings FromSpan(const obs::Span& span);
-};
-
-/// LAWA over fact-range partitions on a private thread pool. Registered as
+/// LAWA over fact-range morsels on a private thread pool. Registered as
 /// "LAWA-P"; supports all three operations (Table II row of LAWA).
 class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
  public:
   /// `num_threads` <= 1 degrades to plain sequential LawaSetOp (no pool is
-  /// created). `partitions_per_thread` oversubscribes
-  /// the split so stragglers even out; the pool itself is created lazily on
-  /// first use. `morsel_budget` is the combined (r + s) tuple budget per
-  /// morsel of the work-stealing refinement (scheduler.h); 0 picks
-  /// MorselAutoBudget, and 1 is legal (every tuple its own morsel — tests
-  /// use small budgets to force time splits at test scale). Phase 3 sweeps
-  /// on the kernel ResolveSweepKernel picks for the combined input size;
-  /// either kernel sweeps each morsel's slice of the sorted tuple arrays in
-  /// place.
+  /// created); the pool itself is created lazily on first use.
+  /// `morsel_budget` is the combined (r + s) tuple budget per morsel
+  /// (scheduler.h); 0 picks MorselAutoBudget, and 1 is legal (every tuple
+  /// its own morsel — tests use small budgets to force time splits at test
+  /// scale).
   explicit ParallelSetOpAlgorithm(std::size_t num_threads,
                                   SortMode sort_mode = SortMode::kComparison,
-                                  std::size_t partitions_per_thread = 4,
                                   std::size_t morsel_budget = 0);
   ~ParallelSetOpAlgorithm() override;
 
@@ -95,18 +69,13 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   TpRelation Compute(SetOpKind op, const TpRelation& r,
                      const TpRelation& s) const override;
 
-  /// Compute with per-phase wall times (and optionally stats) reported.
-  TpRelation ComputeTimed(SetOpKind op, const TpRelation& r,
-                          const TpRelation& s, PhaseTimings* timings,
-                          LawaStats* stats = nullptr) const;
-
   /// Executor entry point for concurrent query-subtree evaluation: phases
   /// 1-3 run immediately, the arena-mutating apply phase waits for `ticket`
   /// on `seq`. Every concurrent evaluation against one context must go
   /// through one sequencer.
   ///
   /// `stats`: output_tuples matches the sequential run exactly;
-  /// windows_produced may be smaller — a partition whose other input is
+  /// windows_produced may be smaller — a morsel whose other input is
   /// empty never sweeps, skipping candidate windows the sequential global
   /// loop produces only to filter out. Proposition 1 bounds both counts.
   ///
@@ -128,7 +97,6 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
 
   std::size_t num_threads_;
   SortMode sort_mode_;
-  std::size_t partitions_per_thread_;
   std::size_t morsel_budget_;
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;

@@ -20,31 +20,6 @@ std::size_t FactLowerBound(const TpTuple* tuples, std::size_t n, FactId f) {
 
 }  // namespace
 
-std::vector<FactPartition> PartitionByFactRange(const std::vector<TpTuple>& r,
-                                                const std::vector<TpTuple>& s,
-                                                std::size_t max_partitions) {
-  return PartitionByFactRange(r.data(), r.size(), s.data(), s.size(),
-                              max_partitions);
-}
-
-std::vector<FactPartition> PartitionByFactRange(const TpTuple* r,
-                                                std::size_t nr,
-                                                const TpTuple* s,
-                                                std::size_t ns,
-                                                std::size_t max_partitions) {
-  // The two-input partitioner is the 2-run special case of the generalized
-  // cut search — one copy of the subtle boundary logic to maintain.
-  const std::vector<RunPartition> parts =
-      PartitionRunsByFact({{r, nr}, {s, ns}}, max_partitions);
-  std::vector<FactPartition> out;
-  out.reserve(parts.size());
-  for (const RunPartition& p : parts) {
-    out.push_back({p.slices[0].first, p.slices[0].second, p.slices[1].first,
-                   p.slices[1].second});
-  }
-  return out;
-}
-
 std::vector<RunPartition> PartitionRunsByFact(
     const std::vector<std::pair<const TpTuple*, std::size_t>>& runs,
     std::size_t max_partitions) {
@@ -113,7 +88,7 @@ std::vector<WeightRange> PartitionByWeight(const std::vector<std::size_t>& weigh
   std::size_t total = 0;
   for (std::size_t w : weights) total += w;
 
-  // Greedy target walk, mirroring PartitionByFactRange: the k-th cut falls
+  // Greedy target walk, mirroring PartitionRunsByFact: the k-th cut falls
   // where the running weight first reaches k/max_groups of the total.
   std::size_t begin = 0;
   std::size_t running = 0;

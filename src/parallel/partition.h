@@ -1,11 +1,11 @@
-// Fact-range partitioning of a pair of (fact, start)-sorted TP relations.
+// Fact-range partitioning of (fact, start)-sorted TP tuple runs.
 //
 // LAWA windows never span fact boundaries (the advancer's status resets
 // whenever currFact changes), so a set operation over inputs sorted by
 // (fact, start) decomposes into independent operations over disjoint fact
 // ranges — the partition-then-merge structure of radix-partitioned joins,
-// with the fact as the partitioning key. The partitioner cuts both inputs at
-// common fact boundaries, balancing the combined tuple count per partition.
+// with the fact as the partitioning key. The same holds for merging sorted
+// runs, which the storage engine's compaction partitions this way.
 #ifndef TPSET_PARALLEL_PARTITION_H_
 #define TPSET_PARALLEL_PARTITION_H_
 
@@ -17,9 +17,10 @@
 
 namespace tpset {
 
-/// One partition: a contiguous index range of each input. All tuples of a
-/// fact land in exactly one partition, and the fact ranges of successive
-/// partitions are disjoint and increasing.
+/// A contiguous index range of each of two sorted inputs: one morsel of a
+/// parallel sweep (parallel/scheduler.h). Successive morsels cover
+/// increasing (fact, time) ranges; only a fact heavier than the morsel
+/// budget spans several, cut at clean time boundaries.
 struct FactPartition {
   std::size_t r_begin = 0, r_end = 0;
   std::size_t s_begin = 0, s_end = 0;
@@ -28,40 +29,23 @@ struct FactPartition {
   std::size_t size() const { return (r_end - r_begin) + (s_end - s_begin); }
 };
 
-/// Splits `r` and `s` (both sorted by (fact, start)) into at most
-/// `max_partitions` non-empty partitions cut at fact boundaries, choosing
-/// cuts so combined sizes are balanced up to fact granularity. Fewer
-/// partitions come back when the inputs have fewer facts than requested or
-/// when skew concentrates the weight (a single heavy fact is never split —
-/// it ends up alone in one partition). Empty inputs yield no partitions.
-std::vector<FactPartition> PartitionByFactRange(const std::vector<TpTuple>& r,
-                                                const std::vector<TpTuple>& s,
-                                                std::size_t max_partitions);
-
-/// Span form of the same contract: partitions r[0..nr) and s[0..ns). Lets
-/// the zero-sort fast path cut a registered relation's tuples in place
-/// without materializing a copy.
-std::vector<FactPartition> PartitionByFactRange(const TpTuple* r,
-                                                std::size_t nr,
-                                                const TpTuple* s,
-                                                std::size_t ns,
-                                                std::size_t max_partitions);
-
 /// One partition of several parallel sorted runs: slices[i] is the index
-/// range [begin, end) of run i covering the partition's fact range. As with
-/// FactPartition, all tuples of a fact land in exactly one partition and the
-/// fact ranges of successive partitions are disjoint and increasing.
+/// range [begin, end) of run i covering the partition's fact range. All
+/// tuples of a fact land in exactly one partition, and the fact ranges of
+/// successive partitions are disjoint and increasing.
 struct RunPartition {
   std::vector<std::pair<std::size_t, std::size_t>> slices;
   std::size_t size = 0;  ///< combined tuple count (the balancing weight)
 };
 
-/// Generalizes PartitionByFactRange to any number of (fact, start)-sorted
-/// runs: cuts all runs at common fact boundaries into at most
-/// `max_partitions` non-empty partitions balanced by combined tuple count
-/// (a single heavy fact is never split). The run-indexed storage engine
-/// uses this to parallelize compaction — each partition k-way-merges its
-/// slices independently and the outputs concatenate in fact order.
+/// Cuts any number of (fact, start)-sorted runs at common fact boundaries
+/// into at most `max_partitions` non-empty partitions balanced by combined
+/// tuple count (a single heavy fact is never split; fewer partitions come
+/// back when the runs hold fewer facts, and empty runs yield none). Cut
+/// facts are found by binary search on the combined rank. The run-indexed
+/// storage engine uses this to parallelize compaction — each partition
+/// k-way-merges its slices independently and the outputs concatenate in
+/// fact order.
 std::vector<RunPartition> PartitionRunsByFact(
     const std::vector<std::pair<const TpTuple*, std::size_t>>& runs,
     std::size_t max_partitions);

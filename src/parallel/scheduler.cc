@@ -42,15 +42,6 @@ obs::Histogram& MorselLatencyHistogram() {
   return h;
 }
 
-// First index in tuples[begin..end) whose fact differs from `fact`.
-std::size_t FactUpperBound(const TpTuple* tuples, std::size_t begin,
-                           std::size_t end, FactId fact) {
-  auto it = std::upper_bound(
-      tuples + begin, tuples + end, fact,
-      [](FactId f, const TpTuple& t) { return f < t.fact; });
-  return static_cast<std::size_t>(it - tuples);
-}
-
 }  // namespace
 
 std::vector<FactPartition> SplitFactAtTimeBoundaries(const TpTuple* r,
@@ -93,55 +84,46 @@ std::vector<FactPartition> SplitFactAtTimeBoundaries(const TpTuple* r,
   return out;
 }
 
-MorselPlan BuildMorsels(const TpTuple* r, const TpTuple* s,
-                        const std::vector<FactPartition>& parts,
-                        std::size_t budget) {
+MorselPlan BuildMorsels(TupleSpan r, TupleSpan s, std::size_t budget) {
   if (budget == 0) budget = 1;
   MorselPlan plan;
-  plan.morsels.reserve(parts.size());
-  for (const FactPartition& part : parts) {
-    if (part.size() <= budget) {
-      plan.morsels.push_back(part);
-      continue;
+  // Fact by fact: light facts accumulate into a pending morsel flushed at
+  // the budget; a heavy fact flushes the pending morsel and is time-split on
+  // its own, keeping morsels in (fact, time) order.
+  FactPartition pending;
+  std::size_t ri = 0, si = 0;
+  while (ri < r.size || si < s.size) {
+    FactId fact;
+    if (ri < r.size && si < s.size) {
+      fact = std::min(r.data[ri].fact, s.data[si].fact);
+    } else if (ri < r.size) {
+      fact = r.data[ri].fact;
+    } else {
+      fact = s.data[si].fact;
     }
-    // Re-cut the partition fact by fact: light facts accumulate into a
-    // pending morsel flushed at the budget; a heavy fact flushes the pending
-    // morsel and is time-split on its own, keeping morsels in (fact, time)
-    // order.
-    FactPartition pending{part.r_begin, part.r_begin, part.s_begin,
-                          part.s_begin};
-    std::size_t ri = part.r_begin, si = part.s_begin;
-    while (ri < part.r_end || si < part.s_end) {
-      FactId fact;
-      if (ri < part.r_end && si < part.s_end) {
-        fact = std::min(r[ri].fact, s[si].fact);
-      } else if (ri < part.r_end) {
-        fact = r[ri].fact;
-      } else {
-        fact = s[si].fact;
-      }
-      const std::size_t rj = FactUpperBound(r, ri, part.r_end, fact);
-      const std::size_t sj = FactUpperBound(s, si, part.s_end, fact);
-      const std::size_t weight = (rj - ri) + (sj - si);
-      if (weight > budget) {
-        if (pending.size() > 0) plan.morsels.push_back(pending);
-        std::vector<FactPartition> sub =
-            SplitFactAtTimeBoundaries(r, s, {ri, rj, si, sj}, budget);
-        if (sub.size() > 1) ++plan.facts_split;
-        plan.morsels.insert(plan.morsels.end(), sub.begin(), sub.end());
-        pending = {rj, rj, sj, sj};
-      } else if (pending.size() + weight > budget) {
-        if (pending.size() > 0) plan.morsels.push_back(pending);
-        pending = {ri, rj, si, sj};
-      } else {
-        pending.r_end = rj;
-        pending.s_end = sj;
-      }
-      ri = rj;
-      si = sj;
+    const std::size_t rj =
+        ri < r.size && r.data[ri].fact == fact ? FactRunEnd(r, ri) : ri;
+    const std::size_t sj =
+        si < s.size && s.data[si].fact == fact ? FactRunEnd(s, si) : si;
+    const std::size_t weight = (rj - ri) + (sj - si);
+    if (weight > budget) {
+      if (pending.size() > 0) plan.morsels.push_back(pending);
+      std::vector<FactPartition> sub =
+          SplitFactAtTimeBoundaries(r.data, s.data, {ri, rj, si, sj}, budget);
+      if (sub.size() > 1) ++plan.facts_split;
+      plan.morsels.insert(plan.morsels.end(), sub.begin(), sub.end());
+      pending = {rj, rj, sj, sj};
+    } else if (pending.size() + weight > budget) {
+      if (pending.size() > 0) plan.morsels.push_back(pending);
+      pending = {ri, rj, si, sj};
+    } else {
+      pending.r_end = rj;
+      pending.s_end = sj;
     }
-    if (pending.size() > 0) plan.morsels.push_back(pending);
+    ri = rj;
+    si = sj;
   }
+  if (pending.size() > 0) plan.morsels.push_back(pending);
   if (plan.facts_split > 0) FactsSplitCounter().Increment(plan.facts_split);
   return plan;
 }

@@ -1,21 +1,21 @@
-// Morsel-driven work-stealing scheduler for partition sweeps.
+// Morsel-driven work-stealing scheduler for fact-range sweeps.
 //
-// The fact-range partitioner hands the pool one task per partition, so a
-// single heavy fact pins one worker while the rest idle (the partitioner
-// never cuts inside a fact). This file removes that ceiling, HyPer-style,
-// without giving up determinism:
+// One task per fact range would let a single heavy fact pin one worker
+// while the rest idle, since a fact-boundary cut never falls inside a fact.
+// This file removes that ceiling, HyPer-style, without giving up
+// determinism:
 //
-//  * morsels — the partition plan is refined into morsels of roughly a
-//    budget of combined tuples. Cuts happen first at fact boundaries
-//    (free: windows never span facts) and, inside a fact heavier than the
-//    budget, at *clean time boundaries*: a cut time T such that every tuple
-//    of the fact either ends at or before T or starts at or after T. No
-//    window spans such a cut (a window is bounded by the tuples valid over
-//    it, and adjacency across a validity gap restarts at the next tuple's
-//    start), so sweeping each sub-span with a fresh advancer yields exactly
-//    the corresponding segment of the full fact's window stream — the
-//    concatenation in morsel order IS the sequential stream. A fact with no
-//    clean cut (one unbroken overlap chain) stays one morsel.
+//  * morsels — the two sorted inputs are cut straight into morsels of
+//    roughly a budget of combined tuples. Cuts happen first at fact
+//    boundaries (free: windows never span facts) and, inside a fact heavier
+//    than the budget, at *clean time boundaries*: a cut time T such that
+//    every tuple of the fact either ends at or before T or starts at or
+//    after T. No window spans such a cut (a window is bounded by the tuples
+//    valid over it, and adjacency across a validity gap restarts at the
+//    next tuple's start), so sweeping each sub-span with a fresh advancer
+//    yields exactly the corresponding segment of the full fact's window
+//    stream — the concatenation in morsel order IS the sequential stream. A
+//    fact with no clean cut (one unbroken overlap chain) stays one morsel.
 //
 //  * work stealing — MorselBatch distributes morsel indices round-robin
 //    over per-worker deques. A worker pops its own deque from the front
@@ -56,16 +56,15 @@
 namespace tpset {
 
 /// The engine's automatic morsel budget for a `total`-tuple operation:
-/// ~8 morsels per partition slot, floored so per-morsel overhead (one
-/// advancer, one result vector) stays invisible.
-inline std::size_t MorselAutoBudget(std::size_t total, std::size_t workers,
-                                    std::size_t partitions_per_thread) {
-  const std::size_t slots = workers * partitions_per_thread * 8;
+/// ~32 morsels per worker, floored so per-morsel overhead (one advancer,
+/// one result vector) stays invisible.
+inline std::size_t MorselAutoBudget(std::size_t total, std::size_t workers) {
+  const std::size_t slots = workers * 32;
   return std::max<std::size_t>(2048, slots == 0 ? total : total / slots);
 }
 
-/// A refined partition plan: morsels in (fact, time) order. Morsels are
-/// plain FactPartitions — contiguous index ranges of both inputs — because a
+/// A morsel plan: morsels in (fact, time) order. Morsels are plain
+/// FactPartitions — contiguous index ranges of both inputs — because a
 /// clean time cut of a start-sorted fact is also an index cut.
 struct MorselPlan {
   std::vector<FactPartition> morsels;
@@ -83,15 +82,14 @@ std::vector<FactPartition> SplitFactAtTimeBoundaries(const TpTuple* r,
                                                      const FactPartition& part,
                                                      std::size_t budget);
 
-/// Refines a fact-range partition plan into morsels of at most ~`budget`
-/// combined tuples: partitions within budget pass through unchanged; larger
-/// ones are re-cut at fact boundaries, and facts heavier than the budget are
+/// Cuts `r` and `s` (both (fact, start)-sorted) into morsels of at most
+/// ~`budget` combined tuples: whole facts accumulate into a morsel until
+/// the next would overflow it, and facts heavier than the budget are
 /// time-split via SplitFactAtTimeBoundaries. Morsel order preserves
 /// (fact, time) order, so concatenating per-morsel sweep outputs reproduces
-/// the sequential window stream.
-MorselPlan BuildMorsels(const TpTuple* r, const TpTuple* s,
-                        const std::vector<FactPartition>& parts,
-                        std::size_t budget);
+/// the sequential window stream. Empty inputs plan no morsels; `budget` 0 is
+/// treated as 1.
+MorselPlan BuildMorsels(TupleSpan r, TupleSpan s, std::size_t budget);
 
 /// One batch of morsels executing on a pool with per-worker deques and work
 /// stealing. Construction schedules everything; the caller then waits —

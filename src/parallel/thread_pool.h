@@ -1,12 +1,12 @@
 // Fixed-size thread pool with a futures-based task API.
 //
 // Deliberately minimal: one shared FIFO queue, no work stealing. Tasks are
-// the coarse units produced by FactRangePartitioner (tens per operation), so
-// a single mutex-protected queue is nowhere near contention; what matters is
-// that Submit returns a std::future so callers compose fan-out/fan-in with
-// plain standard-library types. Tasks must never block on other pool tasks
-// (the pool has no nested-wait rescue); the parallel set-op code keeps all
-// blocking on caller threads.
+// coarse — a MorselBatch worker, a sort chunk, a copy range: tens per
+// operation — so a single mutex-protected queue is nowhere near contention;
+// what matters is that Submit returns a std::future so callers compose
+// fan-out/fan-in with plain standard-library types. Tasks must never block
+// on other pool tasks (the pool has no nested-wait rescue); the parallel
+// set-op code keeps all blocking on caller threads.
 #ifndef TPSET_PARALLEL_THREAD_POOL_H_
 #define TPSET_PARALLEL_THREAD_POOL_H_
 

@@ -2,16 +2,22 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "lawa/set_ops.h"
 #include "obs/profile.h"
-#include "parallel/parallel_set_op.h"
 #include "query/analyzer.h"
 #include "query/parser.h"
 
 namespace tpset {
 
 namespace {
+
+// A phase child's wall, or 0 when the node did not record that phase.
+double PhaseMs(const obs::Span& span, std::string_view phase) {
+  const obs::Span* child = span.FindChild(phase);
+  return child == nullptr ? 0.0 : child->wall_ms;
+}
 
 // One plan node's line, rebuilt purely from its span. Children stream out
 // first (depth-first), the node's own line follows with the depth marker —
@@ -25,7 +31,6 @@ void RenderNode(const obs::Span& span, int depth, std::string* out) {
   for (const auto& child : span.children) {
     if (!child->Attr("kind").empty()) RenderNode(*child, depth + 1, out);
   }
-  const PhaseTimings t = PhaseTimings::FromSpan(span);
   // A sequential node's advance splits into its blocks' summed steps.
   std::string steps;
   if (const obs::Span* advance = span.FindChild("advance")) {
@@ -42,20 +47,13 @@ void RenderNode(const obs::Span& span, int depth, std::string* out) {
   std::snprintf(phases, sizeof(phases),
                 ", sort=%.2fms split=%.2fms advance=%.2fms%s apply=%.2fms"
                 ", morsels=%zu stolen=%zu facts_split=%zu",
-                t.sort_ms, t.split_ms, t.advance_ms, steps.c_str(), t.apply_ms,
+                PhaseMs(span, "sort"), PhaseMs(span, "split"),
+                PhaseMs(span, "advance"), steps.c_str(), PhaseMs(span, "apply"),
                 span.stats.morsels_run, span.stats.morsels_stolen,
                 span.stats.facts_split);
-  // Which sweep kernel ran this node, from the attached LawaStats (a
-  // parallel node sweeps one kernel across all morsels; "mixed" can only
-  // appear on aggregated spans, e.g. incremental per-epoch deltas).
-  const char* kernel = span.stats.sweeps_columnar > 0
-                           ? (span.stats.sweeps_scalar > 0 ? "mixed"
-                                                           : "columnar")
-                           : "scalar";
   *out += indent + span.name + "  [out=" + span.Attr("out") +
           ", windows=" + std::to_string(span.stats.windows_produced) + "/" +
-          span.Attr("bound") + "(bound)" + phases + " kernel=" + kernel +
-          "]\n";
+          span.Attr("bound") + "(bound)" + phases + "]\n";
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #ifndef TPSET_RELATION_TUPLE_H_
 #define TPSET_RELATION_TUPLE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <type_traits>
 
@@ -62,6 +63,22 @@ struct TupleSpan {
     return {data + from, to - from};
   }
 };
+
+/// The end of the fact run that starts at `i` of a fact-sorted span:
+/// galloping, so a run of k tuples costs O(log k) reads, all near `i`.
+inline std::size_t FactRunEnd(TupleSpan t, std::size_t i) {
+  const FactId f = t.data[i].fact;
+  std::size_t known = i;  // t.data[known].fact == f
+  std::size_t step = 1;
+  while (known + step < t.size && t.data[known + step].fact == f) {
+    known += step;
+    step *= 2;
+  }
+  const TpTuple* end = std::upper_bound(
+      t.data + known + 1, t.data + std::min(known + step, t.size), f,
+      [](FactId v, const TpTuple& x) { return v < x.fact; });
+  return static_cast<std::size_t>(end - t.data);
+}
 
 /// The fused sweep kernel's input span under its former name, which the
 /// end-to-end benchmark's replay still uses.

@@ -1,16 +1,16 @@
-// Differential belt for the fused sweep kernel: ColumnarAdvancer, reading
-// the sorted tuple arrays in place, must be indistinguishable from
-// LineageAwareWindowAdvancer — the paper's
+// Differential belt for the fused sweep kernel: ColumnarAdvancer, which
+// every engine sweeps with, reading the sorted tuple arrays in place, must
+// be indistinguishable from LineageAwareWindowAdvancer — the paper's
 // Alg. 1, kept as the reference — at every observable surface: the window
 // stream (fact, interval, λr, λs in emit order), the final advancer status
-// (AdvancerCheckpoint), and, on inputs large enough for the size rule to
-// pick the columnar kernel, the sequential LawaSetOp output and the
-// parallel bit-identical output across thread counts and morsel budgets
-// (byte-equal to a scalar-advancer reference, lineage ids included).
-// Checkpoints are additionally round-tripped across kernels in both
-// directions: state saved by one kernel, restored into the other, must
-// continue the sweep identically — including the incremental engine's
-// resume, which restores a prefix checkpoint on the grown arrays.
+// (AdvancerCheckpoint), the sequential LawaSetOp output and the parallel
+// bit-identical output across thread counts and morsel budgets (byte-equal
+// to a scalar-advancer reference, lineage ids included). Checkpoints are
+// additionally round-tripped across kernels in both directions: state saved
+// by one kernel, restored into the other, must continue the sweep
+// identically — including the incremental engine's resume, which restores a
+// prefix checkpoint on the grown arrays, down to epochs that append one or
+// two tuples.
 //
 // Shapes are the ones that stress distinct kernel paths: zipf and one-hot
 // fact skew (many short groups vs one huge group), all-one-fact (a single
@@ -113,8 +113,8 @@ void ExpectBitEqual(const TpRelation& a, const TpRelation& b,
 
 // The scalar reference for one whole operation: the Alg. 1 advancer driven
 // through the shared λ-filters, concatenating in window order — the
-// sequence LawaSetOp must reproduce whichever kernel its size rule picks.
-// Inputs must be (fact, start)-sorted.
+// sequence LawaSetOp must reproduce on the fused kernel. Inputs must be
+// (fact, start)-sorted.
 TpRelation ScalarReference(SetOpKind op, const TpRelation& r,
                            const TpRelation& s) {
   LineageManager& mgr = r.context()->lineage();
@@ -290,11 +290,8 @@ TEST(ColumnarKernelTest, SequentialLawaMatchesScalarReference) {
         std::shared_ptr<TpContext> ctx1, ctx2;
         auto [r1, s1] = FreshPair(shape, seed, &ctx1);
         auto [r2, s2] = FreshPair(shape, seed, &ctx2);
-        ASSERT_GE(r2.size() + s2.size(), kColumnarAutoThreshold);
         TpRelation expected = ScalarReference(op, r1, s1);
-        LawaStats stats;
-        TpRelation out = LawaSetOp(op, r2, s2, SortMode::kComparison, &stats);
-        EXPECT_EQ(stats.sweeps_columnar, 1u) << "size rule picked scalar";
+        TpRelation out = LawaSetOp(op, r2, s2);
         ExpectBitEqual(out, expected, "LawaSetOp vs scalar reference");
       }
     }
@@ -318,14 +315,11 @@ TEST(ColumnarKernelTest, ParallelBitIdenticalByteEqual) {
           for (std::size_t budget : morsel_budgets) {
             SCOPED_TRACE("threads=" + std::to_string(threads) +
                          " morsel_budget=" + std::to_string(budget));
-            ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2,
+            ParallelSetOpAlgorithm algo(threads, SortMode::kComparison,
                                         budget);
             std::shared_ptr<TpContext> ctx;
             auto [r, s] = FreshPair(shape, seed, &ctx);
-            LawaStats stats;
-            TpRelation out = algo.ComputeTimed(op, r, s, nullptr, &stats);
-            EXPECT_GT(stats.sweeps_columnar, 0u) << "size rule picked scalar";
-            EXPECT_EQ(stats.sweeps_scalar, 0u);
+            TpRelation out = algo.Compute(op, r, s);
             ExpectBitEqual(out, expected, "columnar parallel vs scalar seq");
           }
         }
@@ -406,7 +400,10 @@ TEST(ColumnarKernelTest, CheckpointRoundTripsAcrossKernels) {
 // window for window and in its final status. Epochs are cut where no tuple
 // straddles, so every resume is admissible (the appended tuples start at or
 // after the frontier) and the concatenated stream must also equal one
-// from-scratch sweep.
+// from-scratch sweep. The schedule runs twice: with epochs at least 40 time
+// points long, and with a cut at every admissible r end point, where most
+// epochs append one or two tuples — the resume of a stream of small
+// appends.
 TEST(ColumnarKernelTest, ResumeOnGrownArraysMatchesScalar) {
   for (std::uint64_t seed : testing::PropertySeeds({141, 142})) {
     auto ctx = std::make_shared<TpContext>();
@@ -420,83 +417,79 @@ TEST(ColumnarKernelTest, ResumeOnGrownArraysMatchesScalar) {
         return x.t.start < t && t < x.t.end;
       });
     };
-    // Epoch boundaries: r end points that no s tuple straddles, at least 40
-    // time points apart; the last epoch takes the rest.
-    std::vector<TimePoint> cuts;
-    for (const TpTuple& x : rt) {
-      if (!straddled(st, x.t.end) &&
-          (cuts.empty() || x.t.end >= cuts.back() + 40)) {
-        cuts.push_back(x.t.end);
+    for (const TimePoint min_gap : {TimePoint{40}, TimePoint{0}}) {
+      // Epoch boundaries: r end points that no s tuple straddles, at least
+      // `min_gap` time points apart; the last epoch takes the rest.
+      std::vector<TimePoint> cuts;
+      for (const TpTuple& x : rt) {
+        if (!straddled(st, x.t.end) &&
+            (cuts.empty() || x.t.end >= cuts.back() + min_gap)) {
+          cuts.push_back(x.t.end);
+        }
       }
-    }
-    cuts.push_back(std::numeric_limits<TimePoint>::max());
-    ASSERT_GE(cuts.size(), 5u) << "too few epoch boundaries";
+      cuts.push_back(std::numeric_limits<TimePoint>::max());
+      ASSERT_GE(cuts.size(), 5u) << "too few epoch boundaries";
 
-    for (SetOpKind op : kAllSetOps) {
-      SCOPED_TRACE(std::string(SetOpName(op)) + " seed=" +
-                   std::to_string(seed));
-      std::vector<TpTuple> rg, sg;  // the fact's side inputs, grown per epoch
-      AdvancerCheckpoint ckpt;
-      std::vector<Win> resumed;
-      std::size_t ri = 0, si = 0;
-      for (std::size_t e = 0; e < cuts.size(); ++e) {
-        SCOPED_TRACE("epoch " + std::to_string(e));
-        TimePoint first_new = std::numeric_limits<TimePoint>::max();
-        if (ri < rt.size()) first_new = std::min(first_new, rt[ri].t.start);
-        if (si < st.size()) first_new = std::min(first_new, st[si].t.start);
-        while (ri < rt.size() && rt[ri].t.start < cuts[e]) rg.push_back(rt[ri++]);
-        while (si < st.size() && st[si].t.start < cuts[e]) sg.push_back(st[si++]);
-        if (ckpt.windows_produced > 0) {
-          ASSERT_GE(first_new, ckpt.prev_win_te) << "resume not admissible";
-        }
+      for (SetOpKind op : kAllSetOps) {
+        SCOPED_TRACE(std::string(SetOpName(op)) + " seed=" +
+                     std::to_string(seed) + " min_gap=" +
+                     std::to_string(min_gap));
+        // The fact's side inputs, grown per epoch.
+        std::vector<TpTuple> rg, sg;
+        AdvancerCheckpoint ckpt;
+        std::vector<Win> resumed;
+        std::size_t ri = 0, si = 0;
+        for (std::size_t e = 0; e < cuts.size(); ++e) {
+          SCOPED_TRACE("epoch " + std::to_string(e));
+          TimePoint first_new = std::numeric_limits<TimePoint>::max();
+          if (ri < rt.size()) first_new = std::min(first_new, rt[ri].t.start);
+          if (si < st.size()) first_new = std::min(first_new, st[si].t.start);
+          while (ri < rt.size() && rt[ri].t.start < cuts[e]) {
+            rg.push_back(rt[ri++]);
+          }
+          while (si < st.size() && st[si].t.start < cuts[e]) {
+            sg.push_back(st[si++]);
+          }
+          if (ckpt.windows_produced > 0) {
+            ASSERT_GE(first_new, ckpt.prev_win_te) << "resume not admissible";
+          }
 
-        SweepResult scalar;
-        {
-          LineageAwareWindowAdvancer adv(rg.data(), rg.size(), sg.data(),
-                                         sg.size());
-          adv.Restore(ckpt);
-          ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
-            scalar.windows.push_back({w.fact, w.t.start, w.t.end, w.lr, w.ls});
-          });
-          scalar.ckpt = adv.Checkpoint();
+          SweepResult scalar;
+          {
+            LineageAwareWindowAdvancer adv(rg.data(), rg.size(), sg.data(),
+                                           sg.size());
+            adv.Restore(ckpt);
+            ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
+              scalar.windows.push_back(
+                  {w.fact, w.t.start, w.t.end, w.lr, w.ls});
+            });
+            scalar.ckpt = adv.Checkpoint();
+          }
+          SweepResult columnar;
+          {
+            ColumnarAdvancer adv(Span(rg), Span(sg));
+            adv.Restore(ckpt);
+            adv.Sweep(op, [&](const LineageAwareWindow& w) {
+              columnar.windows.push_back(
+                  {w.fact, w.t.start, w.t.end, w.lr, w.ls});
+            });
+            columnar.ckpt = adv.Checkpoint();
+          }
+          EXPECT_TRUE(scalar.windows == columnar.windows)
+              << "resumed streams differ: scalar " << scalar.windows.size()
+              << " vs columnar " << columnar.windows.size();
+          ExpectCkptEqual(scalar.ckpt, columnar.ckpt, "resumed checkpoint");
+          resumed.insert(resumed.end(), columnar.windows.begin(),
+                         columnar.windows.end());
+          ckpt = columnar.ckpt;
         }
-        SweepResult columnar;
-        {
-          ColumnarAdvancer adv(Span(rg), Span(sg));
-          adv.Restore(ckpt);
-          adv.Sweep(op, [&](const LineageAwareWindow& w) {
-            columnar.windows.push_back(
-                {w.fact, w.t.start, w.t.end, w.lr, w.ls});
-          });
-          columnar.ckpt = adv.Checkpoint();
-        }
-        EXPECT_TRUE(scalar.windows == columnar.windows)
-            << "resumed streams differ: scalar " << scalar.windows.size()
-            << " vs columnar " << columnar.windows.size();
-        ExpectCkptEqual(scalar.ckpt, columnar.ckpt, "resumed checkpoint");
-        resumed.insert(resumed.end(), columnar.windows.begin(),
-                       columnar.windows.end());
-        ckpt = columnar.ckpt;
+        ASSERT_EQ(ri, rt.size());
+        ASSERT_EQ(si, st.size());
+        EXPECT_TRUE(resumed == ScalarSweep(op, rt, st).windows)
+            << "resumed epochs differ from one from-scratch sweep";
       }
-      ASSERT_EQ(ri, rt.size());
-      ASSERT_EQ(si, st.size());
-      EXPECT_TRUE(resumed == ScalarSweep(op, rt, st).windows)
-          << "resumed epochs differ from one from-scratch sweep";
     }
   }
-}
-
-// ---- Auto threshold -------------------------------------------------------
-
-TEST(ColumnarKernelTest, AutoResolvesByCombinedSize) {
-  EXPECT_EQ(ResolveSweepKernel(SweepKernel::kAuto, kColumnarAutoThreshold),
-            SweepKernel::kColumnar);
-  EXPECT_EQ(ResolveSweepKernel(SweepKernel::kAuto, kColumnarAutoThreshold - 1),
-            SweepKernel::kScalar);
-  EXPECT_EQ(ResolveSweepKernel(SweepKernel::kScalar, 1u << 20),
-            SweepKernel::kScalar);
-  EXPECT_EQ(ResolveSweepKernel(SweepKernel::kColumnar, 0),
-            SweepKernel::kColumnar);
 }
 
 }  // namespace

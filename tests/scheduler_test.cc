@@ -259,9 +259,9 @@ TEST(HeavyFactSplitTest, StitchedSubSweepsEqualFullSweep) {
   }
 }
 
-TEST(BuildMorselsTest, RefinesOversizedPartitionsInOrder) {
+TEST(BuildMorselsTest, CutsOversizedInputsInOrder) {
   Rng rng(99);
-  // Several facts with very different weights, all in one partition.
+  // Several facts with very different weights.
   std::vector<TpTuple> r, s;
   for (FactId f : {1u, 2u, 3u}) {
     std::size_t n = f == 2 ? 300 : 20;  // fact 2 is heavy
@@ -275,30 +275,33 @@ TEST(BuildMorselsTest, RefinesOversizedPartitionsInOrder) {
   }
   std::sort(r.begin(), r.end(), FactTimeOrder());
   std::sort(s.begin(), s.end(), FactTimeOrder());
-  std::vector<FactPartition> parts = {{0, r.size(), 0, s.size()}};
-  MorselPlan plan = BuildMorsels(r.data(), s.data(), parts, 40);
+  MorselPlan plan =
+      BuildMorsels({r.data(), r.size()}, {s.data(), s.size()}, 40);
   ASSERT_GT(plan.morsels.size(), 1u);
   EXPECT_GE(plan.facts_split, 1u);  // fact 2 must have been time-split
-  // Morsels are contiguous, ordered, and cover both inputs.
+  // Morsels are non-empty, contiguous, ordered, and cover both inputs.
   EXPECT_EQ(plan.morsels.front().r_begin, 0u);
   EXPECT_EQ(plan.morsels.front().s_begin, 0u);
   EXPECT_EQ(plan.morsels.back().r_end, r.size());
   EXPECT_EQ(plan.morsels.back().s_end, s.size());
-  for (std::size_t k = 0; k + 1 < plan.morsels.size(); ++k) {
+  for (std::size_t k = 0; k < plan.morsels.size(); ++k) {
+    EXPECT_GT(plan.morsels[k].size(), 0u);
+    if (k + 1 == plan.morsels.size()) break;
     EXPECT_EQ(plan.morsels[k].r_end, plan.morsels[k + 1].r_begin);
     EXPECT_EQ(plan.morsels[k].s_end, plan.morsels[k + 1].s_begin);
   }
 }
 
-TEST(BuildMorselsTest, WithinBudgetPartitionsPassThrough) {
+TEST(BuildMorselsTest, WithinBudgetInputsStayOneMorsel) {
   std::vector<TpTuple> r = {{1, Interval(0, 3), 5}, {2, Interval(1, 4), 6}};
   std::vector<TpTuple> s = {{1, Interval(2, 5), 7}};
-  std::vector<FactPartition> parts = {{0, 2, 0, 1}};
-  MorselPlan plan = BuildMorsels(r.data(), s.data(), parts, 100);
+  MorselPlan plan =
+      BuildMorsels({r.data(), r.size()}, {s.data(), s.size()}, 100);
   ASSERT_EQ(plan.morsels.size(), 1u);
   EXPECT_EQ(plan.facts_split, 0u);
   EXPECT_EQ(plan.morsels[0].r_end, 2u);
   EXPECT_EQ(plan.morsels[0].s_end, 1u);
+  EXPECT_TRUE(BuildMorsels({}, {}, 100).morsels.empty());
 }
 
 // ---- End to end through the engine ----------------------------------------
@@ -317,10 +320,10 @@ TEST(SchedulerEngineTest, OneHotFactBitIdenticalWithSplitting) {
 
   TpRelation seq = LawaSetOp(SetOpKind::kUnion, r, s);
 
-  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2,
-                              /*morsel_budget=*/64);
+  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, /*morsel_budget=*/64);
   LawaStats stats;
-  TpRelation par = algo.ComputeTimed(SetOpKind::kUnion, r, s, nullptr, &stats);
+  TpRelation par =
+      algo.ComputeSequenced(SetOpKind::kUnion, r, s, nullptr, 0, &stats);
 
   ASSERT_EQ(par.size(), seq.size());
   for (std::size_t i = 0; i < par.size(); ++i) {

@@ -155,7 +155,7 @@ void RunShape(const SkewShape& shape, std::uint64_t seed) {
       for (std::size_t budget : morsel_budgets) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " morsel_budget=" + std::to_string(budget));
-        ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2, budget);
+        ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, budget);
         // Two runs over fresh, identically seeded contexts: run-to-run
         // determinism must hold bit for bit (tuples AND lineage ids), and
         // both must equal the sequential oracle, whose context evolved the
@@ -202,11 +202,10 @@ TEST(SkewPropertyTest, AllOneFact) {
 TEST(SkewPropertyTest, SplitterEngagesOnHotFact) {
   std::shared_ptr<TpContext> ctx;
   auto [r, s] = FreshPair(Shapes(800)[1], 7, &ctx);
-  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2,
-                              /*morsel_budget=*/32);
+  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, /*morsel_budget=*/32);
   LawaStats stats;
-  TpRelation out = algo.ComputeTimed(SetOpKind::kIntersect, r, s, nullptr,
-                                     &stats);
+  TpRelation out =
+      algo.ComputeSequenced(SetOpKind::kIntersect, r, s, nullptr, 0, &stats);
   (void)out;
   EXPECT_GE(stats.facts_split, 1u);
   EXPECT_GT(stats.morsels_run, 4u);
