@@ -22,9 +22,9 @@ namespace tpset::bench {
 
 /// Provenance fragment stamped into every committed BENCH_*.json head: the
 /// host's CPU count, the widest worker-thread count the bench exercises,
-/// the TPSET_OBS build mode (whether metric/event recording was compiled
-/// in — numbers from an "off" build are not comparable to an "on" build),
-/// and the ISO-8601 UTC generation timestamp — enough to judge whether two
+/// an "obs" key that always reads "on" now that recording is always
+/// compiled in (kept so every BENCH JSON head has one shape), and the
+/// ISO-8601 UTC generation timestamp — enough to judge whether two
 /// committed runs are comparable. Returns `indent`-spaced lines ending in a
 /// trailing comma, ready to splice into an object body:
 ///   "host_cpus": 2,
@@ -37,18 +37,13 @@ inline std::string ProvenanceJson(std::size_t threads, int indent = 2) {
   gmtime_r(&now, &utc);
   char ts[32];
   std::strftime(ts, sizeof(ts), "%Y-%m-%dT%H:%M:%SZ", &utc);
-#ifdef TPSET_OBS_DISABLED
-  const char* obs_mode = "off";
-#else
-  const char* obs_mode = "on";
-#endif
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   char buf[224];
   std::snprintf(buf, sizeof(buf),
                 "%s\"host_cpus\": %u,\n%s\"threads\": %zu,\n"
-                "%s\"obs\": \"%s\",\n%s\"generated_utc\": \"%s\",\n",
+                "%s\"obs\": \"on\",\n%s\"generated_utc\": \"%s\",\n",
                 pad.c_str(), std::thread::hardware_concurrency(), pad.c_str(),
-                threads, pad.c_str(), obs_mode, pad.c_str(), ts);
+                threads, pad.c_str(), pad.c_str(), ts);
   return buf;
 }
 

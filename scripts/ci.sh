@@ -179,6 +179,22 @@ python3 scripts/validate_flight_record.py "$BUILD_DIR/flight_record.json" \
   scripts/flight_record_schema.json
 echo "flight record smoke OK"
 
+# Crash-dump validation: the recorder test's forked child writes its flight
+# record from the SIGSEGV handler into TEST_TMPDIR, and that file must pass
+# the same schema. It is the only dump of the three that is written on the
+# signal path and the only one that holds a slow exemplar. Keep the
+# trailing slash: gtest 1.11's TempDir() returns TEST_TMPDIR as given, and
+# the test appends the file name to it.
+CRASH_DIR="$BUILD_DIR/crash_dump"
+mkdir -p "$CRASH_DIR"
+rm -f "$CRASH_DIR/recorder_crash_dump.json"
+TEST_TMPDIR="$CRASH_DIR/" "$BUILD_DIR/recorder_test" \
+  --gtest_filter=RecorderCrashTest.ForkedChildSignalDumpIsWellFormed \
+  > "$BUILD_DIR/crash_dump.out"
+python3 scripts/validate_flight_record.py \
+  "$CRASH_DIR/recorder_crash_dump.json" scripts/flight_record_schema.json
+echo "crash dump validation OK"
+
 # Introspection-server smoke: start the REPL with --serve=0 (ephemeral port)
 # over a live parallel workload — 128-tuple CSV relations at two threads so
 # the morsel scheduler registers its metric family — then scrape

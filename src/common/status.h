@@ -22,6 +22,7 @@ enum class StatusCode {
   kCorruption,
   kNotSupported,
   kIoError,
+  kFailedPrecondition,
 };
 
 /// Outcome of a fallible operation: OK, or a code plus message.
@@ -45,6 +46,9 @@ class Status {
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
   }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -60,6 +64,7 @@ class Status {
       case StatusCode::kCorruption: name = "Corruption"; break;
       case StatusCode::kNotSupported: name = "NotSupported"; break;
       case StatusCode::kIoError: name = "IoError"; break;
+      case StatusCode::kFailedPrecondition: name = "FailedPrecondition"; break;
     }
     return std::string(name) + ": " + message_;
   }

@@ -1,7 +1,7 @@
 #include "obs/events.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -31,24 +31,6 @@ std::size_t RoundUpPow2(std::size_t n) {
 
 }  // namespace
 
-void EventLog::Slot::Store(const Event& e) {
-  std::uint64_t packed[kEventWords] = {0};
-  std::memcpy(packed, &e, sizeof(Event));
-  for (std::size_t i = 0; i < kEventWords; ++i) {
-    words[i].store(packed[i], std::memory_order_relaxed);
-  }
-}
-
-Event EventLog::Slot::Load() const {
-  std::uint64_t packed[kEventWords];
-  for (std::size_t i = 0; i < kEventWords; ++i) {
-    packed[i] = words[i].load(std::memory_order_relaxed);
-  }
-  Event e;
-  std::memcpy(&e, packed, sizeof(Event));
-  return e;
-}
-
 const char* SeverityName(Severity s) {
   switch (s) {
     case Severity::kInfo:
@@ -61,10 +43,10 @@ const char* SeverityName(Severity s) {
   return "info";
 }
 
-EventLog::EventLog(std::size_t capacity)
-    : capacity_(RoundUpPow2(capacity)), slots_(new Slot[capacity_]) {}
+static_assert(sizeof(Event) % 8 == 0, "an Event is whole ring words");
 
-EventLog::~EventLog() { delete[] slots_; }
+EventLog::EventLog(std::size_t capacity)
+    : ring_(RoundUpPow2(capacity), sizeof(Event) / 8) {}
 
 EventLog& EventLog::Global() {
   // Leaked like MetricsRegistry::Global: subsystems may emit during static
@@ -83,69 +65,34 @@ void EventLog::Emit(Severity severity, const char* subsystem, const char* fmt,
 
 void EventLog::EmitV(Severity severity, const char* subsystem, const char* fmt,
                      va_list args) {
-#ifdef TPSET_OBS_DISABLED
-  (void)severity;
-  (void)subsystem;
-  (void)fmt;
-  (void)args;
-#else
   if (!internal::RecordingEnabled()) return;
   Event e;
   e.ts_unix_us = NowUnixUs();
   e.severity = severity;
   std::snprintf(e.subsystem, sizeof(e.subsystem), "%s", subsystem);
   std::vsnprintf(e.message, sizeof(e.message), fmt, args);
-  const std::uint64_t seq =
-      next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  e.seq = seq;
-  Slot& slot = slots_[(seq - 1) & (capacity_ - 1)];
-
-  // Claim the slot: CAS its stamp from any even (published / never written)
-  // value to "writing" (odd). A concurrent writer lapping onto the same slot
-  // mid-write — possible only when `capacity_` events race one in-flight
-  // Emit — makes the CAS fail; we retry a few times, then drop the event
-  // rather than spin (the ring is diagnostics, not a transaction log).
-  std::uint64_t expected = slot.stamp.load(std::memory_order_relaxed);
-  for (int attempt = 0;; ++attempt) {
-    if (expected % 2 == 0 &&
-        slot.stamp.compare_exchange_weak(expected, seq * 2 - 1,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-      break;
-    }
-    if (attempt >= 64) {
-      EventsDroppedCounter().Increment();
-      return;
-    }
+  // The ring assigns the seq; readers stamp it back into their copy. A
+  // dropped event is diagnostics lost, not a failure: the ring is not a
+  // transaction log.
+  if (ring_.Publish(&e)) {
+    EventsCounter().Increment();
+  } else {
+    EventsDroppedCounter().Increment();
   }
-  slot.Store(e);
-  slot.stamp.store(seq * 2, std::memory_order_release);
-  EventsCounter().Increment();
-#endif
 }
 
 std::size_t EventLog::SnapshotInto(Event* out, std::size_t max_events) const {
-  const std::uint64_t emitted = next_seq_.load(std::memory_order_acquire);
-  if (emitted == 0 || max_events == 0) return 0;
-  std::uint64_t want = emitted < capacity_ ? emitted : capacity_;
-  if (want > max_events) want = max_events;
-  const std::uint64_t first = emitted - want + 1;
+  Event copy;
   std::size_t n = 0;
-  for (std::uint64_t seq = first; seq <= emitted; ++seq) {
-    const Slot& slot = slots_[(seq - 1) & (capacity_ - 1)];
-    const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
-    if (s1 != seq * 2) continue;  // unpublished, torn, or already lapped
-    Event copy = slot.Load();
-    const std::uint64_t s2 = slot.stamp.load(std::memory_order_acquire);
-    if (s2 != s1) continue;  // overwritten mid-copy
-    out[n++] = copy;
-  }
+  ring_.Read(max_events, &copy, [&](std::uint64_t seq) {
+    out[n] = copy;
+    out[n++].seq = seq;
+  });
   return n;
 }
 
 std::vector<Event> EventLog::Snapshot(std::size_t max_events) const {
-  const std::size_t cap =
-      max_events < capacity_ ? max_events : capacity_;
+  const std::size_t cap = std::min(max_events, capacity());
   std::vector<Event> out(cap);
   out.resize(SnapshotInto(out.data(), cap));
   return out;

@@ -3,33 +3,32 @@
 // Metrics answer "how much / how fast"; events answer "what happened and
 // when" — the state transitions a counter cannot express: an epoch was
 // applied, a compaction ran, retention rebased a DAG, the morsel pool
-// saturated, an append was rejected. Each event is one fixed-size slot
+// saturated, an append was rejected. Each event is one fixed-size record
 // (timestamp, severity, subsystem, preformatted message) in a process-wide
-// ring:
+// StampedRing (obs/ring.h):
 //
-//  * Append is lock-free for writers: a relaxed fetch_add claims a slot, the
-//    payload is written into the slot's fixed char buffers (no allocation),
-//    and a per-slot sequence stamp is published with release order.
-//  * Readers (Snapshot, the crash-dump path) copy a slot and re-check its
-//    stamp — a torn read (the ring lapped the slot mid-copy) is detected and
-//    the slot skipped, never returned half-written. The retry count is
-//    bounded, so the read path stays usable from a signal handler even if a
-//    writer died mid-slot (fork, crash).
-//  * The ring overwrites oldest-first; overwritten events count into
-//    tpset_obs_events_dropped_total so saturation is itself observable.
+//  * Emit formats into the record's fixed char buffers (no allocation) and
+//    publishes it with one lock-free claim.
+//  * Readers (Snapshot, the crash-dump path) get only records whose stamp
+//    held across the copy; a torn or lapped record is skipped, never
+//    retried, so reads stay usable from a signal handler even if a writer
+//    died mid-record (fork, crash).
+//  * The ring overwrites oldest-first. Only an abandoned claim — a lapping
+//    writer still held the slot — counts into
+//    tpset_obs_events_dropped_total; an overwritten event counts nowhere.
 //
-// Emit formats with snprintf into the slot, so call sites pay one claim +
-// one format — cheap enough for per-epoch emission, not meant for per-tuple
-// loops. All of it honors the obs kill switches (runtime flag and
-// TPSET_OBS_DISABLED), like every other record path.
+// One format + one claim per call: cheap enough for per-epoch emission, not
+// meant for per-tuple loops. Emit honors the runtime kill switch
+// (MetricsRegistry::set_enabled), like every other record path.
 #ifndef TPSET_OBS_EVENTS_H_
 #define TPSET_OBS_EVENTS_H_
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace tpset::obs {
 
@@ -53,9 +52,6 @@ class EventLog {
  public:
   /// Capacity is rounded up to a power of two (minimum 8).
   explicit EventLog(std::size_t capacity = 1024);
-  EventLog(const EventLog&) = delete;
-  EventLog& operator=(const EventLog&) = delete;
-  ~EventLog();
 
   /// The process-wide log every subsystem emits into.
   static EventLog& Global();
@@ -67,12 +63,11 @@ class EventLog {
   void EmitV(Severity severity, const char* subsystem, const char* fmt,
              va_list args);
 
-  /// Events emitted since construction (including overwritten ones).
-  std::uint64_t emitted() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  /// Events emitted since construction (including overwritten and
+  /// dropped ones).
+  std::uint64_t emitted() const { return ring_.claimed(); }
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   /// The most recent `max_events` events in emission order (oldest first).
   /// Safe to call concurrently with Emit: torn slots are skipped.
@@ -84,25 +79,7 @@ class EventLog {
   std::size_t SnapshotInto(Event* out, std::size_t max_events) const;
 
  private:
-  // The payload is stored as relaxed-atomic words (not a plain Event): a
-  // snapshot racing a lapping writer reads the words while they are being
-  // rewritten, which the stamp check then discards — storing through atomics
-  // makes that benign race well-defined (and TSan-clean) instead of UB.
-  static constexpr std::size_t kEventWords = (sizeof(Event) + 7) / 8;
-
-  struct Slot {
-    // Even = published (seq of the event stored, times 2); odd = a writer is
-    // mid-copy. 0 = never written.
-    std::atomic<std::uint64_t> stamp{0};
-    std::atomic<std::uint64_t> words[kEventWords] = {};
-
-    void Store(const Event& e);
-    Event Load() const;
-  };
-
-  std::size_t capacity_;  // power of two
-  Slot* slots_;
-  std::atomic<std::uint64_t> next_seq_{0};
+  StampedRing ring_;
 };
 
 /// Shorthand: EventLog::Global().Emit(...).

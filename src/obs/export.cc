@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include "obs/profile.h"
-#include "obs/recorder.h"
 
 namespace tpset::obs {
 
@@ -105,10 +104,6 @@ std::string JsonLines(const MetricsSnapshot& snapshot) {
     out += "}\n";
   }
   return out;
-}
-
-std::string ExportFlightRecord() {
-  return Recorder::Global().FlightRecordJson();
 }
 
 }  // namespace tpset::obs

@@ -45,12 +45,6 @@ std::string PrometheusText(const ScrapeSnapshot& scrape);
 std::string JsonLines(const MetricsSnapshot& snapshot);
 std::string JsonLines(const ScrapeSnapshot& scrape);
 
-/// The process-wide flight record (obs/recorder.h) as one JSON object:
-/// recorder config, per-metric ring histories, recent events, slow-query
-/// exemplars. Equivalent to Recorder::Global().FlightRecordJson();
-/// scripts/flight_record_schema.json documents the shape.
-std::string ExportFlightRecord();
-
 }  // namespace tpset::obs
 
 #endif  // TPSET_OBS_EXPORT_H_

@@ -165,11 +165,18 @@ HttpResponse Top(const HttpRequest& request) {
   return HttpResponse::Json(200, body);
 }
 
+// An introspection copy, or none when refused. HTTP workers never hold an
+// executor's write fence, so the copy is not refused in practice.
+template <typename T>
+std::vector<T> OrEmpty(Result<std::vector<T>> copy) {
+  return copy.ok() ? std::move(copy).value() : std::vector<T>();
+}
+
 std::string QueriesJson(const QueryExecutor* executor) {
   std::string body = "{\"relations\":[";
   if (executor != nullptr) {
     const std::vector<RelationIntrospection> relations =
-        executor->IntrospectRelations();
+        OrEmpty(executor->IntrospectRelations());
     for (std::size_t i = 0; i < relations.size(); ++i) {
       const RelationIntrospection& r = relations[i];
       if (i > 0) body += ',';
@@ -185,7 +192,7 @@ std::string QueriesJson(const QueryExecutor* executor) {
   body += "],\"continuous\":[";
   if (executor != nullptr) {
     const std::vector<ContinuousIntrospection> queries =
-        executor->IntrospectContinuous();
+        OrEmpty(executor->IntrospectContinuous());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const ContinuousIntrospection& q = queries[i];
       if (i > 0) body += ',';
@@ -251,7 +258,8 @@ HttpResponse Statusz(const QueryExecutor* executor) {
     body += "<h2>Relations</h2><table><tr><th>name</th><th>tuples</th>"
             "<th>runs</th><th>watermark</th><th>generation</th>"
             "<th>debt</th></tr>";
-    for (const RelationIntrospection& r : executor->IntrospectRelations()) {
+    for (const RelationIntrospection& r :
+         OrEmpty(executor->IntrospectRelations())) {
       body += "<tr><td>";
       AppendEscapedHtml(r.name, &body);
       body += "</td><td>" + std::to_string(r.tuples) + "</td><td>" +
@@ -266,7 +274,8 @@ HttpResponse Statusz(const QueryExecutor* executor) {
             ")</h2><table><tr><th>name</th><th>query</th><th>last_epoch</th>"
             "<th>epochs_applied</th><th>tuples</th><th>low_wm</th>"
             "<th>subscribers (id:lag)</th></tr>";
-    for (const ContinuousIntrospection& q : executor->IntrospectContinuous()) {
+    for (const ContinuousIntrospection& q :
+         OrEmpty(executor->IntrospectContinuous())) {
       body += "<tr><td>";
       AppendEscapedHtml(q.name, &body);
       body += "</td><td>";

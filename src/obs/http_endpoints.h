@@ -3,7 +3,7 @@
 // Wires the engine's existing read-side surfaces — metric scrapes, flight
 // records, event/slow-query rings, executor introspection — onto a
 // net::HttpServer. Every handler reads through a path that is already safe
-// concurrent with the engine (registry Scrape, ring CopyTrailing, the
+// concurrent with the engine (registry Scrape, StampedRing reads, the
 // executor's write fence); no handler takes a lock an Append hot path holds
 // beyond the fence itself, and none mutate engine state.
 //
@@ -25,12 +25,10 @@
 //                           per-subscription lag, low watermark, epochs
 //   GET /statusz            human-readable HTML summary of all of the above
 //
-// Handlers run on HTTP worker threads. The executor's Introspect* calls take
-// the write fence, so they must never be reached from a continuous-query
-// subscriber callback (which fires inside the fence) — serving HTTP from a
-// subscriber callback would deadlock. The server owns no engine state; the
-// engine owns no server state: the caller keeps `executor` alive while the
-// server runs.
+// Handlers run on HTTP worker threads, which never hold an executor's write
+// fence, so the executor's Introspect* copies are never refused there. The
+// server owns no engine state; the engine owns no server state: the caller
+// keeps `executor` alive while the server runs.
 #ifndef TPSET_OBS_HTTP_ENDPOINTS_H_
 #define TPSET_OBS_HTTP_ENDPOINTS_H_
 

@@ -9,15 +9,12 @@
 // tpset_sched_morsels_stolen_total, tpset_storage_append_latency_usec.
 // DESIGN.md ("Observability") documents the full catalog.
 //
-// Hot-path cost and the kill switches:
+// Hot-path cost and the kill switch:
 //  * Counter::Increment is one relaxed fetch_add on a cache-line-private
 //    shard cell plus one relaxed flag load — no branch misprediction in the
 //    steady state, no false sharing between recording threads.
-//  * Runtime: MetricsRegistry::set_enabled(false) turns every record call
-//    into a flag-load-and-return (scrapes still work; values freeze).
-//  * Compile time: building with -DTPSET_OBS_DISABLED (cmake
-//    -DTPSET_OBS=OFF) compiles the record bodies out entirely; the registry,
-//    scrape and export APIs stay link-compatible and report zeros.
+//  * MetricsRegistry::set_enabled(false) turns every record call into a
+//    flag-load-and-return (scrapes still work; values freeze).
 //
 // Handles returned by GetCounter/GetGauge/GetHistogram are stable for the
 // registry's lifetime (node-based storage), so call sites look them up once
@@ -62,11 +59,7 @@ namespace internal {
 extern std::atomic<bool> g_recording_enabled;
 
 inline bool RecordingEnabled() {
-#ifdef TPSET_OBS_DISABLED
-  return false;
-#else
   return g_recording_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /// One cache line per shard cell so two threads bumping the same metric
@@ -84,12 +77,8 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Increment(std::uint64_t n = 1) {
-#ifdef TPSET_OBS_DISABLED
-    (void)n;
-#else
     if (!internal::RecordingEnabled()) return;
     shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
-#endif
   }
 
   /// Sum over all shards. Monotone across successive calls (shards only
@@ -117,20 +106,12 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(std::int64_t v) {
-#ifdef TPSET_OBS_DISABLED
-    (void)v;
-#else
     if (!internal::RecordingEnabled()) return;
     value_.store(v, std::memory_order_relaxed);
-#endif
   }
   void Add(std::int64_t delta) {
-#ifdef TPSET_OBS_DISABLED
-    (void)delta;
-#else
     if (!internal::RecordingEnabled()) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
-#endif
   }
 
   std::int64_t Value() const { return value_.load(std::memory_order_relaxed); }
@@ -158,14 +139,10 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Observe(std::uint64_t value) {
-#ifdef TPSET_OBS_DISABLED
-    (void)value;
-#else
     if (!internal::RecordingEnabled()) return;
     Shard& s = shards_[ShardIndex()];
     s.buckets[BucketIndex(value)].value.fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(value, std::memory_order_relaxed);
-#endif
   }
 
   /// Bucket for `value`: 0 for 0, else floor(log2(value)) + 1, clamped.
@@ -245,8 +222,7 @@ class MetricsRegistry {
   MetricsSnapshot Scrape() const;
 
   /// Runtime kill switch, process-wide (all registries share it): false
-  /// freezes every metric at its current value. Compiled builds with
-  /// TPSET_OBS_DISABLED are permanently off.
+  /// freezes every metric at its current value.
   static void set_enabled(bool enabled);
   static bool enabled();
 

@@ -29,7 +29,13 @@ obs::Counter& SlowExecsCounter() {
   return c;
 }
 
-constexpr std::size_t kHistWidth = 2 + kHistogramBuckets;  // count, sum, buckets
+// A metric sample is one ring record: {ts_unix_us, value} for counters and
+// gauges, {ts_unix_us, count, sum, buckets...} for histograms.
+constexpr std::size_t kScalarWords = 2;
+constexpr std::size_t kHistWords = 3 + kHistogramBuckets;
+
+// The flight record reads at most this many trailing samples per metric.
+constexpr std::size_t kMaxDumpSamples = 512;
 
 const char* KindName(MetricSnapshot::Kind kind) {
   switch (kind) {
@@ -110,133 +116,78 @@ Result<RecorderOptions> RecorderOptions::FromEnv(RecorderOptions base) {
   return base;
 }
 
-// ---- MetricRing -------------------------------------------------------------
-
-// Single-writer ring of fixed-width samples stored as relaxed-atomic words.
-// The writer fills the slot for sample n, then publishes by storing count =
-// n+1 with release order; readers copy at most capacity-1 trailing samples
-// after an acquire load of count and re-check count afterwards — if the
-// writer lapped into the copied range the copy retries. See recorder.h.
-struct Recorder::MetricRing {
-  MetricRing(MetricSnapshot::Kind k, std::size_t w, std::size_t cap)
-      : kind(k),
-        width(w),
-        capacity(cap < 4 ? 4 : cap),
-        data(new std::atomic<std::uint64_t>[capacity * width]),
-        ts(new std::atomic<std::int64_t>[capacity]) {
-    for (std::size_t i = 0; i < capacity * width; ++i) data[i] = 0;
-    for (std::size_t i = 0; i < capacity; ++i) ts[i] = 0;
-  }
-
-  void Append(const std::uint64_t* sample, std::int64_t now_us) {
-    const std::uint64_t n = count.load(std::memory_order_relaxed);
-    const std::size_t slot = static_cast<std::size_t>(n % capacity);
-    for (std::size_t i = 0; i < width; ++i) {
-      data[slot * width + i].store(sample[i], std::memory_order_relaxed);
-    }
-    ts[slot].store(now_us, std::memory_order_relaxed);
-    count.store(n + 1, std::memory_order_release);
-  }
-
-  /// Copies up to `want` trailing samples (oldest first) into `out`
-  /// (`want * width` words) and `out_ts`. Returns the number copied.
-  std::size_t CopyTrailing(std::uint64_t* out, std::int64_t* out_ts,
-                           std::size_t want) const {
-    if (want > capacity - 1) want = capacity - 1;
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const std::uint64_t n1 = count.load(std::memory_order_acquire);
-      const std::size_t k =
-          static_cast<std::size_t>(n1 < want ? n1 : want);
-      if (k == 0) return 0;
-      const std::uint64_t start = n1 - k;
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::size_t slot = static_cast<std::size_t>((start + j) % capacity);
-        for (std::size_t i = 0; i < width; ++i) {
-          out[j * width + i] =
-              data[slot * width + i].load(std::memory_order_relaxed);
-        }
-        out_ts[j] = ts[slot].load(std::memory_order_relaxed);
-      }
-      const std::uint64_t n2 = count.load(std::memory_order_acquire);
-      // The writer may be filling sample n2's slot right now; the copy is
-      // untorn iff no copied slot was reused, i.e. n2 stayed strictly within
-      // one lap of the oldest copied sample.
-      if (n2 - start < capacity) return k;
-    }
-    return 0;  // persistently lapped (collector tick far faster than reader)
-  }
-
-  const MetricSnapshot::Kind kind;
-  const std::size_t width;
-  const std::size_t capacity;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> data;
-  std::unique_ptr<std::atomic<std::int64_t>[]> ts;
-  std::atomic<std::uint64_t> count{0};
-};
-
-// ---- SlowSlot ---------------------------------------------------------------
-
-struct Recorder::SlowSlot {
-  struct Payload {
-    std::uint64_t seq = 0;
-    std::int64_t ts_unix_us = 0;
-    double wall_ms = 0.0;
-    double threshold_ms = 0.0;
-    char kind[16] = {0};
-    char label[104] = {0};
-    char profile_json[8056] = {0};  // "null" when absent or oversized
-  };
-  static constexpr std::size_t kWords = (sizeof(Payload) + 7) / 8;
-
-  // Stamp protocol as in EventLog: odd = writing, seq*2 = published.
-  std::atomic<std::uint64_t> stamp{0};
-  std::atomic<std::uint64_t> words[kWords] = {};
-
-  void Store(const Payload& p) {
-    std::uint64_t packed[kWords] = {0};
-    std::memcpy(packed, &p, sizeof(Payload));
-    for (std::size_t i = 0; i < kWords; ++i) {
-      words[i].store(packed[i], std::memory_order_relaxed);
-    }
-  }
-
-  /// Copies the payload words into `out` (sizeof(Payload) bytes, suitably
-  /// aligned scratch). No allocation; signal-safe.
-  void LoadInto(void* out) const {
-    std::uint64_t packed[8];  // stream in chunks to keep stack use small
-    auto* dst = static_cast<unsigned char*>(out);
-    std::size_t i = 0;
-    while (i < kWords) {
-      const std::size_t n = std::min<std::size_t>(8, kWords - i);
-      for (std::size_t j = 0; j < n; ++j) {
-        packed[j] = words[i + j].load(std::memory_order_relaxed);
-      }
-      const std::size_t bytes =
-          std::min(sizeof(Payload) - i * 8, n * 8);
-      std::memcpy(dst + i * 8, packed, bytes);
-      i += n;
-    }
-  }
-};
-
-// ---- Stats ------------------------------------------------------------------
+// ---- Ring records -----------------------------------------------------------
 
 namespace {
 
-// Windowed statistics over `k` sample rows (oldest first). No allocation.
+// The latency histograms whose ring p99 raises each kind's slow threshold,
+// indexed by SlowThresholdMs's kind: 0 = "query", 1 = "epoch".
+const char* const kSlowMetrics[2] = {"tpset_exec_query_usec",
+                                     "tpset_incr_epoch_usec"};
+
+// Copies the newest <= `max` samples of `ring` into `rows`, oldest first,
+// keeping only consecutive seqs that end at the newest sample, so every
+// delta spans exactly one tick. A run that stops short of the sample the
+// collector was writing when the read began was lapped: no samples then,
+// rather than stale ones. `rows` holds max + 1 records; the last one is the
+// ring's copy scratch. No allocation; signal-safe.
+std::size_t ReadSamples(const StampedRing& ring, std::size_t max,
+                        std::uint64_t* rows) {
+  const std::size_t width = ring.words();
+  std::uint64_t* scratch = rows + max * width;
+  const std::uint64_t claimed = ring.claimed();
+  std::size_t k = 0;
+  std::uint64_t last = 0;
+  ring.Read(max, scratch, [&](std::uint64_t seq) {
+    if (k > 0 && seq != last + 1) k = 0;  // a skipped seq restarts the run
+    std::memcpy(rows + k * width, scratch, width * sizeof(std::uint64_t));
+    last = seq;
+    ++k;
+  });
+  return last + 1 >= claimed ? k : 0;
+}
+
+// One slow-log record, stored as ring words; the ring's seq is its seq.
+struct SlowRecord {
+  std::int64_t ts_unix_us;
+  double wall_ms;
+  double threshold_ms;
+  char kind[16];
+  char label[104];
+  char profile_json[8056];  // "null" when absent or oversized
+};
+static_assert(sizeof(SlowRecord) % 8 == 0, "a SlowRecord is whole ring words");
+
+// The retained exemplars, oldest first, each decoded into `scratch` while
+// visit(seq, record) runs: the one slow-log read loop, behind SlowQueries
+// and the flight record. No allocation, no lock; signal-safe.
+template <typename Visit>
+void ReadSlow(const std::atomic<StampedRing*>& slow_ring, SlowRecord* scratch,
+              Visit&& visit) {
+  const StampedRing* ring = slow_ring.load(std::memory_order_acquire);
+  if (ring == nullptr) return;
+  ring->Read(ring->capacity(), scratch,
+             [&](std::uint64_t seq) { visit(seq, *scratch); });
+}
+
+// ---- Stats ------------------------------------------------------------------
+
+// Windowed statistics over `k` sample rows of `width` words (oldest first).
+// No allocation.
 HistoryStats ComputeStats(MetricSnapshot::Kind kind, const std::uint64_t* rows,
-                          const std::int64_t* ts, std::size_t k,
-                          std::size_t width) {
+                          std::size_t k, std::size_t width) {
   HistoryStats h;
   h.kind = kind;
   h.samples = k;
   if (k == 0) return h;
-  h.window_sec =
-      k >= 2 ? static_cast<double>(ts[k - 1] - ts[0]) / 1e6 : 0.0;
+  const auto ts = [&](std::size_t j) {
+    return static_cast<std::int64_t>(rows[j * width]);
+  };
+  h.window_sec = k >= 2 ? static_cast<double>(ts(k - 1) - ts(0)) / 1e6 : 0.0;
 
   auto value = [&](std::size_t j) {
     // Counters/gauges: the sampled value. Histograms: cumulative count.
-    return rows[j * width];
+    return rows[j * width + 1];
   };
 
   if (kind == MetricSnapshot::Kind::kGauge) {
@@ -284,8 +235,8 @@ HistoryStats ComputeStats(MetricSnapshot::Kind kind, const std::uint64_t* rows,
   }
 
   if (kind == MetricSnapshot::Kind::kHistogram && k >= 2) {
-    const std::uint64_t* first_row = rows;
-    const std::uint64_t* last_row = rows + (k - 1) * width;
+    const std::uint64_t* first_row = rows + 1;
+    const std::uint64_t* last_row = rows + (k - 1) * width + 1;
     const std::uint64_t count_delta =
         last_row[0] >= first_row[0] ? last_row[0] - first_row[0] : 0;
     const std::uint64_t sum_delta =
@@ -322,7 +273,7 @@ Recorder::~Recorder() {
   Stop();
   const std::size_t n = tracked_count_.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) delete tracked_[i].ring;
-  delete[] slow_slots_.load(std::memory_order_acquire);
+  delete slow_ring_.load(std::memory_order_acquire);
 }
 
 Recorder& Recorder::Global() {
@@ -345,9 +296,15 @@ Status Recorder::Start(const RecorderOptions& options) {
   // Out-of-bounds knobs are rejected, not clamped: a recorder running with
   // a config the operator didn't ask for is worse than one that refuses.
   TPSET_RETURN_NOT_OK(options.Validate());
-  // EnsureStarted passes options_ itself; skip the self-assignment so the
-  // no-op write cannot race a concurrent reader taking a snapshot below.
-  if (&options != &options_) options_ = options;
+  {
+    // Under tick_mu_, since TickOnce reads the options. EnsureStarted passes
+    // options_ itself; skip the self-assignment so that no-op write cannot
+    // race a reader outside both locks.
+    std::lock_guard<std::mutex> tick(tick_mu_);
+    if (&options != &options_) options_ = options;
+    PublishSlowThresholds();  // the p99 window follows the frozen options
+  }
+  slow_floor_ms_.store(options_.slow_floor_ms, std::memory_order_relaxed);
   started_ = true;
   PreallocateDumpBuffers();
   stop_requested_ = false;
@@ -392,9 +349,8 @@ void Recorder::CollectorLoop() {
 
 // ---- Sampling ---------------------------------------------------------------
 
-Recorder::MetricRing* Recorder::RingFor(const std::string& name,
-                                        MetricSnapshot::Kind kind,
-                                        std::size_t width) {
+StampedRing* Recorder::RingFor(const std::string& name,
+                               MetricSnapshot::Kind kind, std::size_t words) {
   const std::size_t n = tracked_count_.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) {
     if (name == tracked_[i].name) return tracked_[i].ring;
@@ -403,15 +359,16 @@ Recorder::MetricRing* Recorder::RingFor(const std::string& name,
     return nullptr;  // table full / name oversized: skip, keep sampling rest
   }
   std::memcpy(tracked_[n].name, name.c_str(), name.size() + 1);
-  tracked_[n].ring = new MetricRing(kind, width, options_.ring_capacity);
+  tracked_[n].kind = kind;
+  tracked_[n].ring = new StampedRing(options_.ring_capacity, words);
   tracked_count_.store(n + 1, std::memory_order_release);
   return tracked_[n].ring;
 }
 
-const Recorder::MetricRing* Recorder::FindRing(const char* name) const {
+const Recorder::TrackedMetric* Recorder::FindTracked(const char* name) const {
   const std::size_t n = tracked_count_.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) {
-    if (std::strcmp(name, tracked_[i].name) == 0) return tracked_[i].ring;
+    if (std::strcmp(name, tracked_[i].name) == 0) return &tracked_[i];
   }
   return nullptr;
 }
@@ -419,26 +376,27 @@ const Recorder::MetricRing* Recorder::FindRing(const char* name) const {
 void Recorder::TickOnce() {
   std::lock_guard<std::mutex> lock(tick_mu_);
   const MetricsSnapshot snap = registry_->Scrape();
-  const std::int64_t now = NowUnixUs();
-  std::uint64_t sample[kHistWidth];
+  std::uint64_t sample[kHistWords];
+  sample[0] = static_cast<std::uint64_t>(NowUnixUs());
   for (const MetricSnapshot& m : snap.metrics) {
     const bool hist = m.kind == MetricSnapshot::Kind::kHistogram;
-    const std::size_t width = hist ? kHistWidth : 1;
-    MetricRing* ring = RingFor(m.name, m.kind, width);
+    StampedRing* ring =
+        RingFor(m.name, m.kind, hist ? kHistWords : kScalarWords);
     if (ring == nullptr) continue;
     if (hist) {
-      sample[0] = m.hist_count;
-      sample[1] = m.hist_sum;
+      sample[1] = m.hist_count;
+      sample[2] = m.hist_sum;
       for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        sample[2 + b] = b < m.buckets.size() ? m.buckets[b] : 0;
+        sample[3 + b] = b < m.buckets.size() ? m.buckets[b] : 0;
       }
     } else if (m.kind == MetricSnapshot::Kind::kCounter) {
-      sample[0] = m.counter;
+      sample[1] = m.counter;
     } else {
-      sample[0] = static_cast<std::uint64_t>(m.gauge);
+      sample[1] = static_cast<std::uint64_t>(m.gauge);
     }
-    ring->Append(sample, now);
+    ring->Publish(sample);  // writers serialize on tick_mu_: never drops
   }
+  PublishSlowThresholds();
   ticks_.fetch_add(1, std::memory_order_release);
   CollectorTicksCounter().Increment();
 }
@@ -447,31 +405,35 @@ void Recorder::TickOnce() {
 
 Result<HistoryStats> Recorder::History(const std::string& name,
                                        std::chrono::milliseconds window) const {
-  const MetricRing* ring = FindRing(name.c_str());
-  if (ring == nullptr) {
+  const TrackedMetric* metric = FindTracked(name.c_str());
+  if (metric == nullptr) {
     return Status::NotFound("no ring samples for metric '" + name +
                             "' (collector not started, or metric never "
                             "registered)");
   }
-  std::vector<std::uint64_t> rows((ring->capacity - 1) * ring->width);
-  std::vector<std::int64_t> ts(ring->capacity - 1);
-  const std::size_t k =
-      ring->CopyTrailing(rows.data(), ts.data(), ring->capacity - 1);
+  const StampedRing& ring = *metric->ring;
+  const std::size_t width = ring.words();
+  // At most capacity-1 samples: the newest slot may be mid-write.
+  std::vector<std::uint64_t> rows(ring.capacity() * width);
+  const std::size_t k = ReadSamples(ring, ring.capacity() - 1, rows.data());
   if (k == 0) {
     return Status::NotFound("metric '" + name + "' has no samples yet");
   }
   // Trim to the trailing window, keeping the newest sample at or before the
   // window start as the delta baseline (deltas need an edge sample).
-  const std::int64_t cutoff = ts[k - 1] - window.count() * 1000;
+  const auto ts = [&](std::size_t j) {
+    return static_cast<std::int64_t>(rows[j * width]);
+  };
+  const std::int64_t cutoff = ts(k - 1) - window.count() * 1000;
   std::size_t begin = 0;
   for (std::size_t j = 0; j < k; ++j) {
-    if (ts[j] >= cutoff) {
+    if (ts(j) >= cutoff) {
       begin = j > 0 ? j - 1 : 0;
       break;
     }
   }
-  return ComputeStats(ring->kind, rows.data() + begin * ring->width,
-                      ts.data() + begin, k - begin, ring->width);
+  return ComputeStats(metric->kind, rows.data() + begin * width, k - begin,
+                      width);
 }
 
 std::vector<std::string> Recorder::TrackedMetrics() const {
@@ -485,99 +447,63 @@ std::vector<std::string> Recorder::TrackedMetrics() const {
 
 // ---- Slow-execution log -----------------------------------------------------
 
+void Recorder::PublishSlowThresholds() {
+  const auto window = std::chrono::duration_cast<std::chrono::milliseconds>(
+      options_.tick * static_cast<int>(options_.ring_capacity));
+  for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+    const Result<HistoryStats> h = History(kSlowMetrics[epoch], window);
+    slow_p99_ms_[epoch].store(
+        h.ok() && h->samples >= 2 ? h->p99 / 1000.0 : 0.0,
+        std::memory_order_relaxed);
+  }
+}
+
 double Recorder::SlowThresholdMs(const char* kind) const {
-  const char* metric = std::strcmp(kind, "epoch") == 0
-                           ? "tpset_incr_epoch_usec"
-                           : "tpset_exec_query_usec";
-  // Snapshot the knobs under the lifecycle lock: a first Start (possibly
-  // triggered by a concurrent writer's EnsureStarted) freezes options_ while
-  // query threads call in here.
-  RecorderOptions opts;
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    opts = options_;
-  }
-  const auto window = opts.tick * static_cast<int>(opts.ring_capacity);
-  Result<HistoryStats> h =
-      History(metric, std::chrono::duration_cast<std::chrono::milliseconds>(
-                          window));
-  double threshold = opts.slow_floor_ms;
-  if (h.ok() && h->samples >= 2 && h->p99 > 0) {
-    threshold = std::max(threshold, h->p99 / 1000.0);
-  }
-  return threshold;
+  const bool epoch = std::strcmp(kind, "epoch") == 0;
+  return std::max(slow_floor_ms_.load(std::memory_order_relaxed),
+                  slow_p99_ms_[epoch].load(std::memory_order_relaxed));
 }
 
 void Recorder::RecordExecution(const char* kind, const std::string& label,
                                double wall_ms, const QueryProfile* profile) {
-#ifdef TPSET_OBS_DISABLED
-  (void)kind;
-  (void)label;
-  (void)wall_ms;
-  (void)profile;
-#else
   if (!internal::RecordingEnabled()) return;
   const double threshold = SlowThresholdMs(kind);
   if (wall_ms < threshold) return;
 
   std::lock_guard<std::mutex> lock(slow_mu_);
-  SlowSlot* slots = slow_slots_.load(std::memory_order_relaxed);
-  if (slots == nullptr) {
-    slow_capacity_ = options_.slow_capacity;
-    slots = new SlowSlot[slow_capacity_];
-    slow_slots_.store(slots, std::memory_order_release);
+  StampedRing* ring = slow_ring_.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new StampedRing(options_.slow_capacity, sizeof(SlowRecord) / 8);
+    slow_ring_.store(ring, std::memory_order_release);
   }
-  auto payload = std::make_unique<SlowSlot::Payload>();
-  const std::uint64_t seq =
-      slow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  payload->seq = seq;
-  payload->ts_unix_us = NowUnixUs();
-  payload->wall_ms = wall_ms;
-  payload->threshold_ms = threshold;
-  std::snprintf(payload->kind, sizeof(payload->kind), "%s", kind);
-  std::snprintf(payload->label, sizeof(payload->label), "%s", label.c_str());
-  std::strcpy(payload->profile_json, "null");
+  auto record = std::make_unique<SlowRecord>();
+  record->ts_unix_us = NowUnixUs();
+  record->wall_ms = wall_ms;
+  record->threshold_ms = threshold;
+  std::snprintf(record->kind, sizeof(record->kind), "%s", kind);
+  std::snprintf(record->label, sizeof(record->label), "%s", label.c_str());
+  std::strcpy(record->profile_json, "null");
   if (profile != nullptr) {
     const std::string json = profile->ToJson();
-    if (json.size() < sizeof(payload->profile_json)) {
-      std::memcpy(payload->profile_json, json.c_str(), json.size() + 1);
+    if (json.size() < sizeof(record->profile_json)) {
+      std::memcpy(record->profile_json, json.c_str(), json.size() + 1);
     }
   }
-  SlowSlot& slot = slots[(seq - 1) % slow_capacity_];
-  slot.stamp.store(seq * 2 - 1, std::memory_order_release);
-  slot.Store(*payload);
-  slot.stamp.store(seq * 2, std::memory_order_release);
+  ring->Publish(record.get());  // writers serialized: never drops
   SlowExecsCounter().Increment();
   EmitEvent(Severity::kWarn, "obs",
             "slow %s wall_ms=%.2f threshold_ms=%.2f label=%.40s", kind,
             wall_ms, threshold, label.c_str());
-#endif
 }
 
 std::vector<SlowExemplar> Recorder::SlowQueries() const {
   std::vector<SlowExemplar> out;
-  const SlowSlot* slots = slow_slots_.load(std::memory_order_acquire);
-  if (slots == nullptr) return out;
-  const std::uint64_t emitted = slow_seq_.load(std::memory_order_acquire);
-  const std::uint64_t want =
-      emitted < slow_capacity_ ? emitted : slow_capacity_;
-  auto payload = std::make_unique<SlowSlot::Payload>();
-  for (std::uint64_t seq = emitted - want + 1; seq <= emitted; ++seq) {
-    const SlowSlot& slot = slots[(seq - 1) % slow_capacity_];
-    const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
-    if (s1 != seq * 2) continue;
-    slot.LoadInto(payload.get());
-    if (slot.stamp.load(std::memory_order_acquire) != s1) continue;
-    SlowExemplar e;
-    e.seq = payload->seq;
-    e.ts_unix_us = payload->ts_unix_us;
-    e.wall_ms = payload->wall_ms;
-    e.threshold_ms = payload->threshold_ms;
-    e.kind = payload->kind;
-    e.label = payload->label;
-    e.profile_json = payload->profile_json;
-    out.push_back(std::move(e));
-  }
+  auto scratch = std::make_unique<SlowRecord>();
+  ReadSlow(slow_ring_, scratch.get(),
+           [&](std::uint64_t seq, const SlowRecord& r) {
+             out.push_back({seq, r.ts_unix_us, r.wall_ms, r.threshold_ms,
+                            r.kind, r.label, r.profile_json});
+           });
   return out;
 }
 
@@ -699,8 +625,11 @@ void Recorder::PreallocateDumpBuffers() const {
   if (!dump_buf_.empty()) return;
   dump_buf_.resize(64 * 1024);
   event_scratch_.resize(EventLog::Global().capacity());
-  ring_scratch_.resize(options_.ring_capacity * kHistWidth);
-  slow_scratch_.resize(sizeof(SlowSlot::Payload) + 8);
+  // ReadSamples' rows plus its copy scratch, for the widest record.
+  const std::size_t samples =
+      std::min(options_.ring_capacity - 1, kMaxDumpSamples);
+  ring_scratch_.resize((samples + 1) * kHistWords);
+  slow_scratch_.resize(sizeof(SlowRecord) / 8);
 }
 
 template <typename Sink>
@@ -720,25 +649,23 @@ void Recorder::WriteFlightRecord(Sink* sink, int crash_signal) const {
   Put(sink, ",\"metrics\":[");
   const std::size_t n = tracked_count_.load(std::memory_order_acquire);
   bool first_metric = true;
+  // Rings longer than the scratch emit their newest samples only.
+  const std::size_t scratch_samples = ring_scratch_.size() / kHistWords - 1;
   for (std::size_t i = 0; i < n; ++i) {
-    const MetricRing* ring = tracked_[i].ring;
+    const TrackedMetric& metric = tracked_[i];
+    const std::size_t width = metric.ring->words();
     std::uint64_t* rows = ring_scratch_.data();
-    // Timestamp scratch stays on the stack (bounded, signal-safe); rings
-    // larger than this emit their newest 512 samples.
-    std::int64_t ts_buf[512];
-    const std::size_t max_samples =
-        std::min<std::size_t>(ring->capacity - 1,
-                              sizeof(ts_buf) / sizeof(ts_buf[0]));
-    const std::size_t k = ring->CopyTrailing(rows, ts_buf, max_samples);
+    const std::size_t k = ReadSamples(
+        *metric.ring, std::min(metric.ring->capacity() - 1, scratch_samples),
+        rows);
     if (k == 0) continue;
-    const HistoryStats h =
-        ComputeStats(ring->kind, rows, ts_buf, k, ring->width);
+    const HistoryStats h = ComputeStats(metric.kind, rows, k, width);
     if (!first_metric) Put(sink, ",");
     first_metric = false;
     Put(sink, "{\"name\":");
-    PutJsonString(sink, tracked_[i].name);
+    PutJsonString(sink, metric.name);
     Put(sink, ",\"kind\":\"");
-    Put(sink, KindName(ring->kind));
+    Put(sink, KindName(metric.kind));
     Put(sink, "\",\"samples\":");
     PutU64(sink, h.samples);
     Put(sink, ",\"window_sec\":");
@@ -763,10 +690,11 @@ void Recorder::WriteFlightRecord(Sink* sink, int crash_signal) const {
     const std::size_t series = k < 64 ? k : 64;
     for (std::size_t j = k - series; j < k; ++j) {
       if (j != k - series) Put(sink, ",");
-      if (ring->kind == MetricSnapshot::Kind::kGauge) {
-        PutI64(sink, static_cast<std::int64_t>(rows[j * ring->width]));
+      const std::uint64_t value = rows[j * width + 1];
+      if (metric.kind == MetricSnapshot::Kind::kGauge) {
+        PutI64(sink, static_cast<std::int64_t>(value));
       } else {
-        PutU64(sink, rows[j * ring->width]);
+        PutU64(sink, value);
       }
     }
     Put(sink, "]}");
@@ -796,40 +724,28 @@ void Recorder::WriteFlightRecord(Sink* sink, int crash_signal) const {
 
   // Slow-execution exemplars, oldest retained first.
   Put(sink, ",\"slow_queries\":[");
-  const SlowSlot* slots = slow_slots_.load(std::memory_order_acquire);
-  if (slots != nullptr) {
-    auto* payload =
-        reinterpret_cast<SlowSlot::Payload*>(slow_scratch_.data());
-    const std::uint64_t emitted = slow_seq_.load(std::memory_order_acquire);
-    const std::uint64_t want =
-        emitted < slow_capacity_ ? emitted : slow_capacity_;
-    bool first_slow = true;
-    for (std::uint64_t seq = emitted - want + 1; seq <= emitted; ++seq) {
-      const SlowSlot& slot = slots[(seq - 1) % slow_capacity_];
-      const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
-      if (s1 != seq * 2) continue;
-      slot.LoadInto(payload);
-      if (slot.stamp.load(std::memory_order_acquire) != s1) continue;
-      if (!first_slow) Put(sink, ",");
-      first_slow = false;
-      Put(sink, "{\"seq\":");
-      PutU64(sink, payload->seq);
-      Put(sink, ",\"ts_unix_us\":");
-      PutI64(sink, payload->ts_unix_us);
-      Put(sink, ",\"wall_ms\":");
-      PutDouble(sink, payload->wall_ms);
-      Put(sink, ",\"threshold_ms\":");
-      PutDouble(sink, payload->threshold_ms);
-      Put(sink, ",\"kind\":");
-      PutJsonString(sink, payload->kind);
-      Put(sink, ",\"label\":");
-      PutJsonString(sink, payload->label);
-      Put(sink, ",\"profile\":");
-      // Already valid JSON (QueryProfile::ToJson) or the literal null.
-      Put(sink, payload->profile_json);
-      Put(sink, "}");
-    }
-  }
+  bool first_slow = true;
+  ReadSlow(slow_ring_, reinterpret_cast<SlowRecord*>(slow_scratch_.data()),
+           [&](std::uint64_t seq, const SlowRecord& r) {
+             if (!first_slow) Put(sink, ",");
+             first_slow = false;
+             Put(sink, "{\"seq\":");
+             PutU64(sink, seq);
+             Put(sink, ",\"ts_unix_us\":");
+             PutI64(sink, r.ts_unix_us);
+             Put(sink, ",\"wall_ms\":");
+             PutDouble(sink, r.wall_ms);
+             Put(sink, ",\"threshold_ms\":");
+             PutDouble(sink, r.threshold_ms);
+             Put(sink, ",\"kind\":");
+             PutJsonString(sink, r.kind);
+             Put(sink, ",\"label\":");
+             PutJsonString(sink, r.label);
+             Put(sink, ",\"profile\":");
+             // Already valid JSON (QueryProfile::ToJson) or the literal null.
+             Put(sink, r.profile_json);
+             Put(sink, "}");
+           });
   Put(sink, "]}");
   Put(sink, "\n");
 }

@@ -16,19 +16,17 @@
 //  * the process-wide structured EventLog (obs/events.h), snapshotted into
 //    every flight record.
 //
-// Concurrency protocol (single-writer rings, torn-read-safe readers):
-//  * Ring samples are stored as relaxed-atomic words; the collector thread
-//    is the only writer and publishes each sample by advancing the ring's
-//    sample count with release order. Readers copy at most capacity-1
-//    trailing samples after an acquire-load of the count, then re-check the
-//    count: if the writer lapped into the copied range the copy is retried
-//    (bounded), so a reader never sees a torn sample. This is why History
-//    can race the collector tick TSan-clean.
-//  * Slow-exemplar slots use the EventLog stamp protocol (odd = writing,
-//    even = published) over atomic words.
-//  * The tracked-metric table is a fixed-capacity append-only array with an
-//    atomic published count — no map traversal, no allocation, and safe to
-//    iterate from a signal handler.
+// Concurrency protocol: every metric history and the slow-exemplar log is
+// an obs::StampedRing (obs/ring.h), the one module that decides how a
+// reader detects a torn or lapped record. The collector is each metric
+// ring's only writer; readers take at most capacity-1 trailing samples (the
+// newest slot may be mid-write) and keep only consecutive seqs that end at
+// the newest, so History races the tick TSan-clean. Slow-log writers
+// serialize on slow_mu_ and never drop. Slow thresholds are published, not
+// computed per call: the first Start publishes the frozen floor and every
+// tick each kind's ring p99, so SlowThresholdMs is two relaxed loads. The
+// tracked-metric table is a fixed-capacity append-only array with an
+// atomic published count — no allocation, iterable from a signal handler.
 //
 // Crash-dump diagnostics: InstallCrashHandler(path) registers a handler for
 // SIGSEGV / SIGABRT / SIGTERM that writes the rings, recent events, and
@@ -55,6 +53,7 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/ring.h"
 
 namespace tpset::obs {
 
@@ -182,12 +181,14 @@ class Recorder {
 
   /// Considers one finished execution for the slow log. `kind` is "query"
   /// or "epoch" (selects which latency ring derives the p99 threshold);
-  /// `profile` may be null. Cheap when not slow: one threshold comparison.
+  /// `profile` may be null. Cheap when not slow: two atomic loads and one
+  /// comparison.
   void RecordExecution(const char* kind, const std::string& label,
                        double wall_ms, const QueryProfile* profile);
 
-  /// The current retention threshold for `kind`:
-  /// max(options().slow_floor_ms, ring p99 of the kind's latency metric).
+  /// The current retention threshold for `kind`: max(options().slow_floor_ms,
+  /// ring p99 of the kind's latency metric over the full ring window), as
+  /// last published by Start or TickOnce. Lock-free and allocation-free.
   double SlowThresholdMs(const char* kind) const;
 
   /// Retained exemplars, oldest first.
@@ -195,7 +196,8 @@ class Recorder {
 
   /// Exemplars retained since construction (including evicted ones).
   std::uint64_t slow_recorded() const {
-    return slow_seq_.load(std::memory_order_acquire);
+    const StampedRing* ring = slow_ring_.load(std::memory_order_acquire);
+    return ring != nullptr ? ring->claimed() : 0;
   }
 
   // ---- Flight records -------------------------------------------------
@@ -219,26 +221,28 @@ class Recorder {
   void InstallCrashHandler(const std::string& path);
 
  private:
-  struct MetricRing;
-  struct SlowSlot;
+  static constexpr std::size_t kMaxTracked = 256;
+  struct TrackedMetric {
+    char name[96] = {0};
+    MetricSnapshot::Kind kind = MetricSnapshot::Kind::kCounter;
+    StampedRing* ring = nullptr;
+  };
 
-  /// Ring for `name`, appending a tracked-metric entry on first sight;
-  /// null once the fixed table is full.
-  MetricRing* RingFor(const std::string& name, MetricSnapshot::Kind kind,
-                      std::size_t width);
-  const MetricRing* FindRing(const char* name) const;
+  /// Ring of `words`-word samples for `name`, appending a tracked-metric
+  /// entry on first sight; null once the fixed table is full.
+  StampedRing* RingFor(const std::string& name, MetricSnapshot::Kind kind,
+                       std::size_t words);
+  const TrackedMetric* FindTracked(const char* name) const;
+
+  /// Works out each kind's ring p99 over the full ring window and publishes
+  /// it for SlowThresholdMs. Caller holds tick_mu_.
+  void PublishSlowThresholds();
 
   void CollectorLoop();
   void PreallocateDumpBuffers() const;
 
   template <typename Sink>
   void WriteFlightRecord(Sink* sink, int crash_signal) const;
-
-  static constexpr std::size_t kMaxTracked = 256;
-  struct TrackedMetric {
-    char name[96] = {0};
-    MetricRing* ring = nullptr;
-  };
 
   const MetricsRegistry* registry_;
   RecorderOptions options_;
@@ -254,13 +258,16 @@ class Recorder {
   // TickOnce calls); ring readers never take it.
   std::mutex tick_mu_;
 
-  // Slow log: fixed slots, stamp protocol; writers serialized by slow_mu_,
-  // the slot array published once through an atomic pointer so the crash
-  // path can read it lock-free.
-  std::atomic<SlowSlot*> slow_slots_{nullptr};
-  std::size_t slow_capacity_ = 0;
-  std::atomic<std::uint64_t> slow_seq_{0};
-  mutable std::mutex slow_mu_;
+  // Slow log: a ring built on the first retained exemplar and published
+  // once through an atomic pointer, so the crash path can read it lock-free;
+  // writers serialize on slow_mu_.
+  std::atomic<StampedRing*> slow_ring_{nullptr};
+  std::mutex slow_mu_;
+
+  // Published slow thresholds: the floor (set by the first Start) and each
+  // kind's ring p99 in ms, 0 while unknown (set by Start and TickOnce).
+  std::atomic<double> slow_floor_ms_{RecorderOptions{}.slow_floor_ms};
+  std::atomic<double> slow_p99_ms_[2] = {};  // "query", "epoch"
 
   // Collector thread lifecycle.
   std::atomic<bool> running_{false};
@@ -277,7 +284,7 @@ class Recorder {
   mutable std::vector<char> dump_buf_;
   mutable std::vector<Event> event_scratch_;
   mutable std::vector<std::uint64_t> ring_scratch_;
-  mutable std::vector<char> slow_scratch_;
+  mutable std::vector<std::uint64_t> slow_scratch_;
 };
 
 }  // namespace tpset::obs

@@ -82,6 +82,44 @@ void PublishLineage(LineageManager& lineage) {
   hits.Increment(counts.hits);
 }
 
+// Holds an executor's write fence for its scope; a thread's scopes form a
+// thread-local chain. A subscriber callback runs inside Append's fence, so
+// calling back into its own executor finds that fence on the chain and is
+// refused instead of deadlocking; another executor's call proceeds.
+class FenceScope {
+ public:
+  explicit FenceScope(std::mutex& fence) : fence_(fence), outer_(innermost_) {
+    for (const FenceScope* s = outer_; s != nullptr; s = s->outer_) {
+      if (&s->fence_ == &fence) return;
+    }
+    fence_.lock();
+    innermost_ = this;
+    held_ = true;
+  }
+  FenceScope(const FenceScope&) = delete;
+  FenceScope& operator=(const FenceScope&) = delete;
+  ~FenceScope() {
+    if (!held_) return;
+    innermost_ = outer_;
+    fence_.unlock();
+  }
+
+  bool refused() const { return !held_; }
+
+ private:
+  static inline thread_local const FenceScope* innermost_ = nullptr;
+  std::mutex& fence_;
+  const FenceScope* const outer_;
+  bool held_ = false;
+};
+
+Status ReentryRefused(const char* method) {
+  return Status::FailedPrecondition(
+      std::string(method) +
+      " called from a subscriber callback of the same executor (callbacks "
+      "run inside its write fence)");
+}
+
 }  // namespace
 
 Status QueryExecutor::Register(const TpRelation& rel) {
@@ -112,7 +150,8 @@ Status QueryExecutor::Register(const TpRelation& rel) {
   staging.emplace(std::piecewise_construct, std::forward_as_tuple(rel.name()),
                   std::forward_as_tuple(std::move(copy)));
   auto node = staging.extract(staging.begin());
-  std::lock_guard<std::mutex> fence(write_fence_);
+  FenceScope fence(write_fence_);
+  if (fence.refused()) return ReentryRefused("Register");
   if (catalog_.count(rel.name()) > 0) {
     return Status::InvalidArgument("relation '" + rel.name() +
                                    "' is already registered");
@@ -148,7 +187,8 @@ Result<StorageSnapshot> QueryExecutor::SnapshotRelation(
 
 Result<EpochId> QueryExecutor::Append(const std::string& relation,
                                       const DeltaBatch& batch) {
-  std::lock_guard<std::mutex> fence(write_fence_);
+  FenceScope fence(write_fence_);
+  if (fence.refused()) return ReentryRefused("Append");
   // First epoch starts the flight recorder's collector: once a process
   // appends, it is a streaming engine worth recording.
   obs::Recorder::Global().EnsureStarted();
@@ -212,7 +252,8 @@ void QueryExecutor::ScheduleCompaction(StoredRelation& stored) {
 
 Result<std::size_t> QueryExecutor::Retain(const std::string& relation,
                                           TimePoint watermark) {
-  std::lock_guard<std::mutex> fence(write_fence_);
+  FenceScope fence(write_fence_);
+  if (fence.refused()) return ReentryRefused("Retain");
   auto it = catalog_.find(relation);
   if (it == catalog_.end()) {
     return Status::NotFound("no relation named '" + relation +
@@ -234,7 +275,8 @@ Result<std::size_t> QueryExecutor::Retain(const std::string& relation,
 }
 
 Status QueryExecutor::Compact(const std::string& relation) {
-  std::lock_guard<std::mutex> fence(write_fence_);
+  FenceScope fence(write_fence_);
+  if (fence.refused()) return ReentryRefused("Compact");
   auto it = catalog_.find(relation);
   if (it == catalog_.end()) {
     return Status::NotFound("no relation named '" + relation +
@@ -263,7 +305,8 @@ Result<ContinuousQuery*> QueryExecutor::RegisterContinuous(
 Result<ContinuousQuery*> QueryExecutor::RegisterContinuous(
     const std::string& name, const QueryNode& query,
     const ContinuousOptions& options) {
-  std::lock_guard<std::mutex> fence(write_fence_);
+  FenceScope fence(write_fence_);
+  if (fence.refused()) return ReentryRefused("RegisterContinuous");
   if (name.empty()) {
     return Status::InvalidArgument("continuous queries must be named");
   }
@@ -287,8 +330,10 @@ Result<ContinuousQuery*> QueryExecutor::RegisterContinuous(
   return ptr;
 }
 
-std::vector<RelationIntrospection> QueryExecutor::IntrospectRelations() const {
-  std::lock_guard<std::mutex> fence(write_fence_);
+Result<std::vector<RelationIntrospection>> QueryExecutor::IntrospectRelations()
+    const {
+  FenceScope fence(write_fence_);
+  if (fence.refused()) return ReentryRefused("IntrospectRelations");
   std::vector<RelationIntrospection> out;
   out.reserve(catalog_.size());
   for (const auto& [name, stored] : catalog_) {
@@ -306,9 +351,10 @@ std::vector<RelationIntrospection> QueryExecutor::IntrospectRelations() const {
   return out;
 }
 
-std::vector<ContinuousIntrospection> QueryExecutor::IntrospectContinuous()
-    const {
-  std::lock_guard<std::mutex> fence(write_fence_);
+Result<std::vector<ContinuousIntrospection>>
+QueryExecutor::IntrospectContinuous() const {
+  FenceScope fence(write_fence_);
+  if (fence.refused()) return ReentryRefused("IntrospectContinuous");
   std::vector<ContinuousIntrospection> out;
   out.reserve(continuous_.size());
   for (const auto& [name, cq] : continuous_) {

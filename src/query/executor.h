@@ -146,8 +146,10 @@ class QueryExecutor {
   /// metrics (tpset_lineage_*). Thread-safe: concurrent Append calls
   /// serialize on the epoch fence (distinct gapless epochs, propagation in
   /// epoch order); appends still must not race with Execute. Subscriber
-  /// callbacks fire inside the fence — they must not call back into
-  /// Append/Retain/Compact on this executor.
+  /// callbacks fire inside the fence. A callback that calls a fenced
+  /// method (Register, Append, Retain, Compact, RegisterContinuous,
+  /// Introspect*) on this same executor gets FailedPrecondition and the
+  /// call does nothing; calls on other executors proceed.
   Result<EpochId> Append(const std::string& relation, const DeltaBatch& batch);
 
   /// Retention: advances the relation's watermark (monotone), compacts its
@@ -195,11 +197,11 @@ class QueryExecutor {
   /// Copies a point-in-time description of every stored relation /
   /// continuous query out from under the write fence. Safe to call from any
   /// thread concurrently with Append/Retain/Compact — the copy serializes
-  /// with writers on the fence, then formatting happens outside it. Must
-  /// NOT be called from a continuous-query subscriber callback (those fire
-  /// inside the fence; re-entering would deadlock).
-  std::vector<RelationIntrospection> IntrospectRelations() const;
-  std::vector<ContinuousIntrospection> IntrospectContinuous() const;
+  /// with writers on the fence, then formatting happens outside it. From
+  /// a subscriber callback of this executor: FailedPrecondition (see
+  /// Append).
+  Result<std::vector<RelationIntrospection>> IntrospectRelations() const;
+  Result<std::vector<ContinuousIntrospection>> IntrospectContinuous() const;
 
   const std::shared_ptr<TpContext>& context() const { return ctx_; }
 
@@ -243,6 +245,8 @@ class QueryExecutor {
   // RegisterContinuous / the Introspect* readers): epoch assignment,
   // storage mutation and continuous-query propagation happen atomically per
   // epoch, so concurrent writers observe a total epoch order end to end.
+  // Taken only through executor.cc's FenceScope, which refuses a thread
+  // that already holds it (a subscriber callback calling back in).
   // Mutable so const introspection can take the fence.
   mutable std::mutex write_fence_;
   std::map<std::string, std::unique_ptr<ContinuousQuery>> continuous_;

@@ -395,7 +395,7 @@ TEST(HttpEndpointsTest, ReadyzReportsNotReadyWithoutExecutor) {
 // The concurrency check behind the tentpole's safety claim: HTTP /metrics
 // and /flight scrapes hammered from worker threads while the main thread
 // applies epochs. Under the CI TSan job (this file is concurrency-labeled)
-// any racy read path — registry scrape, ring CopyTrailing, dump formatting,
+// any racy read path — registry scrape, StampedRing reads, dump formatting,
 // the executor fence — fails here.
 TEST(HttpEndpointsTest, ScrapesRaceEpochAppliesCleanly) {
   ServedEngine engine;

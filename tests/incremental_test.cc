@@ -412,5 +412,54 @@ TEST(ContinuousQueryTest, UnsubscribeStopsDelivery) {
   EXPECT_EQ(calls, 1);
 }
 
+// Callbacks run inside Append's write fence. One that calls a fenced method
+// on its own executor is refused with FailedPrecondition instead of
+// deadlocking, a call on a second executor proceeds, and the outer Append
+// still delivers its epoch.
+TEST(ContinuousQueryTest, CallbackReentryIsRefusedOnItsOwnExecutorOnly) {
+  SupermarketDb db;
+  QueryExecutor exec(db.ctx);
+  db.a.SortFactTime();
+  db.b.SortFactTime();
+  ASSERT_TRUE(exec.Register(db.a).ok());
+  ContinuousQuery* cq = exec.RegisterContinuous("q", "a").value();
+
+  SupermarketDb other_db;
+  QueryExecutor other(other_db.ctx);
+  other_db.a.SortFactTime();
+  ASSERT_TRUE(other.Register(other_db.a).ok());
+
+  std::vector<EpochId> delivered;
+  std::vector<StatusCode> own;
+  std::vector<bool> other_ok;
+  cq->Subscribe([&](const EpochDelta& ed) {
+    delivered.push_back(ed.epoch);
+    own.push_back(exec.Register(db.b).code());
+    own.push_back(exec.Append("a", OneRow("milk", 20, 22, 0.5)).status().code());
+    own.push_back(exec.Retain("a", 1).status().code());
+    own.push_back(exec.Compact("a").code());
+    own.push_back(exec.RegisterContinuous("q2", "a").status().code());
+    own.push_back(exec.IntrospectRelations().status().code());
+    own.push_back(exec.IntrospectContinuous().status().code());
+    other_ok.push_back(other.Append("a", OneRow("milk", 10, 12, 0.5)).ok());
+    other_ok.push_back(other.Compact("a").ok());
+    other_ok.push_back(other.IntrospectRelations().ok());
+  });
+
+  const Result<EpochId> epoch = exec.Append("a", OneRow("milk", 10, 12, 0.5));
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_EQ(delivered, std::vector<EpochId>{*epoch});
+  EXPECT_EQ(own, std::vector<StatusCode>(7, StatusCode::kFailedPrecondition));
+  EXPECT_EQ(other_ok, std::vector<bool>(3, true));
+  // The refused calls did nothing, and the fence is free again afterwards.
+  EXPECT_EQ(exec.last_epoch(), *epoch);
+  EXPECT_FALSE(exec.FindStored("b").ok());
+  EXPECT_FALSE(exec.FindContinuous("q2").ok());
+  EXPECT_FALSE((*exec.FindStored("a"))->has_watermark());
+  EXPECT_TRUE(exec.Compact("a").ok());
+  ASSERT_TRUE(exec.IntrospectRelations().ok());
+  EXPECT_EQ(exec.IntrospectRelations()->size(), 1u);
+}
+
 }  // namespace
 }  // namespace tpset

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -85,9 +86,6 @@ bool HasKey(const std::string& json, const std::string& key) {
 TEST(RecorderCrashTest, ForkedChildSignalDumpIsWellFormed) {
 #ifdef TPSET_TSAN_BUILD
   GTEST_SKIP() << "fork + fatal-signal dump is not exercised under TSan";
-#endif
-#ifdef TPSET_OBS_DISABLED
-  GTEST_SKIP() << "recording compiled out";
 #endif
   const std::string path = ::testing::TempDir() + "recorder_crash_dump.json";
   unlink(path.c_str());
@@ -288,9 +286,6 @@ TEST(RecorderHistoryTest, RingIsBoundedAndKeepsTrailingSamples) {
 // ---- Slow-execution log -----------------------------------------------------
 
 TEST(RecorderSlowLogTest, RetentionAndEviction) {
-#ifdef TPSET_OBS_DISABLED
-  GTEST_SKIP() << "recording compiled out";
-#endif
   obs::MetricsRegistry registry;
   obs::Recorder rec(&registry);
   // No latency rings yet: the threshold is the configured floor.
@@ -345,9 +340,6 @@ TEST(RecorderSlowLogTest, RetentionAndEviction) {
 // The retention threshold follows the latency ring's windowed p99 once the
 // collector has sampled it.
 TEST(RecorderSlowLogTest, ThresholdTracksRingP99) {
-#ifdef TPSET_OBS_DISABLED
-  GTEST_SKIP() << "recording compiled out";
-#endif
   obs::MetricsRegistry registry;
   obs::Histogram& lat =
       registry.GetHistogram("tpset_exec_query_usec", "query wall");
@@ -368,12 +360,37 @@ TEST(RecorderSlowLogTest, ThresholdTracksRingP99) {
   EXPECT_NEAR(rec.SlowQueries()[0].threshold_ms, 131.071, 1e-9);
 }
 
+// A configured floor holds from Start on, before any latency ring exists,
+// and the ring's p99 replaces it once ticks have sampled a slower window.
+TEST(RecorderSlowLogTest, StartPublishesFloorAndTicksPublishP99) {
+  obs::MetricsRegistry registry;
+  obs::Recorder rec(&registry);
+  obs::RecorderOptions options;
+  options.tick = std::chrono::milliseconds(3'600'000);  // collector stays idle
+  options.slow_floor_ms = 5.0;
+  ASSERT_TRUE(rec.Start(options).ok());
+
+  EXPECT_DOUBLE_EQ(rec.SlowThresholdMs("query"), 5.0);
+  EXPECT_DOUBLE_EQ(rec.SlowThresholdMs("epoch"), 5.0);
+  rec.RecordExecution("query", "four", 4.0, nullptr);
+  EXPECT_EQ(rec.slow_recorded(), 0u);
+  rec.RecordExecution("query", "six", 6.0, nullptr);
+  ASSERT_EQ(rec.slow_recorded(), 1u);
+  EXPECT_DOUBLE_EQ(rec.SlowQueries()[0].threshold_ms, 5.0);
+
+  obs::Histogram& lat =
+      registry.GetHistogram("tpset_exec_query_usec", "query wall");
+  rec.TickOnce();  // baseline edge (count 0)
+  for (int i = 0; i < 200; ++i) lat.Observe(100'000);
+  rec.TickOnce();
+  EXPECT_NEAR(rec.SlowThresholdMs("query"), 131.071, 1e-9);
+  EXPECT_DOUBLE_EQ(rec.SlowThresholdMs("epoch"), 5.0);  // no epoch ring
+  rec.Stop();
+}
+
 // ---- Flight-record JSON -----------------------------------------------------
 
 TEST(RecorderDumpTest, FlightRecordJsonShapeAndDumpNow) {
-#ifdef TPSET_OBS_DISABLED
-  GTEST_SKIP() << "recording compiled out";
-#endif
   obs::MetricsRegistry registry;
   obs::Counter& ops = registry.GetCounter("tpset_test_ops_total", "ops");
   obs::Recorder rec(&registry);
@@ -400,6 +417,87 @@ TEST(RecorderDumpTest, FlightRecordJsonShapeAndDumpNow) {
   buf << in.rdbuf();
   EXPECT_EQ(buf.str().rfind("{\"flight_record\":1", 0), 0u);
   CheckBalancedJson(buf.str());
+}
+
+// The metrics and slow_queries sections byte for byte, with the numbers the
+// clock decides masked to '#'. The events section reads the process-wide
+// log, so it is left to the schema validator.
+TEST(RecorderDumpTest, GoldenFlightRecordSections) {
+  obs::MetricsRegistry registry;
+  obs::Counter& ops = registry.GetCounter("tpset_test_ops_total", "ops");
+  obs::Gauge& depth = registry.GetGauge("tpset_test_depth", "depth");
+  obs::Histogram& lat = registry.GetHistogram("tpset_test_lat_usec", "lat");
+  obs::Recorder rec(&registry);
+  ops.Increment(5);
+  depth.Set(-3);
+  lat.Observe(100);
+  rec.TickOnce();
+  ops.Increment(10);
+  depth.Set(-8);
+  lat.Observe(3000);
+  lat.Observe(0);
+  rec.TickOnce();
+  ops.Increment(1);
+  depth.Set(4);
+  lat.Observe(70'000);
+  rec.TickOnce();
+
+  obs::QueryProfile profile("golden");
+  profile.root().start_unix_us = 1234;
+  profile.root().AddChild("child")->SetAttr("out", std::size_t{2});
+  rec.RecordExecution("query", "c - \"a\"", 40.0, &profile);
+  rec.RecordExecution("epoch", "w1", 30.5, nullptr);
+
+  std::string json = rec.FlightRecordJson();
+  for (const char* key :
+       {"generated_unix_us", "ts_unix_us", "window_sec", "rate_per_sec"}) {
+    const std::string prefix = std::string("\"") + key + "\":";
+    for (std::size_t at = json.find(prefix); at != std::string::npos;
+         at = json.find(prefix, at + 1)) {
+      const std::size_t begin = at + prefix.size();
+      std::size_t end = begin;
+      while (end < json.size() &&
+             (std::isdigit(static_cast<unsigned char>(json[end])) != 0 ||
+              json[end] == '-' || json[end] == '.')) {
+        ++end;
+      }
+      json.replace(begin, end - begin, "#");
+    }
+  }
+  const std::size_t metrics = json.find("\"metrics\":");
+  const std::size_t events = json.find(",\"events\":");
+  const std::size_t slow = json.find("\"slow_queries\":");
+  ASSERT_NE(metrics, std::string::npos);
+  ASSERT_NE(events, std::string::npos);
+  ASSERT_NE(slow, std::string::npos);
+  EXPECT_EQ(
+      json.substr(metrics, events - metrics),
+      "\"metrics\":["
+      "{\"name\":\"tpset_test_depth\",\"kind\":\"gauge\",\"samples\":3,"
+      "\"window_sec\":#,\"first\":-3,\"last\":4,\"min\":-8,\"max\":4,"
+      "\"avg\":-2.333,\"rate_per_sec\":#,\"p99\":0.000,"
+      "\"series\":[-3,-8,4]},"
+      "{\"name\":\"tpset_test_lat_usec\",\"kind\":\"histogram\","
+      "\"samples\":3,\"window_sec\":#,\"first\":1,\"last\":4,\"min\":1,"
+      "\"max\":2,\"avg\":1.500,\"rate_per_sec\":#,\"p99\":131071.000,"
+      "\"series\":[1,3,4]},"
+      "{\"name\":\"tpset_test_ops_total\",\"kind\":\"counter\","
+      "\"samples\":3,\"window_sec\":#,\"first\":5,\"last\":16,\"min\":1,"
+      "\"max\":10,\"avg\":5.500,\"rate_per_sec\":#,\"p99\":0.000,"
+      "\"series\":[5,15,16]}]");
+  EXPECT_EQ(
+      json.substr(slow),
+      "\"slow_queries\":["
+      "{\"seq\":1,\"ts_unix_us\":#,\"wall_ms\":40.000,"
+      "\"threshold_ms\":25.000,\"kind\":\"query\","
+      "\"label\":\"c - \\\"a\\\"\",\"profile\":"
+      "{\"name\":\"golden\",\"wall_ms\":0.000,\"cpu_ms\":0.000,"
+      "\"start_unix_us\":1234,\"children\":[{\"name\":\"child\","
+      "\"wall_ms\":0.000,\"cpu_ms\":0.000,\"start_unix_us\":0,"
+      "\"attrs\":{\"out\":\"2\"}}]}\n},"
+      "{\"seq\":2,\"ts_unix_us\":#,\"wall_ms\":30.500,"
+      "\"threshold_ms\":25.000,\"kind\":\"epoch\",\"label\":\"w1\","
+      "\"profile\":null}]}\n");
 }
 
 // ---- Event log --------------------------------------------------------------
@@ -476,9 +574,6 @@ TEST(RecorderOptionsTest, FromEnvParsesAndValidates) {
 }
 
 TEST(EventLogTest, WrapKeepsNewestInOrder) {
-#ifdef TPSET_OBS_DISABLED
-  GTEST_SKIP() << "recording compiled out";
-#endif
   obs::EventLog log(8);
   EXPECT_EQ(log.capacity(), 8u);
   EXPECT_EQ(obs::EventLog(3).capacity(), 8u);  // rounded up to the minimum
@@ -512,9 +607,6 @@ TEST(EventLogTest, WrapKeepsNewestInOrder) {
 // up, wa now 1 behind). The lag gauge tracks the last-touched query; the
 // per-subscription truth lives on SubscriberInfos and in the explain body.
 TEST(RecorderTelemetryTest, SubscriberLagMatchesHandComputedSchedule) {
-#ifdef TPSET_OBS_DISABLED
-  GTEST_SKIP() << "recording compiled out";
-#endif
   SupermarketDb db;
   QueryExecutor exec(db.ctx);
   for (TpRelation* rel : {&db.a, &db.b}) {
@@ -660,9 +752,6 @@ TEST(RecorderConcurrencyTest, HistoryRacesCollectorTick) {
 // Slow-log writers race SlowQueries readers: each exemplar must come back
 // internally consistent (label encodes the wall time it was stored with).
 TEST(RecorderConcurrencyTest, SlowLogRacesReaders) {
-#ifdef TPSET_OBS_DISABLED
-  GTEST_SKIP() << "recording compiled out";
-#endif
   obs::MetricsRegistry registry;
   obs::Recorder rec(&registry);
 
@@ -712,9 +801,6 @@ TEST(RecorderConcurrencyTest, SlowLogRacesReaders) {
 // torn events, snapshot order strictly increasing, and once writers quiesce
 // the newest capacity events are all present.
 TEST(RecorderConcurrencyTest, EventEmittersRaceSnapshots) {
-#ifdef TPSET_OBS_DISABLED
-  GTEST_SKIP() << "recording compiled out";
-#endif
   obs::EventLog log(16);
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 2000;

@@ -23,6 +23,10 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(Status::Corruption("x").code(), StatusCode::kCorruption);
   EXPECT_EQ(Status::NotSupported("x").code(), StatusCode::kNotSupported);
   EXPECT_EQ(Status::IoError("x").code(), StatusCode::kIoError);
+  EXPECT_EQ(Status::FailedPrecondition("x").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Status::FailedPrecondition("x").ToString(),
+            "FailedPrecondition: x");
 }
 
 TEST(ResultTest, HoldsValue) {
