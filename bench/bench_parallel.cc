@@ -12,8 +12,9 @@
 // not seen, so a warm-arena rerun — where every intern degrades to a cache
 // hit — would systematically understate the apply phase. Every rep's output
 // is compared with sequential LAWA's on its own fresh context, tuple for
-// tuple and lineage id for id; each entry records the verdict as
-// "identical", and any divergence exits non-zero.
+// tuple and lineage id for id, and so is the arena's node count after it;
+// each entry records the verdict as "identical", and any divergence exits
+// non-zero.
 //
 // A second section runs the same measurement under *fact skew* — zipf(s=1.2)
 // and a single 90%-weight fact — the inputs the morsel scheduler exists
@@ -74,7 +75,8 @@ struct Sample {
   // "apply" children).
   double sort_ms = 0.0, split_ms = 0.0, advance_ms = 0.0, apply_ms = 0.0;
   LawaStats stats;
-  bool identical = true;  // every rep's output equalled the reference
+  bool identical = true;  // every rep's output and arena size equalled the
+                          // reference's
 };
 
 // One phase child's wall, or 0 when the operator did not record it.
@@ -113,7 +115,7 @@ double BestSequentialCold(int reps, const Fresh& fresh, SetOpKind op,
 
 // Best-of-reps LAWA-P wall time (with the fastest run's phase breakdown and
 // stats), each rep against a cold arena; generation time is excluded. Every
-// rep's output is checked against `reference`.
+// rep's output and arena node count are checked against `reference`'s.
 template <typename Fresh>
 Sample BestTimedCold(int reps, const Fresh& fresh, std::size_t threads,
                      SetOpKind op, const TpRelation& reference) {
@@ -133,7 +135,9 @@ Sample BestTimedCold(int reps, const Fresh& fresh, std::size_t threads,
     run.split_ms = PhaseMs(span, "split");
     run.advance_ms = PhaseMs(span, "advance");
     run.apply_ms = PhaseMs(span, "apply");
-    identical = identical && out.tuples() == reference.tuples();
+    identical = identical && out.tuples() == reference.tuples() &&
+                out.context()->lineage().size() ==
+                    reference.context()->lineage().size();
     if (i == 0 || run.wall_ms < best.wall_ms) best = run;
   }
   best.identical = identical;

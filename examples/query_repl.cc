@@ -51,6 +51,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lineage/eval.h"
 #include "net/http_server.h"
@@ -69,6 +71,15 @@
 using namespace tpset;
 
 namespace {
+
+// The registered continuous queries. The REPL thread never holds the
+// executor's write fence, so the copy is not refused in practice.
+std::vector<ContinuousIntrospection> Watches(const QueryExecutor& exec) {
+  Result<std::vector<ContinuousIntrospection>> copy =
+      exec.IntrospectContinuous();
+  return copy.ok() ? std::move(copy).value()
+                   : std::vector<ContinuousIntrospection>();
+}
 
 void AddSupermarketRelations(const std::shared_ptr<TpContext>& ctx,
                              QueryExecutor* exec) {
@@ -384,9 +395,10 @@ int main(int argc, char** argv) {
         }
         std::cout << '\n';
       }
-      for (const auto& [wname, cq] : exec.continuous()) {
-        std::cout << "  watch " << wname << ": " << cq->text() << "  (epoch "
-                  << cq->last_epoch() << ", " << cq->size() << " tuples)\n";
+      for (const ContinuousIntrospection& cq : Watches(exec)) {
+        std::cout << "  watch " << cq.name << ": " << cq.text << "  (epoch "
+                  << cq.last_epoch << ", " << cq.result_tuples
+                  << " tuples)\n";
       }
     } else if (line.rfind("\\append ", 0) == 0) {
       std::istringstream args(line.substr(8));
@@ -416,10 +428,12 @@ int main(int argc, char** argv) {
               if (profile_on) {
                 // Each watch that read <rel> just applied this epoch; its
                 // ContinuousQuery keeps the span tree of that propagation.
-                for (const auto& [wname, cq] : exec.continuous()) {
-                  if (cq->last_epoch() == *epoch) {
-                    std::cout << "[" << wname << "] epoch profile:\n"
-                              << cq->last_profile().Render();
+                for (const ContinuousIntrospection& cq : Watches(exec)) {
+                  if (cq.last_epoch != *epoch) continue;
+                  Result<ContinuousQuery*> found = exec.FindContinuous(cq.name);
+                  if (found.ok()) {
+                    std::cout << "[" << cq.name << "] epoch profile:\n"
+                              << (*found)->last_profile().Render();
                   }
                 }
               }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification, as CI runs it: configure with warnings-as-errors,
-# build everything (library, tests, benches, examples), run ctest, compile
-# the end-to-end benchmark project and run each of its workloads for one
-# second as a correctness smoke, then smoke-run bench_parallel at a tiny
-# scale so the bench binary and its BENCH_parallel.json emitter cannot
-# bitrot. A second build under
-# ThreadSanitizer reruns the concurrency-labelled test subset (morsel
+# build everything (library, tests, benches, examples), run ctest and a
+# seed sweep over the id-rule property tests, compile the end-to-end
+# benchmark project and run each of its workloads for one second as a
+# correctness smoke, then smoke-run bench_parallel at a tiny scale so the
+# bench binary and its BENCH_parallel.json emitter cannot bitrot. A second
+# build under ThreadSanitizer reruns the concurrency-labelled test subset (morsel
 # scheduler, parallel lineage intern, incremental parallel delta apply,
 # storage epoch fence, catalog lookups), and a third under AddressSanitizer
 # + UBSan reruns the whole suite.
@@ -54,6 +54,23 @@ fi
 cmake -B "$BUILD_DIR" -S . -DTPSET_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+# Seed sweep over the id-rule tests: the property tests that hold parallel
+# ids, arena contents and intern counts to the sequential loop, and the
+# fused andNot node to the formula it stands for, rerun once for each of 8
+# fixed seeds (LAWA_TEST_SEED replaces a test's default seed list).
+for seed in 101 202 303 404 505 606 707 808; do
+  for test in concat_block_property_test lawa_block_property_test \
+      skew_property_test query_property_test lineage_andnot_property_test; do
+    if ! LAWA_TEST_SEED="$seed" "$BUILD_DIR/$test" \
+        > "$BUILD_DIR/seed_sweep.out" 2>&1; then
+      cat "$BUILD_DIR/seed_sweep.out"
+      echo "seed sweep failed: $test at LAWA_TEST_SEED=$seed"
+      exit 1
+    fi
+  done
+done
+echo "seed sweep OK"
 
 # End-to-end benchmark compile check: e2ebench/ is its own CMake project
 # that builds the library from src/ and drives it through the public

@@ -59,15 +59,38 @@ class ColumnarAdvancer {
   /// stopped.
   template <typename Emit>
   void Sweep(SetOpKind op, Emit&& emit) {
+    SweepSlice(op, /*r_ends=*/true, /*s_ends=*/true, emit);
+  }
+
+  /// Sweep over a morsel's slices of the global inputs. The sweep stops
+  /// where the global sweep does only at an input whose global end lies in
+  /// its slice (`r_ends`, `s_ends`); at any other input's slice end it
+  /// sweeps on, counting the one-sided tail that the global sweep counts
+  /// (and filters) too, so the morsels' windows_produced() sum to the
+  /// global sweep's. The extra windows fail the λ-filter and emit nothing.
+  template <typename Emit>
+  void SweepSlice(SetOpKind op, bool r_ends, bool s_ends, Emit&& emit) {
     switch (op) {
       case SetOpKind::kIntersect:
-        SweepImpl<SetOpKind::kIntersect>(emit);
+        if (r_ends && s_ends) {
+          SweepImpl<SetOpKind::kIntersect, true, true>(emit);
+        } else if (r_ends) {
+          SweepImpl<SetOpKind::kIntersect, true, false>(emit);
+        } else if (s_ends) {
+          SweepImpl<SetOpKind::kIntersect, false, true>(emit);
+        } else {
+          SweepImpl<SetOpKind::kIntersect, false, false>(emit);
+        }
         break;
       case SetOpKind::kUnion:
-        SweepImpl<SetOpKind::kUnion>(emit);
+        SweepImpl<SetOpKind::kUnion, false, false>(emit);
         break;
       case SetOpKind::kExcept:
-        SweepImpl<SetOpKind::kExcept>(emit);
+        if (r_ends) {
+          SweepImpl<SetOpKind::kExcept, true, false>(emit);
+        } else {
+          SweepImpl<SetOpKind::kExcept, false, false>(emit);
+        }
         break;
     }
   }
@@ -110,7 +133,10 @@ class ColumnarAdvancer {
   }
 
  private:
-  template <SetOpKind kOp, typename Emit>
+  // kStopR / kStopS: the sweep drains once that input is exhausted, as the
+  // operation's λ-filter then passes no more windows — r for ∩Tp and −Tp,
+  // s for ∩Tp. It always drains once both are.
+  template <SetOpKind kOp, bool kStopR, bool kStopS, typename Emit>
   void SweepImpl(Emit& emit) {
     constexpr TimePoint kInf = std::numeric_limits<TimePoint>::max();
     const TpTuple* const r = r_.data;
@@ -141,17 +167,15 @@ class ColumnarAdvancer {
     TimePoint prev_te = prev_win_te_;
     std::size_t windows = windows_produced_;
 
-    // The per-operation drain condition of ForEachSurvivingWindow, on the
-    // *global* cursors: sweeping continues while the operation can still
-    // produce output.
+    // The drain condition on the spans' cursors. With both flags at their
+    // operation's values it is ForEachSurvivingWindow's: sweeping continues
+    // while the operation can still produce output.
+    static_assert(kOp == SetOpKind::kIntersect || !kStopS);
+    static_assert(kOp != SetOpKind::kUnion || !kStopR);
     const auto drained = [&]() {
-      if constexpr (kOp == SetOpKind::kIntersect) {
-        return !((ri < nr || rv) && (si < ns || sv));
-      } else if constexpr (kOp == SetOpKind::kUnion) {
-        return !(ri < nr || si < ns || rv || sv);
-      } else {
-        return !(ri < nr || rv);
-      }
+      const bool r_done = ri >= nr && !rv;
+      const bool s_done = si >= ns && !sv;
+      return (kStopR && r_done) || (kStopS && s_done) || (r_done && s_done);
     };
 
     LineageAwareWindow w;
@@ -198,9 +222,9 @@ class ColumnarAdvancer {
         if (!ps && !sv) {
           // r-only tail: no s tuple can bound a window anymore, and
           // duplicate-freeness means each remaining r tuple is exactly one
-          // window [start, end). Reaching here under ∩Tp implies si < ns
-          // (else drained), and si/sv don't move below, so the global drain
-          // condition cannot trip mid-bulk — the bulk is exact for every op.
+          // window [start, end). si/sv don't move below, so the drain
+          // condition can trip only once r is exhausted, after the bulk's
+          // last window — the bulk is exact for every op and flag.
           if (rv) {
             // The carried-over tuple's closing window. No same-fact r tuple
             // may start before rv_end (intervals per fact are disjoint), so
@@ -244,8 +268,7 @@ class ColumnarAdvancer {
         }
         if (!pr && !rv) {
           // s-only tail, symmetric. Under ∩Tp and −Tp these windows carry
-          // λr = null and are filtered — counted, not emitted (reaching
-          // here implies ri < nr for both, else drained).
+          // λr = null and are filtered — counted, not emitted.
           if (sv) {
             assert(!ps || s[si].t.start >= sv_end);
             assert(sv_end > prev_te && "windows advance strictly");

@@ -38,6 +38,10 @@ LineageId Restrict(LineageManager& mgr, LineageId id, VarId v, bool value,
       result = mgr.MakeOr(Restrict(mgr, n.left, v, value, cache),
                           Restrict(mgr, n.right, v, value, cache));
       break;
+    case LineageKind::kAndNot:
+      result = mgr.MakeAndNot(Restrict(mgr, n.left, v, value, cache),
+                              Restrict(mgr, n.right, v, value, cache));
+      break;
     default:
       break;
   }
@@ -56,7 +60,8 @@ VarId SmallestVar(const LineageManager& mgr, LineageId id) {
     case LineageKind::kNot:
       return SmallestVar(mgr, n.left);
     case LineageKind::kAnd:
-    case LineageKind::kOr: {
+    case LineageKind::kOr:
+    case LineageKind::kAndNot: {
       VarId a = SmallestVar(mgr, n.left);
       VarId b = SmallestVar(mgr, n.right);
       return a < b ? a : b;

@@ -7,27 +7,24 @@
 // phases below cost 19-28% more than the loop per 4096-window block
 // (DESIGN.md, "Sequential operator").
 //
-// A window makes at most two constructions, at positions 2w + level: its
-// ∧/∨ (or andNot's ¬) at level 0, and andNot's ∧ at level 1. The loop
-// appends a node exactly at the first occurrence of a key that the arena
-// lacks, so a new node's id is size() at the call plus the number of first
-// occurrences at earlier positions. The block computes that in phases, each
-// run as one task per worker with a barrier after it:
+// A window makes at most one construction: ∪'s ∨, ∩'s ∧ (an andNot when λs
+// is a ¬ node), or −'s andNot (an ∧ when λs = ¬x, a ¬ when λr = True), each
+// after the constructors' folds. The loop appends a node exactly at the
+// first occurrence of a key that the arena lacks, so a new node's id is
+// size() at the call plus the number of first occurrences at earlier
+// windows. The block computes that in phases, each run as one task per
+// worker with a barrier after it:
 //
-//   1. fold    (by window chunk) Table I's null rules and the constant, ¬¬
-//              and a ∧ a folds; every remaining key is hashed and counted
-//              per (chunk, shard).
+//   1. fold    (by window chunk) Table I's null rules and the folds of
+//              MakeOr / MakeAnd / MakeAndNot; every remaining key (kind,
+//              left, right) is hashed and counted per (chunk, shard).
 //   2. route   (by window chunk) a stable radix scatter of the keys into
 //              shard order, window order kept within a shard.
 //   3. look up (by shard) the owner probes its shard of the index — only
 //              pre-block nodes are in it — and records each miss's first
-//              occurrence in a table of its own. For andNot, a ∧ over a
-//              pre-existing ¬ is a level-1 key with known children and
-//              repeats 2-3; a ∧ over a ¬ that is new in this block cannot
-//              exist in the arena, and since equal ¬s share a shard, the
-//              same owner deduplicates it on (λr, λs) at once.
+//              occurrence in a table of its own; equal keys share a shard.
 //   4. number  (by window chunk) first occurrences are counted per chunk,
-//              prefix-summed, and every position resolves to its id; new
+//              prefix-summed, and every window resolves to its id; new
 //              nodes are written at their ids into the pre-grown array.
 //   5. index   (by shard) the new nodes are scattered by shard once more,
 //              and each owner grows its shard once and inserts them.
@@ -41,8 +38,8 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -55,22 +52,29 @@ namespace {
 
 constexpr std::size_t kShards = ConsIndex::kShards;
 
-/// How one (window, level) position resolves.
+/// How a window's construction resolves.
 enum Tag : std::uint8_t {
-  kNone,     // no construction at this level
   kId,       // v is the id: a fold, or a node that existed before the block
-  kPending,  // a key not looked up yet; its hash is in WindowState::hash
+  kPending,  // a key not looked up yet
   kFirst,    // the first occurrence of a key the arena lacks: a new node
-  kRef,      // v is the position 2w + level of the key's first occurrence
+  kRef,      // v is the window of the key's first occurrence
 };
 
 struct WindowState {
-  LineageId v[2];
-  /// The pending key's hash; from phase 4 on, the number of first
-  /// occurrences in this window's chunk before it.
+  /// The key (kind, left, right), unless the window folded.
+  LineageId left;
+  LineageId right;
+  /// kId: the id. kRef: the first occurrence's window. kFirst, from phase
+  /// 4 on: the number of new nodes before it in its chunk.
+  LineageId v;
   std::uint32_t hash;
-  Tag tag[2];
+  LineageKind kind;
+  Tag tag;
 };
+
+bool SameKey(const WindowState& a, const WindowState& b) {
+  return a.kind == b.kind && a.left == b.left && a.right == b.right;
+}
 
 /// A hash with what it keys: a window routed to its shard (phases 2-3), a
 /// first-occurrence table slot (window + 1, 0 when empty), or a new node's
@@ -149,12 +153,8 @@ class BlockIntern {
         pool_(pool),
         state_(new WindowState[n_]),
         counts_(tasks_) {
-    assert(n_ < (std::size_t{1} << 31) && "positions 2w + 1 must fit 32 bits");
-    switch (op_) {
-      case SetOpKind::kUnion: kind0_ = LineageKind::kOr; break;
-      case SetOpKind::kIntersect: kind0_ = LineageKind::kAnd; break;
-      case SetOpKind::kExcept: kind0_ = LineageKind::kNot; break;
-    }
+    assert(n_ < std::numeric_limits<std::uint32_t>::max() &&
+           "windows + 1 must fit 32 bits");
   }
 
   void Run() {
@@ -162,20 +162,10 @@ class BlockIntern {
     ForChunks([&](std::size_t c, std::size_t lo, std::size_t hi) {
       for (std::size_t w = lo; w < hi; ++w) {
         Fold(w);
-        if (state_[w].tag[0] == kPending) ++counts_[c][Shard(w)];
+        if (state_[w].tag == kPending) ++counts_[c][Shard(w)];
       }
     });
-    if (consing) {
-      LookUp(/*level=*/0);
-      if (op_ == SetOpKind::kExcept) {
-        ForChunks([&](std::size_t c, std::size_t lo, std::size_t hi) {
-          for (std::size_t w = lo; w < hi; ++w) {
-            if (state_[w].tag[1] == kPending) ++counts_[c][Shard(w)];
-          }
-        });
-        LookUp(/*level=*/1);
-      }
-    }
+    if (consing) LookUp();
     Number();
     if (consing) Index();
     for (const Tally& t : tallies_) {
@@ -208,129 +198,61 @@ class BlockIntern {
     return ConsIndex::ShardOf(state_[w].hash);
   }
 
-  /// Marks (w, level) as the key (kind, a, b): pending a lookup, or — with
-  /// hash-consing off — a new node outright.
-  void Key(std::size_t w, int level, LineageKind kind, LineageId a,
-           LineageId b) {
-    WindowState& st = state_[w];
-    if (!mgr_.hash_consing_) {
-      st.tag[level] = kFirst;
-      return;
-    }
-    st.tag[level] = kPending;
-    st.hash = ConsIndex::Hash(kind, a, b);
-  }
-
-  /// andNot's level 1 over a ¬ that is new in this block, first at
-  /// position `neg`: the folds of MakeAnd(λr, ¬λs) — the ∧ cannot exist in
-  /// the arena, and equal ∧s share λr and λs. `seen` is null with
-  /// hash-consing off.
-  void AndOverNewNot(std::size_t w, std::uint32_t neg, FirstSeen* seen,
-                     Tally* tally) {
-    WindowState& st = state_[w];
-    const LineagePair p = block_[w];
-    if (p.lr == LineageManager::kFalseId) {
-      st.tag[1] = kId;
-      st.v[1] = LineageManager::kFalseId;
-    } else if (p.lr == LineageManager::kTrueId) {
-      st.tag[1] = kRef;
-      st.v[1] = neg;
-    } else if (seen == nullptr) {
-      st.tag[1] = kFirst;
-    } else {
-      ++tally->lookups;
-      const std::uint32_t first = seen->FindOrAdd(
-          ConsIndex::Hash(LineageKind::kAnd, p.lr, p.ls),
-          static_cast<std::uint32_t>(w), [&](std::uint32_t u) {
-            return block_[u].lr == p.lr && block_[u].ls == p.ls;
-          });
-      if (first == w) {
-        st.tag[1] = kFirst;
-      } else {
-        ++tally->hits;
-        st.tag[1] = kRef;
-        st.v[1] = 2 * first + 1;
-      }
-    }
-  }
-
-  /// Phase 1 for window w.
+  /// Phase 1 for window w: what ConcatLineage(op_, mgr_, λr, λs) folds, or
+  /// the one key it interns — pending a lookup, or, with hash-consing off,
+  /// a new node outright.
   void Fold(std::size_t w) {
     WindowState& st = state_[w];
-    st.tag[0] = st.tag[1] = kNone;
     const LineagePair p = block_[w];
     LineageId folded = kNullLineage;
+    LineageManager::Key key{};
+    bool done = false;
     switch (op_) {
       case SetOpKind::kUnion:
         assert((p.lr != kNullLineage || p.ls != kNullLineage) &&
                "or requires at least one non-null lineage");
         if (p.lr == kNullLineage || p.ls == kNullLineage) {
-          st.tag[0] = kId;
-          st.v[0] = p.lr == kNullLineage ? p.ls : p.lr;
-        } else if (LineageManager::FoldOr(p.lr, p.ls, &folded)) {
-          st.tag[0] = kId;
-          st.v[0] = folded;
+          folded = p.lr == kNullLineage ? p.ls : p.lr;
+          done = true;
         } else {
-          Key(w, 0, LineageKind::kOr, p.lr, p.ls);
+          done = LineageManager::FoldOr(p.lr, p.ls, &folded);
+          key = {LineageKind::kOr, p.lr, p.ls};
         }
-        return;
+        break;
       case SetOpKind::kIntersect:
         assert(p.lr != kNullLineage && p.ls != kNullLineage &&
                "and requires non-null lineages");
-        if (LineageManager::FoldAnd(p.lr, p.ls, &folded)) {
-          st.tag[0] = kId;
-          st.v[0] = folded;
-        } else {
-          Key(w, 0, LineageKind::kAnd, p.lr, p.ls);
-        }
-        return;
+        done = mgr_.FoldAnd(p.lr, p.ls, &folded, &key);
+        break;
       case SetOpKind::kExcept:
         assert(p.lr != kNullLineage && "andNot requires non-null left lineage");
         if (p.ls == kNullLineage) {
-          st.tag[1] = kId;
-          st.v[1] = p.lr;
-        } else if (mgr_.FoldNot(p.ls, &folded)) {
-          st.tag[0] = kId;
-          st.v[0] = folded;
-          AndOverKnown(w);
+          folded = p.lr;
+          done = true;
         } else {
-          Key(w, 0, LineageKind::kNot, p.ls, kNullLineage);
-          if (!mgr_.hash_consing_) {
-            AndOverNewNot(w, static_cast<std::uint32_t>(2 * w), nullptr,
-                          nullptr);
-          }
+          done = mgr_.FoldAndNot(p.lr, p.ls, &folded, &key);
         }
-        return;
+        break;
     }
-  }
-
-  /// andNot's level 1 once its ¬ (state v[0]) is a known id.
-  void AndOverKnown(std::size_t w) {
-    WindowState& st = state_[w];
-    const LineageId lr = block_[w].lr;
-    LineageId folded = kNullLineage;
-    if (LineageManager::FoldAnd(lr, st.v[0], &folded)) {
-      st.tag[1] = kId;
-      st.v[1] = folded;
-    } else {
-      Key(w, 1, LineageKind::kAnd, lr, st.v[0]);
+    if (done) {
+      st.tag = kId;
+      st.v = folded;
+      return;
     }
+    st.kind = key.kind;
+    st.left = key.left;
+    st.right = key.right;
+    if (!mgr_.hash_consing_) {
+      st.tag = kFirst;
+      return;
+    }
+    st.tag = kPending;
+    st.hash = ConsIndex::Hash(key.kind, key.left, key.right);
   }
 
-  /// The key at (w, level), for comparing against nodes and other windows.
-  LineageKind KindAt(int level) const {
-    return level == 0 ? kind0_ : LineageKind::kAnd;
-  }
-  std::pair<LineageId, LineageId> KeyAt(std::size_t w, int level) const {
-    const LineagePair p = block_[w];
-    if (level == 1) return {p.lr, state_[w].v[0]};
-    if (op_ == SetOpKind::kExcept) return {p.ls, kNullLineage};
-    return {p.lr, p.ls};
-  }
-
-  /// Phases 2-3 for the pending keys at `level` (counted per chunk and
-  /// shard in counts_).
-  void LookUp(int level) {
+  /// Phases 2-3 for the pending keys (counted per chunk and shard in
+  /// counts_).
+  void LookUp() {
     const std::array<std::uint32_t, kShards + 1> begin = Route(&counts_);
     const std::size_t keys = begin[kShards];
     if (keys == 0) return;
@@ -338,82 +260,63 @@ class BlockIntern {
     ForChunks([&](std::size_t c, std::size_t lo, std::size_t hi) {
       ShardCounts& cursor = counts_[c];
       for (std::size_t w = lo; w < hi; ++w) {
-        if (state_[w].tag[level] != kPending) continue;
+        if (state_[w].tag != kPending) continue;
         routed[cursor[Shard(w)]++] = {state_[w].hash,
                                       static_cast<std::uint32_t>(w)};
       }
     });
     for (ShardCounts& c : counts_) c.fill(0);
 
-    // The first-occurrence tables: one per shard, plus, for andNot's ¬s,
-    // one for the ∧s over the new ones.
-    const bool nested = level == 0 && op_ == SetOpKind::kExcept;
+    // The first-occurrence tables, one per shard.
     std::array<std::size_t, kShards + 1> table{};
     for (std::size_t s = 0; s < kShards; ++s) {
-      const std::size_t slots = FirstSeen::SlotsFor(begin[s + 1] - begin[s]);
-      table[s + 1] = table[s] + (nested ? 2 : 1) * slots;
+      table[s + 1] = table[s] + FirstSeen::SlotsFor(begin[s + 1] - begin[s]);
     }
     std::unique_ptr<Routed[]> tables(new Routed[table[kShards]]);
     tallies_.resize(kShards);
 
-    const LineageKind kind = KindAt(level);
     const NodeArena& nodes = mgr_.nodes_;
     ForShards([&](std::size_t s) {
       if (begin[s] == begin[s + 1]) return;
-      const std::size_t slots = FirstSeen::SlotsFor(begin[s + 1] - begin[s]);
-      FirstSeen seen(&tables[table[s]], slots);
-      std::optional<FirstSeen> seen_and;
-      if (nested) seen_and.emplace(&tables[table[s] + slots], slots);
+      FirstSeen seen(&tables[table[s]], table[s + 1] - table[s]);
       const ConsIndex::Shard& index = mgr_.index_.shard(s);
       Tally& tally = tallies_[s];
       for (std::uint32_t k = begin[s]; k < begin[s + 1]; ++k) {
         const Routed r = routed[k];
-        const std::size_t w = r.item;
-        WindowState& st = state_[w];
-        const auto [a, b] = KeyAt(w, level);
+        WindowState& st = state_[r.item];
         ++tally.lookups;
         const LineageId hit = index.Find(r.hash, [&](LineageId id) {
           const LineageNode& n = nodes[id];
-          return n.kind == kind && n.left == a && n.right == b;
+          return n.kind == st.kind && n.left == st.left && n.right == st.right;
         });
         if (hit != 0) {
           ++tally.hits;
-          st.tag[level] = kId;
-          st.v[level] = hit;
-          // A pre-existing ¬: its ∧ has known children, looked up next.
-          if (nested) AndOverKnown(w);
+          st.tag = kId;
+          st.v = hit;
           continue;
         }
         const std::uint32_t first =
             seen.FindOrAdd(r.hash, r.item, [&](std::uint32_t u) {
-              return KeyAt(u, level) == std::pair{a, b};
+              return SameKey(state_[u], st);
             });
-        std::uint32_t pos = static_cast<std::uint32_t>(2 * w + level);
         if (first == r.item) {
-          st.tag[level] = kFirst;
+          st.tag = kFirst;
         } else {
           ++tally.hits;
-          pos = static_cast<std::uint32_t>(2 * first + level);
-          st.tag[level] = kRef;
-          st.v[level] = pos;
+          st.tag = kRef;
+          st.v = first;
         }
-        if (nested) AndOverNewNot(w, pos, &*seen_and, &tally);
       }
     });
   }
 
-  /// The id of position (w, level), which is resolved (kId, kFirst, kRef).
-  /// Valid in phase 4, once every chunk's first-occurrence prefix is known.
-  LineageId Resolve(std::size_t w, int level) const {
+  /// The id of window w, which is resolved (kId, kFirst, kRef). Valid in
+  /// phase 4, once every chunk's first-occurrence prefix is known.
+  LineageId Resolve(std::size_t w) const {
     const WindowState& st = state_[w];
-    if (st.tag[level] == kId) return st.v[level];
-    if (st.tag[level] == kRef) {
-      w = st.v[level] >> 1;
-      level = static_cast<int>(st.v[level] & 1);
-    }
-    const WindowState& first = state_[w];
-    return base_ + chunk_new_[w / chunk_] + first.hash +
-           (level == 1 && first.tag[0] == kFirst ? 1 : 0);
+    if (st.tag == kId) return st.v;
+    if (st.tag == kRef) w = st.v;
+    return base_ + chunk_new_[w / chunk_] + state_[w].v;
   }
 
   /// Phase 4: count, prefix-sum and resolve; write the new nodes.
@@ -422,9 +325,7 @@ class BlockIntern {
     ForChunks([&](std::size_t c, std::size_t lo, std::size_t hi) {
       std::uint32_t fresh = 0;
       for (std::size_t w = lo; w < hi; ++w) {
-        WindowState& st = state_[w];
-        st.hash = fresh;
-        fresh += (st.tag[0] == kFirst) + (st.tag[1] == kFirst);
+        if (state_[w].tag == kFirst) state_[w].v = fresh++;
       }
       chunk_new_[c + 1] = fresh;
     });
@@ -433,27 +334,18 @@ class BlockIntern {
     mgr_.nodes_.GrowTo(base_ + added);
     if (mgr_.hash_consing_) new_hash_.reset(new std::uint32_t[added]);
 
-    const int out_level = op_ == SetOpKind::kExcept ? 1 : 0;
     LineageNode* nodes = mgr_.nodes_.data();
     ForChunks([&](std::size_t c, std::size_t lo, std::size_t hi) {
       ShardCounts& count = counts_[c];
-      auto add = [&](LineageId id, LineageKind kind, LineageId a, LineageId b) {
-        nodes[id] = {kind, kInvalidVar, a, b};
-        if (!mgr_.hash_consing_) return;
-        const std::uint32_t h = ConsIndex::Hash(kind, a, b);
-        new_hash_[id - base_] = h;
-        ++count[ConsIndex::ShardOf(h)];
-      };
       for (std::size_t w = lo; w < hi; ++w) {
         const WindowState& st = state_[w];
-        if (st.tag[0] == kFirst) {
-          const auto [a, b] = KeyAt(w, 0);
-          add(Resolve(w, 0), kind0_, a, b);
-        }
-        if (st.tag[1] == kFirst) {
-          add(Resolve(w, 1), LineageKind::kAnd, block_[w].lr, Resolve(w, 0));
-        }
-        out_[w] = Resolve(w, out_level);
+        const LineageId id = Resolve(w);
+        out_[w] = id;
+        if (st.tag != kFirst) continue;
+        nodes[id] = {st.kind, kInvalidVar, st.left, st.right};
+        if (!mgr_.hash_consing_) continue;
+        new_hash_[id - base_] = st.hash;
+        ++count[ConsIndex::ShardOf(st.hash)];
       }
     });
   }
@@ -488,7 +380,6 @@ class BlockIntern {
   const std::size_t tasks_;
   const std::size_t chunk_;
   ThreadPool* const pool_;
-  LineageKind kind0_ = LineageKind::kOr;
   std::unique_ptr<WindowState[]> state_;
   /// Per chunk: keys per shard, then scatter cursors.
   std::vector<ShardCounts> counts_;

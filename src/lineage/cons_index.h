@@ -6,9 +6,10 @@
 // marks an empty slot: it is the constant False, which is never interned. A
 // probe compares the stored hash first — the tag filter — and asks the
 // owner to compare nodes only when the tags match, so walking past an
-// occupied slot reads no node. Only ∧/∨/¬ nodes are keyed here: a variable
-// leaf is found by its VarId in LineageManager's leaf table, which needs no
-// hash.
+// occupied slot reads no node. Only ∧/∨/¬/andNot nodes are keyed here: a
+// variable leaf is found by its VarId in LineageManager's leaf table, which
+// needs no hash. A −Tp window keys at most one node, the fused andNot
+// (kind, λ1, λ2).
 //
 // A shard allocates its table on its first insert, at kMinSlots, and
 // doubles on its own once more than three quarters of its slots are taken,
@@ -45,8 +46,8 @@ class ConsIndex {
   static constexpr unsigned kShardBits = 6;
   static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
 
-  /// Hash of a ∧/∨/¬ node's full key. The pre-mix is injective per kind
-  /// over (left, right); the 64-bit finalizer (MurmurHash3's fmix64) spreads
+  /// Hash of a ∧/∨/¬/andNot node's full key. The pre-mix is injective per
+  /// kind over (left, right); the 64-bit finalizer (MurmurHash3's fmix64) spreads
   /// every input bit into both the top bits that pick the shard and the low
   /// bits a shard masks with.
   static std::uint32_t Hash(LineageKind kind, LineageId left, LineageId right) {

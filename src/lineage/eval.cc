@@ -24,6 +24,9 @@ bool EvaluateAssignment(const LineageManager& mgr, LineageId id,
     case LineageKind::kOr:
       return EvaluateAssignment(mgr, n.left, assignment) ||
              EvaluateAssignment(mgr, n.right, assignment);
+    case LineageKind::kAndNot:
+      return EvaluateAssignment(mgr, n.left, assignment) &&
+             !EvaluateAssignment(mgr, n.right, assignment);
   }
   return false;
 }
@@ -49,6 +52,10 @@ double ProbabilityReadOnce(const LineageManager& mgr, LineageId id,
       double pr = ProbabilityReadOnce(mgr, n.right, vars);
       return pl + pr - pl * pr;
     }
+    case LineageKind::kAndNot:
+      // The ∧ over a ¬'s operations in the same order: bit-identical.
+      return ProbabilityReadOnce(mgr, n.left, vars) *
+             (1.0 - ProbabilityReadOnce(mgr, n.right, vars));
   }
   return 0.0;
 }
@@ -86,6 +93,10 @@ LineageId Restrict(LineageManager& mgr, LineageId id, VarId v, bool value,
       result = mgr.MakeOr(Restrict(mgr, n.left, v, value, cache),
                           Restrict(mgr, n.right, v, value, cache));
       break;
+    case LineageKind::kAndNot:
+      result = mgr.MakeAndNot(Restrict(mgr, n.left, v, value, cache),
+                              Restrict(mgr, n.right, v, value, cache));
+      break;
     default:
       result = id;
       break;
@@ -106,7 +117,8 @@ VarId SmallestVar(const LineageManager& mgr, LineageId id) {
     case LineageKind::kNot:
       return SmallestVar(mgr, n.left);
     case LineageKind::kAnd:
-    case LineageKind::kOr: {
+    case LineageKind::kOr:
+    case LineageKind::kAndNot: {
       VarId a = SmallestVar(mgr, n.left);
       VarId b = SmallestVar(mgr, n.right);
       return a < b ? a : b;

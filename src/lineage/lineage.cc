@@ -46,22 +46,23 @@ LineageManager::LineageManager(bool hash_consing) : hash_consing_(hash_consing) 
   nodes_.push_back({LineageKind::kTrue, kInvalidVar, kNullLineage, kNullLineage});
 }
 
-LineageId LineageManager::Intern(LineageKind kind, LineageId left,
-                                 LineageId right) {
+LineageId LineageManager::Intern(const Key& key) {
   const LineageId fresh = static_cast<LineageId>(nodes_.size());
   if (hash_consing_) {
     ++counts_.lookups;
     const LineageId id = index_.FindOrAdd(
-        ConsIndex::Hash(kind, left, right), fresh, [&](LineageId cand) {
+        ConsIndex::Hash(key.kind, key.left, key.right), fresh,
+        [&](LineageId cand) {
           const LineageNode& n = nodes_[cand];
-          return n.kind == kind && n.left == left && n.right == right;
+          return n.kind == key.kind && n.left == key.left &&
+                 n.right == key.right;
         });
     if (id != fresh) {
       ++counts_.hits;
       return id;
     }
   }
-  nodes_.push_back({kind, kInvalidVar, left, right});
+  nodes_.push_back({key.kind, kInvalidVar, key.left, key.right});
   return fresh;
 }
 
@@ -85,27 +86,37 @@ LineageId LineageManager::MakeNot(LineageId a) {
   assert(a != kNullLineage && "MakeNot over null lineage");
   LineageId folded = kNullLineage;
   if (FoldNot(a, &folded)) return folded;
-  return Intern(LineageKind::kNot, a, kNullLineage);
+  return Intern({LineageKind::kNot, a, kNullLineage});
 }
 
 LineageId LineageManager::MakeAnd(LineageId a, LineageId b) {
   assert(a != kNullLineage && b != kNullLineage && "MakeAnd over null lineage");
   LineageId folded = kNullLineage;
-  if (FoldAnd(a, b, &folded)) return folded;
-  return Intern(LineageKind::kAnd, a, b);
+  Key key{};
+  if (FoldAnd(a, b, &folded, &key)) return folded;
+  return Intern(key);
+}
+
+LineageId LineageManager::MakeAndNot(LineageId a, LineageId b) {
+  assert(a != kNullLineage && b != kNullLineage &&
+         "MakeAndNot over null lineage");
+  LineageId folded = kNullLineage;
+  Key key{};
+  if (FoldAndNot(a, b, &folded, &key)) return folded;
+  return Intern(key);
 }
 
 LineageId LineageManager::MakeOr(LineageId a, LineageId b) {
   assert(a != kNullLineage && b != kNullLineage && "MakeOr over null lineage");
   LineageId folded = kNullLineage;
   if (FoldOr(a, b, &folded)) return folded;
-  return Intern(LineageKind::kOr, a, b);
+  return Intern({LineageKind::kOr, a, b});
 }
 
 LineageId LineageManager::ConcatAndNot(LineageId l1, LineageId l2) {
   assert(l1 != kNullLineage && "andNot requires non-null left lineage");
   if (l2 == kNullLineage) return l1;
-  return MakeAnd(l1, MakeNot(l2));
+  return MakeAndNot(l1, l2);
 }
 
 LineageId LineageManager::ConcatOr(LineageId l1, LineageId l2) {
@@ -138,6 +149,7 @@ void LineageManager::CollectVars(LineageId id, std::vector<VarId>* out) const {
         break;
       case LineageKind::kAnd:
       case LineageKind::kOr:
+      case LineageKind::kAndNot:
         stack.push_back(n.left);
         stack.push_back(n.right);
         break;
@@ -167,6 +179,7 @@ std::size_t LineageManager::CountVarOccurrences(LineageId id) const {
         break;
       case LineageKind::kAnd:
       case LineageKind::kOr:
+      case LineageKind::kAndNot:
         stack.push_back(n.left);
         stack.push_back(n.right);
         break;
@@ -183,11 +196,13 @@ bool LineageManager::IsReadOnce(LineageId id) const {
 }
 
 namespace {
-// Precedence levels for printing: Or < And < Not/Var.
+// Precedence levels for printing: Or < And (andNot's ∧ included) <
+// Not/Var.
 int Precedence(LineageKind k) {
   switch (k) {
     case LineageKind::kOr: return 1;
-    case LineageKind::kAnd: return 2;
+    case LineageKind::kAnd:
+    case LineageKind::kAndNot: return 2;
     default: return 3;
   }
 }
@@ -219,6 +234,13 @@ void LineageManager::AppendString(LineageId id, const VarTable& vars, bool ascii
       *out += ascii ? "&" : "∧";
       AppendString(n.right, vars, ascii, prec, out);
       break;
+    case LineageKind::kAndNot:
+      // λ1∧¬λ2, the right operand at ¬ precedence, as its ∧ over a ¬
+      // would print.
+      AppendString(n.left, vars, ascii, prec, out);
+      *out += ascii ? "&!" : "∧¬";
+      AppendString(n.right, vars, ascii, Precedence(LineageKind::kNot), out);
+      break;
     case LineageKind::kOr:
       AppendString(n.left, vars, ascii, prec, out);
       *out += ascii ? "|" : "∨";
@@ -242,6 +264,9 @@ void LineageManager::FlattenCanonical(LineageId id, LineageKind op,
   if (n.kind == op) {
     FlattenCanonical(n.left, op, parts);
     FlattenCanonical(n.right, op, parts);
+  } else if (n.kind == LineageKind::kAndNot && op == LineageKind::kAnd) {
+    FlattenCanonical(n.left, op, parts);
+    parts->push_back("!(" + CanonicalKey(n.right) + ")");
   } else {
     parts->push_back(CanonicalKey(id));
   }
@@ -260,11 +285,14 @@ std::string LineageManager::CanonicalKey(LineageId id) const {
     case LineageKind::kNot:
       return "!(" + CanonicalKey(n.left) + ")";
     case LineageKind::kAnd:
-    case LineageKind::kOr: {
+    case LineageKind::kOr:
+    case LineageKind::kAndNot: {
+      const LineageKind op =
+          n.kind == LineageKind::kOr ? LineageKind::kOr : LineageKind::kAnd;
       std::vector<std::string> parts;
-      FlattenCanonical(id, n.kind, &parts);
+      FlattenCanonical(id, op, &parts);
       std::sort(parts.begin(), parts.end());
-      std::string out = n.kind == LineageKind::kAnd ? "&(" : "|(";
+      std::string out = op == LineageKind::kAnd ? "&(" : "|(";
       for (std::size_t i = 0; i < parts.size(); ++i) {
         if (i > 0) out.push_back(',');
         out += parts[i];

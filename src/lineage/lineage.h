@@ -8,6 +8,14 @@
 // lineage-equivalence check used for change preservation (paper §V,
 // footnote 1) is a single integer comparison.
 //
+// Table I's andNot(λ1, λ2) = λ1 ∧ ¬λ2 is one node, kAndNot, rather than an
+// ∧ over a ¬ — the way BDD packages keep negation out of the node table
+// with complement edges (Brace, Rudell and Bryant, DAC 1990). The
+// constructors keep one form per formula: an ∧ whose right side is a ¬ is
+// built as the kAndNot, so no kAnd node has a kNot right child, and a
+// formula gets one id whichever path builds it. Every reader treats a
+// kAndNot as the ∧ over a ¬ it stands for.
+//
 // kNullLineage represents the paper's "λ = null" (no tuple with the fact is
 // valid at the time point). It is distinct from the Boolean constant False:
 // the Table I concatenation functions are defined over null, not False.
@@ -79,11 +87,12 @@ class VarTable {
 /// All constructors apply constant folding (And(True,x)=x, Not(False)=True,
 /// ...) so restriction produces simplified cofactors. With hash-consing
 /// enabled, construction deduplicates nodes, so equal formulas share one id.
-/// A ∧/∨/¬ node costs one hash and a short linear probe of 8-byte slots in
-/// a sharded open-addressed index (lineage/cons_index.h); a variable leaf
-/// costs one read of a dense table indexed by VarId. Two kinds of node
-/// never enter the index: variable leaves, and every node of a manager
-/// without hash-consing. Disable it only where lineages are never compared
+/// A ∧/∨/¬/andNot node costs one hash and a short linear probe of 8-byte
+/// slots in a sharded open-addressed index (lineage/cons_index.h); a
+/// variable leaf costs one read of a dense table indexed by VarId. Every
+/// constructor interns at most one node. Two kinds of node never enter the
+/// index: variable leaves, and every node of a manager without
+/// hash-consing. Disable it only where lineages are never compared
 /// (the paper-figure benches do): every construction then appends without
 /// a lookup, at the price of duplicate nodes and of the id-equality check.
 ///
@@ -117,8 +126,15 @@ class LineageManager {
   /// ¬a. `a` must not be kNullLineage.
   LineageId MakeNot(LineageId a);
 
-  /// a ∧ b. Neither side may be kNullLineage.
+  /// a ∧ b. Neither side may be kNullLineage. When b, after the constant
+  /// folds, is a ¬x node, this is MakeAndNot(a, x).
   LineageId MakeAnd(LineageId a, LineageId b);
+
+  /// a ∧ ¬b as one kAndNot node, with the folds of MakeAnd(a, MakeNot(b))
+  /// in this order: b = False gives a; b = True or a = False gives False;
+  /// b = ¬x gives MakeAnd(a, x); a = True gives MakeNot(b); a = ¬b gives
+  /// a. Neither side may be kNullLineage.
+  LineageId MakeAndNot(LineageId a, LineageId b);
 
   /// a ∨ b. Neither side may be kNullLineage.
   LineageId MakeOr(LineageId a, LineageId b);
@@ -129,8 +145,9 @@ class LineageManager {
   /// guarantees this).
   LineageId ConcatAnd(LineageId l1, LineageId l2) { return MakeAnd(l1, l2); }
 
-  /// andNot(λ1, λ2) = λ1 if λ2 = null, else (λ1) ∧ ¬(λ2). λ1 must be
-  /// non-null (the −Tp filter guarantees this).
+  /// andNot(λ1, λ2) = λ1 if λ2 = null, else (λ1) ∧ ¬(λ2) — one
+  /// MakeAndNot, so at most one new node. λ1 must be non-null (the −Tp
+  /// filter guarantees this).
   LineageId ConcatAndNot(LineageId l1, LineageId l2);
 
   /// or(λ1, λ2) = the non-null side if one is null, else (λ1) ∨ (λ2).
@@ -142,15 +159,15 @@ class LineageManager {
   /// would return if called for i = 0, 1, ... in order, and the node array,
   /// the consing index's contents, index_bytes(), node_bytes() and the
   /// intern counts end exactly as that loop leaves them. Every input id
-  /// must already be in the arena. A new node's id is size() at the call
-  /// plus the number of first occurrences at earlier (window, level)
-  /// positions — level 0 is the window's ∧/∨, or andNot's ¬; level 1 is
-  /// andNot's ∧ — which is the order the loop appends in. The work runs as
-  /// phases over up to pool->size() tasks, one per kMinWindowsPerTask
-  /// windows (the calling thread runs one; it must not be a pool task), the
-  /// index's shards each owned by one task. A block that gets one task — a
-  /// null or one-worker `pool`, or under 2 * kMinWindowsPerTask windows —
-  /// runs that loop itself on the calling thread. The caller holds
+  /// must already be in the arena. Each window makes at most one
+  /// construction, so a new node's id is size() at the call plus the
+  /// number of first occurrences at earlier windows, which is the order the
+  /// loop appends in. The work runs as phases over up to pool->size()
+  /// tasks, one per kMinWindowsPerTask windows (the calling thread runs
+  /// one; it must not be a pool task), the index's shards each owned by
+  /// one task. A block that gets one task — a null or one-worker `pool`,
+  /// or under 2 * kMinWindowsPerTask windows — runs that loop itself on
+  /// the calling thread. The caller holds
   /// exclusive access to this manager, as for any construction; only the
   /// calling thread writes the intern counts. `out` has block.size() slots.
   /// Defined in concat_block.cc.
@@ -178,10 +195,10 @@ class LineageManager {
   std::size_t node_bytes() const { return nodes_.committed_bytes(); }
 
   /// Intern-path counts (hash-consing only): a lookup is one MakeVar (a
-  /// leaf-table read) or one ∧/∨/¬ construction that probes the consing
-  /// index; a hit finds an existing node. Plain single-writer fields — the
-  /// intern path carries no atomic — so only the arena's writer may read
-  /// them.
+  /// leaf-table read) or one ∧/∨/¬/andNot construction that probes the
+  /// consing index; a hit finds an existing node. Plain single-writer
+  /// fields — the intern path carries no atomic — so only the arena's
+  /// writer may read them.
   struct InternCounts {
     std::uint64_t lookups = 0;
     std::uint64_t hits = 0;
@@ -206,13 +223,15 @@ class LineageManager {
 
   /// Renders the formula in the paper's style: "c1∧¬(a1∨b1)". Unicode
   /// connectives by default; ascii=true yields "c1&!(a1|b1)". Names come
-  /// from `vars`.
+  /// from `vars`. A kAndNot prints as λ1∧¬λ2, the way its ∧ over a ¬
+  /// would.
   std::string ToString(LineageId id, const VarTable& vars,
                        bool ascii = false) const;
 
   /// Order-insensitive canonical key: operands of ∧/∨ chains are flattened
   /// and sorted, so formulas equal up to commutativity/associativity map to
-  /// the same key. Used by tests to compare outputs of different algorithms.
+  /// the same key; a kAndNot joins its ∧-chain as λ1's operands and a
+  /// "!(λ2)" one. Used by tests to compare outputs of different algorithms.
   std::string CanonicalKey(LineageId id) const;
 
  private:
@@ -222,22 +241,21 @@ class LineageManager {
 
   friend class BlockIntern;  // ConcatBlock's phases (concat_block.cc)
 
-  LineageId Intern(LineageKind kind, LineageId left, LineageId right);
+  /// The one node a construction interns once its folds are applied.
+  struct Key {
+    LineageKind kind;
+    LineageId left;
+    LineageId right;
+  };
 
-  // The constant folds of MakeAnd / MakeOr / MakeNot, shared with
+  LineageId Intern(const Key& key);
+
+  // The folds of MakeAnd / MakeAndNot / MakeOr / MakeNot, shared with
   // ConcatBlock: true, with *out set, when the construction needs no node.
-  static bool FoldAnd(LineageId a, LineageId b, LineageId* out) {
-    if (a == kFalseId || b == kFalseId) {
-      *out = kFalseId;
-    } else if (a == kTrueId || a == b) {
-      *out = b;
-    } else if (b == kTrueId) {
-      *out = a;
-    } else {
-      return false;
-    }
-    return true;
-  }
+  // FoldAnd and FoldAndNot otherwise set *key, which may be of the other
+  // kind: an ∧ over ¬x is the andNot of x, and an andNot of ¬x the ∧ of x.
+  bool FoldAnd(LineageId a, LineageId b, LineageId* out, Key* key) const;
+  bool FoldAndNot(LineageId a, LineageId b, LineageId* out, Key* key) const;
   static bool FoldOr(LineageId a, LineageId b, LineageId* out) {
     if (a == kTrueId || b == kTrueId) {
       *out = kTrueId;
@@ -276,10 +294,48 @@ class LineageManager {
   /// kNoLeaf. VarIds are dense (one per base tuple), so the table needs no
   /// hash and costs 4 bytes per variable.
   std::vector<LineageId> leaves_;
-  /// Hash-consing only: the ∧/∨/¬ nodes.
+  /// Hash-consing only: the ∧/∨/¬/andNot nodes.
   ConsIndex index_;
   InternCounts counts_;
 };
+
+inline bool LineageManager::FoldAnd(LineageId a, LineageId b,
+                                    LineageId* out, Key* key) const {
+  if (a == kFalseId || b == kFalseId) {
+    *out = kFalseId;
+  } else if (a == kTrueId || a == b) {
+    *out = b;
+  } else if (b == kTrueId) {
+    *out = a;
+  } else if (nodes_[b].kind == LineageKind::kNot) {
+    return FoldAndNot(a, nodes_[b].left, out, key);
+  } else {
+    *key = {LineageKind::kAnd, a, b};
+    return false;
+  }
+  return true;
+}
+
+inline bool LineageManager::FoldAndNot(LineageId a, LineageId b,
+                                       LineageId* out, Key* key) const {
+  if (b == kFalseId) {
+    *out = a;
+  } else if (b == kTrueId || a == kFalseId) {
+    *out = kFalseId;
+  } else if (nodes_[b].kind == LineageKind::kNot) {
+    return FoldAnd(a, nodes_[b].left, out, key);
+  } else if (a == kTrueId) {
+    *key = {LineageKind::kNot, b, kNullLineage};
+    return false;
+  } else if (nodes_[a].kind == LineageKind::kNot && nodes_[a].left == b) {
+    // ¬b ∧ ¬b: without this fold, read-once valuation would square 1 − p.
+    *out = a;
+  } else {
+    *key = {LineageKind::kAndNot, a, b};
+    return false;
+  }
+  return true;
+}
 
 }  // namespace tpset
 

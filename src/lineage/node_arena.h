@@ -27,10 +27,22 @@ namespace tpset {
 
 /// Node discriminator. kTrue/kFalse arise only from restriction (Shannon
 /// cofactors); the set-operation algebra itself never creates constants.
-enum class LineageKind : std::uint8_t { kFalse = 0, kTrue, kVar, kNot, kAnd, kOr };
+/// kAndNot is Table I's andNot(λ1, λ2) = λ1 ∧ ¬λ2 stored as one node, the
+/// one place set operations build a ¬: no kAnd node has a kNot right child
+/// (LineageManager::MakeAnd builds a kAndNot instead).
+enum class LineageKind : std::uint8_t {
+  kFalse = 0,
+  kTrue,
+  kVar,
+  kNot,
+  kAnd,
+  kOr,
+  kAndNot,
+};
 
 /// One formula node. For kVar, `var` holds the variable; for kNot only
-/// `left` is used; for kAnd/kOr both children are used.
+/// `left` is used; for kAnd/kOr both children are used; for kAndNot `left`
+/// is λ1 and `right` is λ2, the negated operand.
 struct LineageNode {
   LineageKind kind;
   VarId var;

@@ -128,14 +128,17 @@ const char* const kSlowMetrics[2] = {"tpset_exec_query_usec",
 // Copies the newest <= `max` samples of `ring` into `rows`, oldest first,
 // keeping only consecutive seqs that end at the newest sample, so every
 // delta spans exactly one tick. A run that stops short of the sample the
-// collector was writing when the read began was lapped: no samples then,
-// rather than stale ones. `rows` holds max + 1 records; the last one is the
-// ring's copy scratch. No allocation; signal-safe.
+// collector is writing when the read ends was lapped: no samples then,
+// rather than stale ones. It is judged against the seqs claimed by the end
+// of the read, not at its start: a reader preempted while the collector
+// overwrites the window's tail could otherwise return a run that ends
+// before one an earlier read returned, and a counter's history would read
+// as decreasing. `rows` holds max + 1 records; the last one is the ring's
+// copy scratch. No allocation; signal-safe.
 std::size_t ReadSamples(const StampedRing& ring, std::size_t max,
                         std::uint64_t* rows) {
   const std::size_t width = ring.words();
   std::uint64_t* scratch = rows + max * width;
-  const std::uint64_t claimed = ring.claimed();
   std::size_t k = 0;
   std::uint64_t last = 0;
   ring.Read(max, scratch, [&](std::uint64_t seq) {
@@ -144,7 +147,7 @@ std::size_t ReadSamples(const StampedRing& ring, std::size_t max,
     last = seq;
     ++k;
   });
-  return last + 1 >= claimed ? k : 0;
+  return last + 1 >= ring.claimed() ? k : 0;
 }
 
 // One slow-log record, stored as ring words; the ring's seq is its seq.

@@ -47,14 +47,16 @@ struct PartitionSweep {
 // per-operation λ-filter to `emit`, which defers it. LawaSetOp sweeps with
 // the same kernel, so bit-identity rests on the morsel cuts stitching back
 // into the sequential stream (scheduler.h); the cross-check is the
-// parallel_set_op_test property suite. Reads shared data only; returns the
-// candidate windows.
+// parallel_set_op_test property suite. The sweep drains early only at an
+// input that ends in the morsel, as the sequential sweep does, so the
+// morsels' candidate windows sum to its count. Reads shared data only;
+// returns the candidate windows.
 template <typename Emit>
 std::size_t SweepMorsel(SetOpKind op, TupleSpan r, TupleSpan s,
                         const FactPartition& part, Emit&& emit) {
   ColumnarAdvancer adv(r.Slice(part.r_begin, part.r_end),
                        s.Slice(part.s_begin, part.s_end));
-  adv.Sweep(op, emit);
+  adv.SweepSlice(op, part.r_end == r.size, part.s_end == s.size, emit);
   return adv.windows_produced();
 }
 

@@ -74,10 +74,11 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   /// on `seq`. Every concurrent evaluation against one context must go
   /// through one sequencer.
   ///
-  /// `stats`: output_tuples matches the sequential run exactly;
-  /// windows_produced may be smaller — a morsel whose other input is
-  /// empty never sweeps, skipping candidate windows the sequential global
-  /// loop produces only to filter out. Proposition 1 bounds both counts.
+  /// `stats`: output_tuples and windows_produced match the sequential run
+  /// exactly, whatever the morsel plan: a morsel's sweep drains early only
+  /// at an input whose global end lies in its slice, and otherwise counts
+  /// the one-sided tail the sequential sweep counts and filters out.
+  /// Proposition 1 bounds both counts.
   ///
   /// `span`: when non-null, the operation records its phase walls as child
   /// spans ("sort", "split", "advance", "apply"; the degenerate sequential

@@ -183,12 +183,6 @@ class QueryExecutor {
   /// RegisterContinuous; the pointer stays valid for the executor's life.
   Result<ContinuousQuery*> FindContinuous(const std::string& name) const;
 
-  /// All registered continuous queries, by name.
-  const std::map<std::string, std::unique_ptr<ContinuousQuery>>& continuous()
-      const {
-    return continuous_;
-  }
-
   /// The most recently assigned append epoch (0 before any append).
   EpochId last_epoch() const { return append_log_.last_epoch(); }
 

@@ -12,8 +12,12 @@
 // ¬¬x and a ∧ a folds, and two leaves whose ¬ keys share a 32-bit hash (the
 // collision LineageTest.NodesWithCollidingTagsGetDistinctIds finds), so a
 // tag match that is not an equal key reaches both the index probe and the
-// in-block table; andNot blocks also carry two windows whose ∧s over new
-// ¬s share a 32-bit hash.
+// in-block table. A window's one key takes the kind its folds give, and
+// every block checks that its mix reaches each: ∩ over a ¬ λs (an andNot
+// key), andNot with λs = ¬x (an ∧ key), with λr = True (a ¬ key, where the
+// colliding ¬ tags meet) and with λr = ¬λs (a fold). andNot blocks also
+// carry two windows whose andNot keys, new in the block, share a 32-bit
+// hash.
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
@@ -45,26 +49,18 @@ std::pair<LineageId, LineageId> CollidingNotTags() {
   return pair;
 }
 
-// andNot windows (λr, λs1) and (λr, λs2) whose ∧ keys over the leaves
-// share a 32-bit hash: with ¬λs1 and ¬λs2 new in the block, the two ∧s
-// meet in the in-block table of their ¬s' shards only if the ¬ hashes
-// share a shard too, so the search also asks for that. λs is drawn above
-// the hot range Populate builds ¬s over.
+// andNot windows (λr, λs1) and (λr, λs2) whose keys (kAndNot, λr, λs1)
+// and (kAndNot, λr, λs2) share a 32-bit hash, and so a shard. λs is drawn
+// above the hot range Populate builds andNots over, so both keys are new
+// in the block and meet in its in-block table.
 struct AndCollision {
   LineageId lr, ls1, ls2;
 };
 AndCollision CollidingAndTags(LineageId leaves_end) {
-  std::vector<std::uint64_t> not_shard;
-  for (LineageId ls = 200; ls < leaves_end; ++ls) {
-    not_shard.push_back(ConsIndex::ShardOf(
-        ConsIndex::Hash(LineageKind::kNot, ls, kNullLineage)));
-  }
-  std::vector<std::pair<std::uint64_t, LineageId>> keys(not_shard.size());
+  std::vector<std::pair<std::uint32_t, LineageId>> keys(leaves_end - 200);
   for (LineageId lr = 2;; ++lr) {
     for (LineageId ls = 200; ls < leaves_end; ++ls) {
-      keys[ls - 200] = {not_shard[ls - 200] << 32 |
-                            ConsIndex::Hash(LineageKind::kAnd, lr, ls),
-                        ls};
+      keys[ls - 200] = {ConsIndex::Hash(LineageKind::kAndNot, lr, ls), ls};
     }
     std::sort(keys.begin(), keys.end());
     for (std::size_t i = 1; i < keys.size(); ++i) {
@@ -120,7 +116,7 @@ Inputs Populate(LineageManager* mgr, std::uint64_t seed) {
         if (mgr->kind(in.compound.back()) == LineageKind::kNot) {
           in.negations.push_back({in.compound.back(), a});
         }
-        // andNot's ∧ over that ¬ exists for some λr.
+        // The andNot of some λr and a exists.
         if (rng.Below(2) == 0) {
           const LineageId lr = pick();
           mgr->ConcatAndNot(lr, a);
@@ -163,7 +159,7 @@ std::vector<LineagePair> MakeBlock(SetOpKind op, const Inputs& in, Rng* rng) {
             : op == SetOpKind::kIntersect ? in.ands
                                           : in.and_nots;
         if (!known.empty()) p = known[rng->Below(known.size())];
-        // andNot: only the ¬ exists.
+        // andNot: a λs whose ¬ exists, which the andNot key does not use.
         if (op == SetOpKind::kExcept && rng->Below(2) == 0) {
           p.ls = in.negations[rng->Below(in.negations.size())].ls;
         }
@@ -195,7 +191,8 @@ std::vector<LineagePair> MakeBlock(SetOpKind op, const Inputs& in, Rng* rng) {
       }
       case 6:  // the colliding ¬ tags, against each other and the index
         p.ls = rng->Below(2) == 0 ? x : y;
-        if (op != SetOpKind::kExcept) p.lr = rng->Below(2) == 0 ? x : y;
+        p.lr = op != SetOpKind::kExcept ? (rng->Below(2) == 0 ? x : y)
+                                        : LineageManager::kTrueId;
         if (op == SetOpKind::kExcept && rng->Below(2) == 0) {
           const AndCollision& c = in.and_collision;
           p = {c.lr, rng->Below(2) == 0 ? c.ls1 : c.ls2};
@@ -208,6 +205,27 @@ std::vector<LineagePair> MakeBlock(SetOpKind op, const Inputs& in, Rng* rng) {
     block.push_back(p);
   }
   return block;
+}
+
+// The block reaches every key kind its operation's folds give (see the file
+// comment).
+void ExpectFullMix(SetOpKind op, const LineageManager& mgr,
+                   const std::vector<LineagePair>& block) {
+  auto is_not = [&](LineageId id) {
+    return id != kNullLineage && mgr.kind(id) == LineageKind::kNot;
+  };
+  std::size_t over_not = 0, true_left = 0, not_of_right = 0;
+  for (const LineagePair& p : block) {
+    over_not += is_not(p.ls) ? 1 : 0;
+    true_left += p.lr == LineageManager::kTrueId && p.ls != kNullLineage ? 1 : 0;
+    not_of_right +=
+        is_not(p.lr) && mgr.node(p.lr).left == p.ls ? 1 : 0;
+  }
+  if (op == SetOpKind::kUnion) return;
+  EXPECT_GT(over_not, 0u) << "no λs = ¬x";
+  if (op == SetOpKind::kIntersect) return;
+  EXPECT_GT(true_left, 0u) << "no λr = True";
+  EXPECT_GT(not_of_right, 0u) << "no λr = ¬λs";
 }
 
 void ExpectSameArena(const LineageManager& want, const LineageManager& got) {
@@ -240,6 +258,7 @@ TEST(ConcatBlockPropertyTest, MatchesTheSequentialLoop) {
           Rng rng(seed * 7919 + static_cast<std::uint64_t>(op));
           for (int round = 0; round < 2; ++round) {
             const std::vector<LineagePair> block = MakeBlock(op, in, &rng);
+            ExpectFullMix(op, loop, block);
             std::vector<LineageId> want(block.size()), got(block.size());
             for (std::size_t i = 0; i < block.size(); ++i) {
               want[i] = ConcatLineage(op, loop, block[i].lr, block[i].ls);

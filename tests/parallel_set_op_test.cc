@@ -178,11 +178,9 @@ TEST(ParallelSetOpTest, StatsMatchSequential) {
     LawaSetOp(op, r, s, SortMode::kComparison, &seq_stats);
     ParallelSetOpAlgorithm par(4);
     par.ComputeSequenced(op, r, s, nullptr, 0, &par_stats);
-    // Candidate windows: a partition whose other input is empty skips the
-    // dead (always-filtered) windows the sequential global sweep still
-    // produces, so parallel counts at most the sequential number; the
-    // Proposition 1 bound holds for both. Output tuples match exactly.
-    EXPECT_LE(par_stats.windows_produced, seq_stats.windows_produced);
+    // Candidate windows and output tuples match exactly: a morsel counts
+    // the dead (always-filtered) windows the sequential sweep produces.
+    EXPECT_EQ(par_stats.windows_produced, seq_stats.windows_produced);
     EXPECT_GT(par_stats.windows_produced, 0u);
     EXPECT_EQ(seq_stats.output_tuples, par_stats.output_tuples);
   }

@@ -1,7 +1,8 @@
 // Skew property belt for the morsel scheduler: randomized zipf, one-hot-fact
 // and all-one-fact workloads, asserting that morsel-scheduled execution is
 // (a) bit-identical to sequential LAWA — tuples, lineage ids, arena size,
-// index bytes and intern counts — and
+// index bytes and intern counts — with LawaStats::windows_produced equal
+// to the sequential count whatever the plan, and
 // (b) run-to-run deterministic: the same configuration over a fresh but
 // identically seeded context reproduces the output bit for bit, across
 // thread counts 1/2/4/8 and morsel budgets including the pathological
@@ -149,8 +150,10 @@ void RunShape(const SkewShape& shape, std::uint64_t seed) {
     auto [seq_r, seq_s] = FreshPair(shape, seed, &seq_ctx);
     ASSERT_TRUE(ValidateSetOpInputs(seq_r, seq_s).ok());
     TpRelation expected;
-    const ArenaEnd want = RunCounted(
-        *seq_ctx, [&]() { expected = LawaSetOp(op, seq_r, seq_s); });
+    LawaStats seq_stats;
+    const ArenaEnd want = RunCounted(*seq_ctx, [&]() {
+      expected = LawaSetOp(op, seq_r, seq_s, SortMode::kComparison, &seq_stats);
+    });
     for (std::size_t threads : thread_counts) {
       for (std::size_t budget : morsel_budgets) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -164,8 +167,10 @@ void RunShape(const SkewShape& shape, std::uint64_t seed) {
         auto [r1, s1] = FreshPair(shape, seed, &ctx1);
         auto [r2, s2] = FreshPair(shape, seed, &ctx2);
         TpRelation out1, out2;
-        const ArenaEnd got1 =
-            RunCounted(*ctx1, [&]() { out1 = algo.Compute(op, r1, s1); });
+        LawaStats stats;
+        const ArenaEnd got1 = RunCounted(*ctx1, [&]() {
+          out1 = algo.ComputeSequenced(op, r1, s1, nullptr, 0, &stats);
+        });
         const ArenaEnd got2 =
             RunCounted(*ctx2, [&]() { out2 = algo.Compute(op, r2, s2); });
         ExpectBitEqual(out1, out2, "rerun determinism");
@@ -174,6 +179,8 @@ void RunShape(const SkewShape& shape, std::uint64_t seed) {
             << "arena end: nodes " << got1.nodes << " vs " << want.nodes
             << ", lookups " << got1.lookups << " vs " << want.lookups
             << ", hits " << got1.hits << " vs " << want.hits;
+        // Candidate windows are a function of the inputs, not of the plan.
+        EXPECT_EQ(stats.windows_produced, seq_stats.windows_produced);
       }
     }
   }
